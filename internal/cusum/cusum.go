@@ -9,7 +9,8 @@
 package cusum
 
 import (
-	"math/rand"
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -96,31 +97,31 @@ func DetectRaw(xs []float64, cfg Config) []ChangePoint {
 // candidate lists). The level-shift analyzer calls Detect once per
 // detection window per link per threshold — reusing the scratch removes
 // the dominant allocation cost of a campaign's analysis phase. Results
-// are bit-identical to the package-level Detect/DetectRaw: reseeding a
-// rand.Rand produces the same stream as constructing it from the same
+// are bit-identical to the package-level Detect/DetectRaw: reseeding the
+// generator produces the same stream as constructing it from the same
 // seed, and every buffer is fully overwritten per call.
 //
 // A Detector is not safe for concurrent use; fan-out callers create one
 // per goroutine.
 type Detector struct {
 	cfg Config
-	rng *rand.Rand
+	src lfSource
+	// exactSums is set while the window being analyzed holds ranks of
+	// fewer than 2²⁶ samples: every partial sum is then a half-integer
+	// below 2⁵², exact in float64 whatever the summation order.
+	exactSums bool
 
 	ranks   []float64
 	rankIdx []int
 	shuf    []float64
 	cps     []int
 	confs   []float64
-	order   []int
 }
 
 // NewDetector builds a reusable detector. cfg.Seed is ignored — each
 // Detect call takes its own seed.
 func NewDetector(cfg Config) *Detector {
-	return &Detector{
-		cfg: cfg.withDefaults(),
-		rng: rand.New(rand.NewSource(0)),
-	}
+	return &Detector{cfg: cfg.withDefaults()}
 }
 
 // Reconfigure swaps the detector's configuration while keeping its
@@ -158,20 +159,19 @@ func (d *Detector) AppendCandidates(dst []Candidate, xs []float64, seed int64) [
 	if d.cfg.UseRanks {
 		work = d.ranksInto(xs)
 	}
-	d.rng.Seed(seed)
+	d.exactSums = d.cfg.UseRanks && len(work) < 1<<26
+	d.src.seed(seed)
 	d.cps = d.cps[:0]
 	d.confs = d.confs[:0]
-	d.segment(work, 0, len(work))
+	d.segment(work, 0, len(work), true)
 
-	d.order = d.order[:0]
-	for i := range d.cps {
-		d.order = append(d.order, i)
+	// Change points are distinct indices, so any sort yields the same
+	// order.
+	start := len(dst)
+	for i, idx := range d.cps {
+		dst = append(dst, Candidate{Index: idx, Confidence: d.confs[i]})
 	}
-	sort.Slice(d.order, func(a, b int) bool { return d.cps[d.order[a]] < d.cps[d.order[b]] })
-
-	for _, oi := range d.order {
-		dst = append(dst, Candidate{Index: d.cps[oi], Confidence: d.confs[oi]})
-	}
+	slices.SortFunc(dst[start:], func(a, b Candidate) int { return cmp.Compare(a.Index, b.Index) })
 	return dst
 }
 
@@ -261,8 +261,13 @@ func (d *Detector) ranksInto(xs []float64) []float64 {
 	return d.ranks[:n]
 }
 
-// segment recursively tests [lo,hi) for a change point.
-func (d *Detector) segment(xs []float64, lo, hi int) {
+// segment recursively tests [lo,hi) for a change point. last reports
+// that no significance test follows this segment's subtree in the
+// window — the generator's state after it is never read — so a
+// rejected test there need not advance the generator (see
+// bootstrapConfidence). The left child is never last; the right child
+// inherits.
+func (d *Detector) segment(xs []float64, lo, hi int, last bool) {
 	n := hi - lo
 	if n < 2*d.cfg.MinSegment {
 		return
@@ -275,14 +280,14 @@ func (d *Detector) segment(xs []float64, lo, hi int) {
 			return
 		}
 	}
-	conf := d.bootstrapConfidence(xs[lo:hi], diff)
+	conf := d.bootstrapConfidence(xs[lo:hi], diff, last)
 	if conf < d.cfg.Confidence {
 		return
 	}
 	d.cps = append(d.cps, lo+idx)
 	d.confs = append(d.confs, conf)
-	d.segment(xs, lo, lo+idx)
-	d.segment(xs, lo+idx, hi)
+	d.segment(xs, lo, lo+idx, false)
+	d.segment(xs, lo+idx, hi, last)
 }
 
 // maxCusumSplit computes the CUSUM chart of xs and returns the index
@@ -339,21 +344,76 @@ func maxCusumSplitBounded(xs []float64, minSeg int) (int, float64) {
 // bootstrapConfidence estimates how often a random reordering of xs
 // produces a smaller CUSUM range than observed. The shuffle copy lives
 // in detector scratch — this is the analysis phase's hot spot.
-func (d *Detector) bootstrapConfidence(xs []float64, observed float64) float64 {
+//
+// The result is bit-identical to shuffling Bootstraps times with
+// (*rand.Rand).Shuffle and counting maxCusumSplit ranges below
+// observed, with three shortcuts that cannot change it:
+//   - In rank mode the values are half-integers whose sums are exact in
+//     any order (exactSums), so the chart's mean is computed once, not
+//     per shuffle.
+//   - Each shuffle's scan stops as soon as the range reaches observed
+//     (rangeBelow).
+//   - Once so many shuffles have failed that even all-smaller remaining
+//     ones could not reach Confidence, the test is rejected on the spot.
+//     A rejected test's confidence is never recorded, only compared, so
+//     the returned value need only stay below Confidence — which the
+//     partial count does. The generator is still advanced past the
+//     skipped shuffles' draws, so later tests in the window see the
+//     same stream, unless last says no later test exists.
+func (d *Detector) bootstrapConfidence(xs []float64, observed float64, last bool) float64 {
 	if observed <= 0 {
 		return 0
 	}
 	shuf := append(d.shuf[:0], xs...)
 	d.shuf = shuf
-	smaller := 0
+	m := 0.0
+	if d.exactSums {
+		m = mean(xs)
+	}
 	n := d.cfg.Bootstraps
+	smaller, failed := 0, 0
 	for b := 0; b < n; b++ {
-		d.rng.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
-		if _, diff := maxCusumSplit(shuf); diff < observed {
+		d.src.shuffle(shuf)
+		if !d.exactSums {
+			m = mean(shuf)
+		}
+		if rangeBelow(shuf, m, observed) {
 			smaller++
+			continue
+		}
+		failed++
+		if float64(n-failed)/float64(n) < d.cfg.Confidence {
+			if !last {
+				d.src.skipShuffles(len(shuf), n-b-1)
+			}
+			break
 		}
 	}
 	return float64(smaller) / float64(n)
+}
+
+// rangeBelow reports whether the CUSUM chart of xs about mean m has a
+// range Smax−Smin below observed — maxCusumSplit's `diff < observed`,
+// without tracking the split. Smax only grows and Smin only shrinks
+// along the scan, and rounded subtraction is monotone in both, so once
+// the running range fails the comparison the final one fails too and
+// the scan stops there.
+func rangeBelow(xs []float64, m, observed float64) bool {
+	var s, smax, smin float64
+	for _, x := range xs {
+		s += x - m
+		if s > smax {
+			smax = s
+		} else if s < smin {
+			smin = s
+		} else {
+			continue
+		}
+		if !(smax-smin < observed) {
+			return false
+		}
+	}
+	return smax-smin < observed
 }
 
 // Ranks replaces each value by its (average-tie) rank, the
@@ -373,7 +433,18 @@ func rankInto(xs []float64, idx []int, out []float64) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	// cmp < 0 exactly when xs[a] < xs[b] — the less of the sort.Slice
+	// this replaced, over the same pdqsort — so even NaN inputs rank
+	// identically.
+	slices.SortFunc(idx, func(a, b int) int {
+		if xs[a] < xs[b] {
+			return -1
+		}
+		if xs[b] < xs[a] {
+			return 1
+		}
+		return 0
+	})
 	for i := 0; i < n; {
 		j := i
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {

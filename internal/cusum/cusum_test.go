@@ -274,3 +274,30 @@ func BenchmarkDetectYearHourly(b *testing.B) {
 		Detect(xs, Config{Bootstraps: 50, Seed: 1})
 	}
 }
+
+// BenchmarkBootstrapWindow is one detection window as the level-shift
+// detector runs it: a day of 5-minute RTTs (288 samples), rank mode,
+// the default 100-shuffle bootstrap, and a fresh seed per window. The
+// seeds cycle through a fixed 128 so ns/op does not drift with b.N (a
+// chance acceptance on a flat window costs several times a rejection).
+// "flat" has no shift, so its root test is rejected — the common case
+// across a campaign; "shift" steps up 25 ms for its last 88 samples, so
+// accepted tests run their full bootstrap and recurse.
+func BenchmarkBootstrapWindow(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		xs   []float64
+	}{
+		{"flat", step(144, 20, 144, 20, 1, 3)},
+		{"shift", step(200, 20, 88, 45, 1, 4)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := NewDetector(Config{UseRanks: true})
+			var dst []Candidate
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = d.AppendCandidates(dst[:0], bc.xs, int64(i%128))
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@
 package diurnal
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -82,27 +83,72 @@ func Fold(s *timeseries.Series, cfg Config) Verdict {
 	return FoldWith(s, cfg, &scr)
 }
 
-// Scratch is reusable working memory for FoldWith: the fold buffers
-// for the overall and per-day profiles, the quantile buffer, and the
-// correlation pair buffers. One scratch per sweep worker removes the
-// per-(link, window) fold allocations; nothing in a Verdict aliases
-// it.
+// Scratch is reusable working memory for FoldWith: the per-bin and
+// per-(day, bin) sums and counts, the profile buffers, the quantile
+// buffer, and the correlation pair buffers. One scratch per sweep
+// worker removes the per-(link, window) fold allocations; nothing in a
+// Verdict aliases it.
 type Scratch struct {
-	fold    timeseries.FoldScratch
-	dayFold timeseries.FoldScratch
-	present []float64
-	xs, ys  []float64
+	binSum, daySum   []float64
+	binCnt, dayCnt   []int
+	profile, dayProf []float64
+	present          []float64
+	xs, ys           []float64
 }
 
 // FoldWith is Fold through caller-owned scratch; results are
 // bit-identical to Fold.
+//
+// One pass over the series (one decode of each compressed block)
+// accumulates every present sample into its time-of-day bin and into
+// its (day, bin) cell. Samples arrive in time order, so each bin's sum
+// is built in the same order — and divided by the same count — as
+// timeseries.Mean over that bin's time-ordered samples, the value
+// FoldDaily gives a bin. Day and bin come from integer arithmetic on the
+// regular grid: the slot's nanosecond offset into its UTC day, which is
+// what Time.Day and Time.SecondOfDay compute through the wall clock.
 func FoldWith(s *timeseries.Series, cfg Config, scr *Scratch) Verdict {
 	cfg = cfg.withDefaults()
 	var v Verdict
-	if s.Len() == 0 {
+	n := s.Len()
+	if n == 0 {
 		return v
 	}
-	profile := s.FoldDailyInto(&scr.fold, cfg.BinWidth, timeseries.Mean)
+	const dayNs = int64(24 * time.Hour)
+	binNs := int64(cfg.BinWidth)
+	if dayNs%binNs != 0 || binNs%int64(time.Second) != 0 {
+		panic(fmt.Sprintf("diurnal: bin width %v must be whole seconds dividing 24h", cfg.BinWidth))
+	}
+	nBins := int(dayNs / binNs)
+
+	// One row of (day, bin) cells per calendar day that holds a slot,
+	// in day order; a grid coarser than a day skips the empty ones.
+	firstDay := s.Start.Day()
+	rows := min(n, s.TimeAt(n-1).Day()-firstDay+1)
+	binSum, binCnt := zeroed(&scr.binSum, nBins), zeroed(&scr.binCnt, nBins)
+	daySum, dayCnt := zeroed(&scr.daySum, rows*nBins), zeroed(&scr.dayCnt, rows*nBins)
+
+	step := int64(s.Step)
+	row, rem := 0, int64(s.Start)-int64(firstDay)*dayNs
+	s.Each(func(_ int, vals []float64) {
+		cell, r := row*nBins, rem
+		for _, x := range vals {
+			if !timeseries.IsMissing(x) {
+				b := int(r / binNs)
+				binSum[b] += x
+				binCnt[b]++
+				daySum[cell+b] += x
+				dayCnt[cell+b]++
+			}
+			if r += step; r >= dayNs {
+				r %= dayNs
+				cell += nBins
+			}
+		}
+		row, rem = cell/nBins, r
+	})
+
+	profile := meansInto(&scr.profile, binSum, binCnt)
 	present := scr.present[:0]
 	for _, p := range profile {
 		if !timeseries.IsMissing(p) {
@@ -127,34 +173,50 @@ func FoldWith(s *timeseries.Series, cfg Config, scr *Scratch) Verdict {
 	}
 	v.PeakHour = float64(peakBin) * cfg.BinWidth.Hours()
 
-	// Day-to-day consistency. Days are visited in calendar order: map
-	// iteration order would vary the float summation order run to run,
-	// perturbing Consistency by an ulp — enough to break the campaign
-	// engine's bit-identical reproducibility guarantee. The walk runs
-	// over ascending day ranges directly (the order SplitDays' sorted
-	// keys used to produce) so no per-day map or sub-series allocation
-	// survives; days with no present samples contribute nothing either
-	// way, because correlate rejects their all-missing profiles.
-	nBins := len(profile)
+	// Day-to-day consistency. Days are visited in calendar order: any
+	// other order would vary the float summation order, perturbing
+	// Consistency by an ulp — enough to break the campaign engine's
+	// bit-identical reproducibility guarantee. Days with no present
+	// samples contribute nothing, because correlate rejects their
+	// all-missing profiles.
 	var corrSum float64
-	for i := 0; i < s.Len(); {
-		day := s.TimeAt(i).Day()
-		j := i
-		for j < s.Len() && s.TimeAt(j).Day() == day {
-			j++
-		}
-		sub := s.Window(s.TimeAt(i), s.TimeAt(j))
-		dayProf := sub.FoldDailyInto(&scr.dayFold, cfg.BinWidth, timeseries.Mean)
+	for d := 0; d < rows; d++ {
+		cells := d * nBins
+		dayProf := meansInto(&scr.dayProf, daySum[cells:cells+nBins], dayCnt[cells:cells+nBins])
 		if r, ok := correlateWith(dayProf, profile, nBins/2, scr); ok {
 			corrSum += r
 			v.DaysEvaluated++
 		}
-		i = j
 	}
 	if v.DaysEvaluated > 0 {
 		v.Consistency = corrSum / float64(v.DaysEvaluated)
 	}
 	return v
+}
+
+// meansInto writes sum/count per bin into *dst (missing where the count
+// is zero) and returns it — timeseries.Mean over each bin's samples.
+func meansInto(dst *[]float64, sums []float64, counts []int) []float64 {
+	out := (*dst)[:0]
+	for b, c := range counts {
+		if c == 0 {
+			out = append(out, timeseries.Missing)
+		} else {
+			out = append(out, sums[b]/float64(c))
+		}
+	}
+	*dst = out
+	return out
+}
+
+// zeroed resizes *p to n zero elements, reusing its backing array.
+func zeroed[T float64 | int](p *[]T, n int) []T {
+	if cap(*p) < n {
+		*p = make([]T, n)
+	}
+	*p = (*p)[:n]
+	clear(*p)
+	return *p
 }
 
 // Decide applies cfg's gates to folded statistics and returns the

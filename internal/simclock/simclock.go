@@ -85,8 +85,18 @@ func (t Time) SecondOfDay() int {
 // HourOfDay returns the fractional hour of day in [0, 24).
 func (t Time) HourOfDay() float64 { return float64(t.SecondOfDay()) / 3600 }
 
-// Day returns the number of whole days elapsed since Epoch.
-func (t Time) Day() int { return int(time.Duration(t) / (24 * time.Hour)) }
+// Day returns the index of the instant's UTC day since Epoch: the
+// number of whole days elapsed, floored, so instants before Epoch fall
+// on negative days and Day always agrees with SecondOfDay about which
+// midnight an instant follows.
+func (t Time) Day() int {
+	const day = Time(24 * time.Hour)
+	d := t / day
+	if t%day < 0 {
+		d--
+	}
+	return int(d)
+}
 
 // String formats the instant as a compact UTC timestamp.
 func (t Time) String() string { return t.Wall().Format("2006-01-02 15:04:05") }

@@ -86,6 +86,38 @@ func TestDayCounter(t *testing.T) {
 	}
 }
 
+// Day and SecondOfDay must name the same midnight on both sides of
+// Epoch: Day·24h + SecondOfDay·1s is the instant truncated to the
+// second, floored.
+func TestDayAgreesWithSecondOfDay(t *testing.T) {
+	const day = 24 * time.Hour
+	for _, tc := range []struct {
+		t       Time
+		day     int
+		second  int
+		comment string
+	}{
+		{0, 0, 0, "epoch"},
+		{Time(time.Nanosecond), 0, 0, "just after epoch"},
+		{Time(-time.Nanosecond), -1, 86399, "just before epoch"},
+		{Time(-time.Second), -1, 86399, "one second before epoch"},
+		{Time(-time.Second - time.Nanosecond), -1, 86398, "past a second boundary"},
+		{Time(-day), -1, 0, "midnight before epoch"},
+		{Time(-day - time.Nanosecond), -2, 86399, "just before that midnight"},
+		{Time(day - time.Nanosecond), 0, 86399, "end of day 0"},
+		{Time(day), 1, 0, "day 1"},
+		{Time(-3*day + 90*time.Minute), -3, 5400, "01:30 three days back"},
+		{Time(254*day + 23*time.Hour + 55*time.Minute), 254, 86100, "last slot of a 255-day campaign"},
+	} {
+		if got := tc.t.Day(); got != tc.day {
+			t.Errorf("%s: Day(%d) = %d, want %d", tc.comment, int64(tc.t), got, tc.day)
+		}
+		if got := tc.t.SecondOfDay(); got != tc.second {
+			t.Errorf("%s: SecondOfDay(%d) = %d, want %d", tc.comment, int64(tc.t), got, tc.second)
+		}
+	}
+}
+
 func TestClockAdvance(t *testing.T) {
 	c := NewClock(Date(2016, time.March, 1))
 	c.Advance(time.Hour)

@@ -473,91 +473,34 @@ func (s *Series) SummarizeInto(sc *StatsScratch) Stats {
 	return st
 }
 
-// FoldScratch is reusable working memory for FoldDailyInto.
-type FoldScratch struct {
-	offs   []int
-	cursor []int
-	flat   []float64
-	out    []float64
-}
-
 // FoldDaily folds the series by time of day into bins of the given
 // width, returning per-bin aggregates (fn over all samples falling in
-// that time-of-day bin across all days). The result has 24h/binWidth
-// entries; empty bins are missing. The returned slice is freshly
-// allocated; hot loops should use FoldDailyInto with a scratch.
+// that time-of-day bin across all days, in time order). The result has
+// 24h/binWidth entries; empty bins are missing.
 func (s *Series) FoldDaily(binWidth simclock.Duration, fn func([]float64) float64) []float64 {
-	var fs FoldScratch
-	return s.FoldDailyInto(&fs, binWidth, fn)
-}
-
-// FoldDailyInto is FoldDaily into reusable scratch. The returned slice
-// aliases fs.out and is valid until the next fold with the same
-// scratch.
-func (s *Series) FoldDailyInto(fs *FoldScratch, binWidth simclock.Duration, fn func([]float64) float64) []float64 {
 	if binWidth <= 0 || 24*time.Hour%binWidth != 0 {
 		panic(fmt.Sprintf("timeseries: bin width %v must divide 24h", binWidth))
 	}
 	nBins := int(24 * time.Hour / binWidth)
 	secPerBin := int(binWidth / time.Second)
-
-	// Two passes over the samples: count per bin, then fill contiguous
-	// regions of one flat buffer. Same values in the same order as
-	// per-bin append slices, without the per-bin allocation churn.
-	offs := resizeInts(&fs.offs, nBins+1)
-	for i := range offs {
-		offs[i] = 0
-	}
+	bins := make([][]float64, nBins)
 	s.Each(func(base int, vals []float64) {
 		for k, v := range vals {
-			if IsMissing(v) {
-				continue
+			if !IsMissing(v) {
+				b := s.TimeAt(base+k).SecondOfDay() / secPerBin
+				bins[b] = append(bins[b], v)
 			}
-			offs[s.TimeAt(base+k).SecondOfDay()/secPerBin+1]++
 		}
 	})
-	for b := 0; b < nBins; b++ {
-		offs[b+1] += offs[b]
-	}
-	flat := resizeFloats(&fs.flat, offs[nBins])
-	cursor := resizeInts(&fs.cursor, nBins)
-	copy(cursor, offs[:nBins])
-	s.Each(func(base int, vals []float64) {
-		for k, v := range vals {
-			if IsMissing(v) {
-				continue
-			}
-			b := s.TimeAt(base+k).SecondOfDay() / secPerBin
-			flat[cursor[b]] = v
-			cursor[b]++
-		}
-	})
-	out := resizeFloats(&fs.out, nBins)
-	for b := range out {
-		lo, hi := offs[b], offs[b+1]
-		if lo == hi {
+	out := make([]float64, nBins)
+	for b, vs := range bins {
+		if len(vs) == 0 {
 			out[b] = Missing
 		} else {
-			out[b] = fn(flat[lo:hi])
+			out[b] = fn(vs)
 		}
 	}
 	return out
-}
-
-func resizeInts(p *[]int, n int) []int {
-	if cap(*p) < n {
-		*p = make([]int, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func resizeFloats(p *[]float64, n int) []float64 {
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return *p
 }
 
 // SplitDays returns one sub-series per UTC day, keyed by day index

@@ -32,6 +32,13 @@ go test -run '^$' \
   -bench 'BenchmarkFullCampaign$|BenchmarkFaultCampaign$|BenchmarkBudgetCampaign|BenchmarkAlertLatency|BenchmarkTelemetryCampaign$|BenchmarkTSLPSamplingThroughput$|BenchmarkAnalysisSweep|BenchmarkChunkCompression$|BenchmarkCheckpoint$' \
   -benchmem -count "$COUNT" . | tee "$RAW"
 
+# The analysis layer's own rows: one bootstrap window (a day of
+# 5-minute samples, flat and with a shift), the year-long hourly
+# rank-CUSUM scan, and one 255-day diurnal fold.
+go test -run '^$' \
+  -bench 'BenchmarkDetectYearHourly$|BenchmarkBootstrapWindow|BenchmarkDiurnalFold$' \
+  -benchmem -count "$COUNT" ./internal/cusum ./internal/diurnal | tee -a "$RAW"
+
 # BenchmarkScaleCampaign rides in the multi-proc pass: its 10x/100x
 # points run the sharded engine, whose bytes_per_link metric the
 # benchjson guard checks against the scale=1 figure (the per-shard
