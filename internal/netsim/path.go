@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"afrixp/internal/netaddr"
+	"afrixp/internal/queue"
 	"afrixp/internal/simclock"
 )
 
@@ -144,6 +145,30 @@ type ProbeCtx struct {
 	// contract makes them free and race-free; the engine republishes
 	// them into atomic telemetry counters at batch barriers (Stats).
 	stats ProbeStats
+	// cursors resume this agent's frozen reads of recently read queues
+	// (queue.Cursor), claimed round robin from nextCursor. They are a
+	// pure cache — results never depend on them — so they are neither
+	// shared nor checkpointed.
+	cursors    [cursorSlots]queue.Cursor
+	nextCursor int
+}
+
+// cursorSlots is how many queues a ProbeCtx keeps resumable reads for:
+// room for every queued pipe on a link's near and far paths, forward
+// and reverse, which its loss probes visit in turn.
+const cursorSlots = 8
+
+// cursor returns the cursor slot for q: the one that last read q, or
+// else the next slot in round-robin order, which the read restarts.
+func (c *ProbeCtx) cursor(q *queue.Fluid) *queue.Cursor {
+	for i := range c.cursors {
+		if c.cursors[i].Queue() == q {
+			return &c.cursors[i]
+		}
+	}
+	cur := &c.cursors[c.nextCursor]
+	c.nextCursor = (c.nextCursor + 1) % cursorSlots
+	return cur
 }
 
 // SetStep points subsequent samples at batch step i of the most recent
@@ -199,7 +224,7 @@ func (pp *ProbePath) SampleCtx(ctx *ProbeCtx, t simclock.Time) (simclock.Duratio
 		if p.Queue != nil {
 			st.QueueFrozenObs++
 		}
-		exit, ok := p.TraverseFrozenStep(ctx.step-1, t, ctx.nonce())
+		exit, ok := p.traverseFrozen(ctx, t)
 		if !ok {
 			st.PipeDrops++
 			return 0, false
@@ -226,7 +251,7 @@ func (pp *ProbePath) SampleCtx(ctx *ProbeCtx, t simclock.Time) (simclock.Duratio
 		if p.Queue != nil {
 			st.QueueFrozenObs++
 		}
-		exit, ok := p.TraverseFrozenStep(ctx.step-1, t, ctx.nonce())
+		exit, ok := p.traverseFrozen(ctx, t)
 		if !ok {
 			st.PipeDrops++
 			return 0, false

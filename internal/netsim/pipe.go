@@ -58,28 +58,23 @@ func (p *Pipe) Traverse(t simclock.Time, n uint64) (simclock.Time, bool) {
 	return t.Add(d), true
 }
 
-// TraverseFrozen is Traverse against the queue's frozen integration
-// frontier: the fluid state is computed for t without being advanced,
-// so concurrent probes (each with its own nonce stream) observe
-// identical conditions regardless of ordering. The campaign engine
-// pairs it with Network.AdvanceQueues at each step barrier.
-func (p *Pipe) TraverseFrozen(t simclock.Time, n uint64) (simclock.Time, bool) {
-	return p.TraverseFrozenStep(-1, t, n)
-}
-
-// TraverseFrozenStep is TraverseFrozen against the queue state recorded
-// for step i of the most recent Network.AdvanceQueuesBatch, letting a
-// worker replay any step of a batch without the frontier having stopped
-// there. A negative i observes the live frontier (identical to
-// TraverseFrozen).
-func (p *Pipe) TraverseFrozenStep(i int, t simclock.Time, n uint64) (simclock.Time, bool) {
+// traverseFrozen is Traverse against the queue's frozen integration
+// frontier, for one probe of ctx's stream: the fluid state is computed
+// for t without being advanced — at the batch step ctx points at, or
+// the live frontier — so concurrent probes (each context with its own
+// nonce stream) observe identical conditions regardless of ordering.
+// The queue read resumes from ctx's cursor for the queue, which changes
+// its cost but never its result. The campaign engine pairs it with
+// Network.AdvanceQueues or AdvanceQueuesBatch at each barrier.
+func (p *Pipe) traverseFrozen(ctx *ProbeCtx, t simclock.Time) (simclock.Time, bool) {
+	n := ctx.nonce()
 	if p.Up != nil && !p.Up(t) {
 		return t, false
 	}
 	d := p.Prop
 	loss := p.BaseLoss
 	if p.Queue != nil {
-		qd, ql := p.Queue.ObserveFrozenStep(i, t)
+		qd, ql := p.Queue.ObserveFrozenCursor(ctx.cursor(p.Queue), ctx.step-1, t)
 		d += qd
 		loss = 1 - (1-loss)*(1-ql)
 	}

@@ -94,14 +94,14 @@ func (s *Service) handleLinks(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	pages := (total + per - 1) / per
 	writeJSON(w, map[string]any{
-		"schema":    Schema,
-		"barrier":   barrier.String(),
+		"schema":     Schema,
+		"barrier":    barrier.String(),
 		"barrier_ns": int64(barrier),
-		"total":     total,
-		"page":      page,
-		"pages":     pages,
-		"per":       per,
-		"links":     rows,
+		"total":      total,
+		"page":       page,
+		"pages":      pages,
+		"per":        per,
+		"links":      rows,
 	})
 }
 

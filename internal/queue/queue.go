@@ -56,6 +56,11 @@ type Fluid struct {
 	batchTime []simclock.Time
 	batchOcc  []float64
 	batchLoss []float64
+
+	// gen changes whenever anything a frozen read integrates from
+	// changes — the frontier, the batch tables, the capacity or the
+	// buffer — so a Cursor taken before the change never matches.
+	gen uint64
 }
 
 // Config describes a fluid queue.
@@ -124,6 +129,7 @@ func (q *Fluid) SetCapacity(t simclock.Time, bps float64) {
 	if q.occupancy > q.bufferBits {
 		q.occupancy = q.bufferBits
 	}
+	q.gen++
 }
 
 // Capacity returns the current capacity in bits/s.
@@ -142,6 +148,7 @@ func (q *Fluid) SetBufferDrain(t simclock.Time, drain simclock.Duration) {
 	if q.occupancy > q.bufferBits {
 		q.occupancy = q.bufferBits
 	}
+	q.gen++
 }
 
 // advance integrates the fluid model up to t. Observations at or
@@ -154,41 +161,71 @@ func (q *Fluid) advance(t simclock.Time) {
 	if t <= q.lastTime {
 		return
 	}
-	q.occupancy, q.lossFrac = q.integrate(q.lastTime, q.occupancy, t)
+	w := q.origin(q.lastTime, q.occupancy)
+	q.occupancy, q.lossFrac = q.integrate(&w, t)
 	q.lastTime = t
+	q.gen++
 }
 
-// integrate runs the fluid stepping from (from, occ) up to t and
-// returns the resulting occupancy plus the drop fraction over the
-// integrated window. It reads only immutable configuration, so it is
-// safe to call from concurrent frozen observers.
-func (q *Fluid) integrate(from simclock.Time, occ float64, t simclock.Time) (float64, float64) {
-	var offered, dropped float64
-	for from < t {
-		dt := q.step
-		if rem := t.Sub(from); rem < dt {
-			dt = rem
+// walk is a position in a fluid integration that began at some origin:
+// the time reached, the occupancy there, the bits offered and dropped
+// since the origin, and the offered load (bits/s) at the position.
+type walk struct {
+	at               simclock.Time
+	occ              float64
+	offered, dropped float64
+	load             float64
+}
+
+// origin starts a walk at time at with occupancy occ.
+func (q *Fluid) origin(at simclock.Time, occ float64) walk {
+	return walk{at: at, occ: occ, load: q.load(at)}
+}
+
+// integrate runs the fluid stepping from w up to t > w.at and returns
+// the occupancy at t plus the drop fraction over the window from w's
+// origin. Steps are q.step long except a final, possibly shorter one,
+// each at the load of its start. w is left at the start of that final
+// step — the last grid point reached, with its load — so integrating
+// the same walk again to any t' > w.at replays exactly the arithmetic
+// a fresh walk from the origin would, in the same order, and returns
+// the same bits. It reads only immutable configuration, so concurrent
+// frozen observers may call it on walks of their own.
+func (q *Fluid) integrate(w *walk, t simclock.Time) (float64, float64) {
+	at, occ, offered, dropped, load := w.at, w.occ, w.offered, w.dropped, w.load
+	stepSec := q.step.Seconds()
+	for {
+		if rem := t.Sub(at); rem <= q.step {
+			*w = walk{at: at, occ: occ, offered: offered, dropped: dropped, load: load}
+			occ, offered, dropped = q.stepBy(occ, offered, dropped, load, rem.Seconds())
+			lossFrac := 0.0
+			if offered > 0 {
+				lossFrac = math.Min(1, dropped/offered)
+			}
+			return occ, lossFrac
 		}
-		sec := dt.Seconds()
-		in := q.load(from) * sec
-		out := q.capacityBps * sec
-		offered += in
-		next := occ + in - out
-		if next > q.bufferBits {
-			dropped += next - q.bufferBits
-			next = q.bufferBits
-		}
-		if next < 0 {
-			next = 0
-		}
-		occ = next
-		from = from.Add(dt)
+		occ, offered, dropped = q.stepBy(occ, offered, dropped, load, stepSec)
+		at = at.Add(q.step)
+		load = q.load(at)
 	}
-	lossFrac := 0.0
-	if offered > 0 {
-		lossFrac = math.Min(1, dropped/offered)
+}
+
+// stepBy is one integration step of sec seconds at offered load bps:
+// the bits offered join the occupancy, the link drains at capacity,
+// and whatever overflows the buffer is dropped.
+func (q *Fluid) stepBy(occ, offered, dropped, bps, sec float64) (float64, float64, float64) {
+	in := bps * sec
+	out := q.capacityBps * sec
+	offered += in
+	next := occ + in - out
+	if next > q.bufferBits {
+		dropped += next - q.bufferBits
+		next = q.bufferBits
 	}
-	return occ, lossFrac
+	if next < 0 {
+		next = 0
+	}
+	return next, offered, dropped
 }
 
 // Advance moves the integration frontier to t. It is the single-writer
@@ -204,11 +241,7 @@ func (q *Fluid) Advance(t simclock.Time) { q.advance(t) }
 // observers see identical values regardless of ordering, which is what
 // makes campaign results bit-identical across worker counts.
 func (q *Fluid) ObserveFrozen(t simclock.Time) (simclock.Duration, float64) {
-	occ, lossFrac := q.occupancy, q.lossFrac
-	if t > q.lastTime {
-		occ, lossFrac = q.integrate(q.lastTime, q.occupancy, t)
-	}
-	return q.delayFromOccupancy(occ, t), lossFrac
+	return q.ObserveFrozenCursor(nil, -1, t)
 }
 
 // AdvanceBatch advances the integration frontier through each step
@@ -239,6 +272,7 @@ func (q *Fluid) AdvanceBatch(steps []simclock.Time) {
 		q.batchOcc[i] = q.occupancy
 		q.batchLoss[i] = q.lossFrac
 	}
+	q.gen++
 }
 
 // ObserveFrozenStep is ObserveFrozen evaluated against the frontier as
@@ -247,12 +281,53 @@ func (q *Fluid) AdvanceBatch(steps []simclock.Time) {
 // Like ObserveFrozen it mutates nothing, so concurrent workers may
 // observe any mix of steps from the same batch.
 func (q *Fluid) ObserveFrozenStep(i int, t simclock.Time) (simclock.Duration, float64) {
-	if i < 0 {
-		return q.ObserveFrozen(t)
+	return q.ObserveFrozenCursor(nil, i, t)
+}
+
+// Cursor carries a frozen read's integration over to the next read of
+// the same queue and step. Reads of one queue at nearby times — the
+// one-second loss probes of a batch step, a probe's forward and
+// reverse traversals — otherwise each re-integrate from the step's
+// frontier. The cursor remembers where the last read's integration
+// reached: the last grid point before its time, with the occupancy,
+// offered and dropped bits and load there. A later read past that
+// point resumes from it and, since the arithmetic is replayed in the
+// same order, returns bit-identical results.
+//
+// A cursor matches only the queue, batch step and generation it was
+// taken under; anything else — the zero Cursor, another queue, a new
+// batch, a capacity or buffer change, a moved frontier, an earlier
+// time — restarts it from the frontier. A Cursor belongs to one
+// goroutine; the queue itself is only read.
+type Cursor struct {
+	q    *Fluid
+	gen  uint64
+	step int
+	w    walk
+}
+
+// Queue returns the queue the cursor last read, or nil for the zero
+// Cursor.
+func (c *Cursor) Queue() *Fluid { return c.q }
+
+// ObserveFrozenCursor is ObserveFrozenStep(i, t), resuming from c when
+// c holds an earlier read of the same queue, step and generation at a
+// time before t, and leaving c where this read's integration stopped.
+// A nil c reads without resuming.
+func (q *Fluid) ObserveFrozenCursor(c *Cursor, i int, t simclock.Time) (simclock.Duration, float64) {
+	from, occ, lossFrac := q.lastTime, q.occupancy, q.lossFrac
+	if i >= 0 {
+		from, occ, lossFrac = q.batchTime[i], q.batchOcc[i], q.batchLoss[i]
 	}
-	occ, lossFrac := q.batchOcc[i], q.batchLoss[i]
-	if t > q.batchTime[i] {
-		occ, lossFrac = q.integrate(q.batchTime[i], q.batchOcc[i], t)
+	if t > from {
+		var own Cursor
+		if c == nil {
+			c = &own
+		}
+		if c.q != q || c.gen != q.gen || c.step != i || t <= c.w.at {
+			*c = Cursor{q: q, gen: q.gen, step: i, w: q.origin(from, occ)}
+		}
+		occ, lossFrac = q.integrate(&c.w, t)
 	}
 	return q.delayFromOccupancy(occ, t), lossFrac
 }

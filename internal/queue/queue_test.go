@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"afrixp/internal/simclock"
+	"afrixp/internal/trafficmodel"
 )
 
 func constLoad(bps float64) func(simclock.Time) float64 {
@@ -286,13 +287,27 @@ func TestTokenBucketSustainedThroughput(t *testing.T) {
 }
 
 func BenchmarkFluidAdvanceYear(b *testing.B) {
-	// Cost of integrating a full measurement year at 5-minute sampling.
-	for i := 0; i < b.N; i++ {
-		q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 30 * time.Millisecond,
-			Load: constLoad(90e6), Step: time.Minute})
-		end := simclock.LatencyEnd
-		for tm := simclock.Time(0); tm < end; tm = tm.Add(5 * time.Minute) {
-			q.DelayAt(tm)
-		}
+	// Cost of integrating a full measurement year at 5-minute sampling,
+	// under a flat load and under a diurnal one (the table-driven
+	// trafficmodel load every generated world's planted links use).
+	diurnal := trafficmodel.Diurnal{BaseBps: 60e6, PeakBps: 120e6, PeakHour: 14, Width: 3,
+		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 3}
+	for _, bc := range []struct {
+		name string
+		load func(simclock.Time) float64
+	}{
+		{"constant", constLoad(90e6)},
+		{"diurnal", diurnal.Load()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 30 * time.Millisecond,
+					Load: bc.load, Step: time.Minute})
+				end := simclock.LatencyEnd
+				for tm := simclock.Time(0); tm < end; tm = tm.Add(5 * time.Minute) {
+					q.DelayAt(tm)
+				}
+			}
+		})
 	}
 }

@@ -58,16 +58,34 @@ func (t Time) Before(u Time) bool { return t < u }
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
 
-// Truncate rounds t down to a multiple of d since Epoch.
+// Truncate rounds t down to a multiple of d since Epoch. It floors,
+// so instants before Epoch round towards the past like later ones do.
 func (t Time) Truncate(d Duration) Time {
 	if d <= 0 {
 		return t
 	}
-	return t - t%Time(d)
+	return t - floorMod(t, Time(d))
 }
 
-// DayOfWeek returns the weekday of the virtual instant.
-func (t Time) DayOfWeek() time.Weekday { return t.Wall().Weekday() }
+// dayNs is one UTC day in nanoseconds.
+const dayNs = Time(24 * time.Hour)
+
+// floorMod returns t mod m in [0, m) for m > 0, also for negative t.
+func floorMod(t, m Time) Time {
+	r := t % m
+	if r < 0 {
+		r += m
+	}
+	return r
+}
+
+// DayOfWeek returns the weekday of the virtual instant. Epoch is a
+// Monday at UTC midnight and every UTC day is exactly 24 h long, so the
+// weekday is the floored day index mod 7 — the same value the wall
+// clock gives, without building a time.Time.
+func (t Time) DayOfWeek() time.Weekday {
+	return time.Weekday((t.Day()%7 + 7 + int(time.Monday)) % 7)
+}
 
 // IsWeekend reports whether the instant falls on Saturday or Sunday.
 func (t Time) IsWeekend() bool {
@@ -76,10 +94,12 @@ func (t Time) IsWeekend() bool {
 }
 
 // SecondOfDay returns the number of seconds elapsed since local (UTC)
-// midnight of the instant's day.
+// midnight of the instant's day: the nanosecond offset into the day,
+// floored to whole seconds. Epoch is a UTC midnight and UTC days carry
+// no leap seconds in Go's calendar, so this equals the wall clock's
+// Hour*3600 + Minute*60 + Second for every t.
 func (t Time) SecondOfDay() int {
-	w := t.Wall()
-	return w.Hour()*3600 + w.Minute()*60 + w.Second()
+	return int(floorMod(t, dayNs) / Time(time.Second))
 }
 
 // HourOfDay returns the fractional hour of day in [0, 24).
@@ -90,9 +110,8 @@ func (t Time) HourOfDay() float64 { return float64(t.SecondOfDay()) / 3600 }
 // on negative days and Day always agrees with SecondOfDay about which
 // midnight an instant follows.
 func (t Time) Day() int {
-	const day = Time(24 * time.Hour)
-	d := t / day
-	if t%day < 0 {
+	d := t / dayNs
+	if t%dayNs < 0 {
 		d--
 	}
 	return int(d)

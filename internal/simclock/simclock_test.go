@@ -1,7 +1,10 @@
 package simclock
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -50,6 +53,57 @@ func TestTruncate(t *testing.T) {
 	}
 	if tm.Truncate(0) != tm {
 		t.Fatal("Truncate(0) should be identity")
+	}
+}
+
+// Truncate floors on both sides of Epoch: the result is the largest
+// multiple of d at or before t.
+func TestTruncateFloors(t *testing.T) {
+	const m = Time(time.Minute)
+	for _, tc := range []struct {
+		t, want Time
+		d       Duration
+	}{
+		{0, 0, time.Minute},
+		{1, 0, time.Minute},
+		{m - 1, 0, time.Minute},
+		{m, m, time.Minute},
+		{-1, -m, time.Minute},
+		{-m, -m, time.Minute},
+		{-m - 1, -2 * m, time.Minute},
+		{-m + 1, -m, time.Minute},
+		{-7, -10, 5},
+		{-5, -5, 5},
+		{7, 5, 5},
+		{-3, -3, -time.Second}, // non-positive d is the identity
+	} {
+		if got := tc.t.Truncate(tc.d); got != tc.want {
+			t.Errorf("Time(%d).Truncate(%v) = %d, want %d", int64(tc.t), tc.d, int64(got), int64(tc.want))
+		}
+	}
+}
+
+// The integer calendar must name the same second of day and weekday as
+// the wall clock for any instant int64 nanoseconds can hold (about ±292
+// years around Epoch).
+func TestCalendarMatchesWallClock(t *testing.T) {
+	check := func(n int64) bool {
+		tm := Time(n)
+		w := tm.Wall()
+		return tm.SecondOfDay() == w.Hour()*3600+w.Minute()*60+w.Second() &&
+			tm.DayOfWeek() == w.Weekday()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+	// Edges: either side of Epoch and of a midnight, and the int64 ends.
+	const day = int64(24 * time.Hour)
+	for _, n := range []int64{0, 1, -1, day, day - 1, -day, -day - 1, 7 * day, -7*day + 1,
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
+		if !check(n) {
+			w := Time(n).Wall()
+			t.Errorf("Time(%d): SecondOfDay %d weekday %v, wall %v", n, Time(n).SecondOfDay(), Time(n).DayOfWeek(), w)
+		}
 	}
 }
 

@@ -59,14 +59,27 @@ type Diurnal struct {
 
 // Bps implements the Load signature.
 func (d Diurnal) Bps(t simclock.Time) float64 {
-	h := t.HourOfDay()
-	// Wrapped distance to the peak hour in [-12, 12).
-	dist := math.Mod(h-d.PeakHour+36, 24) - 12
+	return d.at(t, d.shape(t.SecondOfDay()))
+}
+
+// shape is the unit-peak daily waveform at second sec of the UTC day:
+// a Gaussian bump around PeakHour over the wrapped distance to it.
+// Bps and Load's table both evaluate it, so the arithmetic — and with
+// it every bit of the result — lives in one place.
+func (d Diurnal) shape(sec int) float64 {
+	h := float64(sec) / 3600
+	// Wrapped distance to the peak hour, |dist| ≤ 12.
+	dist := wrap24(h-d.PeakHour+36) - 12
 	w := d.Width
 	if w <= 0 {
 		w = 3
 	}
-	shape := math.Exp(-dist * dist / (2 * w * w))
+	return math.Exp(-dist * dist / (2 * w * w))
+}
+
+// at finishes a load value from the shape at t's second of day:
+// weekend modulation, day jitter and minute noise over the base.
+func (d Diurnal) at(t simclock.Time, shape float64) float64 {
 	amp := d.PeakBps - d.BaseBps
 	if t.IsWeekend() {
 		f := d.WeekendFactor
@@ -91,8 +104,51 @@ func (d Diurnal) Bps(t simclock.Time) float64 {
 	return v
 }
 
-// Load adapts the Diurnal to the Load type.
-func (d Diurnal) Load() Load { return d.Bps }
+// wrap24 returns x mod 24 as a value in [0, 24]. For x in [0, 72),
+// the range every PeakHour in [0, 24) produces, it subtracts 0, 24 or
+// 48: by Sterbenz's lemma those differences are exact, and fmod is
+// exact too, so the result has math.Mod's bits without its cost.
+// Elsewhere it falls back to math.Mod and folds a negative remainder
+// up by 24 (which may round up to exactly 24 for a remainder within an
+// ulp of zero; the waveform is symmetric, so that is harmless).
+func wrap24(x float64) float64 {
+	switch {
+	case x >= 0 && x < 24:
+		return x
+	case x >= 24 && x < 48:
+		return x - 24
+	case x >= 48 && x < 72:
+		return x - 48
+	}
+	r := math.Mod(x, 24)
+	if r < 0 {
+		r += 24
+	}
+	return r
+}
+
+// shapeGrid is the spacing, in seconds, of Load's shape table: the
+// fluid queues' default integration step, so a queue stepping from a
+// grid-aligned start reads every load's shape from the table.
+const shapeGrid = 30
+
+// Load adapts the Diurnal to the Load type. It tabulates the shape at
+// every shapeGrid-aligned second of the day once (2880 values), so the
+// returned function reads the table on the grid and computes the shape
+// only off it. The values are bit-identical to Bps at every instant.
+func (d Diurnal) Load() Load {
+	tab := make([]float64, 24*3600/shapeGrid)
+	for i := range tab {
+		tab[i] = d.shape(i * shapeGrid)
+	}
+	return func(t simclock.Time) float64 {
+		sec := t.SecondOfDay()
+		if sec%shapeGrid == 0 {
+			return d.at(t, tab[sec/shapeGrid])
+		}
+		return d.at(t, d.shape(sec))
+	}
+}
 
 // Sum superimposes several load processes.
 func Sum(loads ...Load) Load {

@@ -39,6 +39,14 @@ go test -run '^$' \
   -bench 'BenchmarkDetectYearHourly$|BenchmarkBootstrapWindow|BenchmarkDiurnalFold$' \
   -benchmem -count "$COUNT" ./internal/cusum ./internal/diurnal | tee -a "$RAW"
 
+# The probe path's own rows: the packet walk, the cached-path sampler,
+# one TSLP round on a year-old world, a year of fluid-queue advance
+# under a flat and a diurnal load, and one batch step's 100 one-second
+# frozen loss probes.
+go test -run '^$' \
+  -bench 'BenchmarkInjectFarProbe$|BenchmarkProbePathSample$|BenchmarkFrozenLossBatch$|BenchmarkTSLPRoundYear$|BenchmarkFluidAdvanceYear' \
+  -benchmem -count "$COUNT" ./internal/netsim ./internal/prober ./internal/queue | tee -a "$RAW"
+
 # BenchmarkScaleCampaign rides in the multi-proc pass: its 10x/100x
 # points run the sharded engine, whose bytes_per_link metric the
 # benchjson guard checks against the scale=1 figure (the per-shard

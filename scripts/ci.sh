@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before merging.
 #
+#   gofmt      every Go file is gofmt-clean
 #   vet        static checks
 #   build      every package compiles
 #   test -race full suite under the race detector — the parallel
@@ -11,6 +12,14 @@
 #              BENCH_campaign.json (warn-only: smoke timings are noisy)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+  echo "FAIL: gofmt -l reports unformatted files:"
+  echo "$UNFORMATTED"
+  exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
