@@ -26,7 +26,6 @@ func main() {
 		days     = flag.Int("days", 0, "campaign length in days (0 = the paper's full period)")
 		startOff = flag.Int("start-offset", 0, "days after 2016-02-22 the campaign started")
 		thr      = flag.Float64("threshold", 10, "level-shift threshold (ms)")
-		flat     = flag.Bool("flat", false, "keep reconstructed series as flat slices instead of XOR-compressed chunks")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -50,14 +49,7 @@ func main() {
 		campaign.End = campaign.Start.Add(time.Duration(*days) * 24 * time.Hour)
 	}
 
-	// Chunked by default: a month-scale archive's reconstructed grids
-	// stay XOR-compressed while the analysis streams them block-wise.
-	// -flat keeps the old uncompressed layout (results are identical).
-	fromWarts := analysis.FromWartsChunked
-	if *flat {
-		fromWarts = analysis.FromWarts
-	}
-	byVP, err := fromWarts(rd, campaign, 5*time.Minute)
+	byVP, err := analysis.FromWarts(rd, campaign)
 	if err != nil {
 		fatal("replay: %v", err)
 	}

@@ -72,7 +72,7 @@ func main() {
 
 // splitByDayType partitions present samples into weekday/weekend sets.
 // Each works for both backings: collector series are XOR-compressed
-// chunks by default, sliced figure windows stay flat.
+// chunks, sliced figure windows stay flat.
 func splitByDayType(s *timeseries.Series) (weekday, weekend []float64) {
 	s.Each(func(base int, vals []float64) {
 		for i, v := range vals {

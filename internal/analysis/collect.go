@@ -12,8 +12,8 @@ import (
 
 // Collector streams one link's TSLP rounds into RTT series. To keep a
 // year-long multi-VP campaign in memory, samples land directly in
-// min-filtered bins of AggStep (default 30 minutes, the resolution the
-// level-shift detector runs at), and by default the bins live in
+// min-filtered bins of AggStep (default DefaultAggStep, the resolution
+// the level-shift detector runs at), and the bins live in
 // XOR-compressed tschunk builders — probing writes march strictly
 // forward in virtual time, so each 256-bin block compresses exactly
 // once as the frontier passes it (DESIGN.md §12). An optional
@@ -22,9 +22,6 @@ import (
 type Collector struct {
 	TSLP *prober.TSLP
 
-	// Flat backing (CollectorConfig.Flat) …
-	near, far *timeseries.Series
-	// … or the default chunked backing.
 	nearB, farB *tschunk.Builder
 	aggStart    simclock.Time
 	aggStep     simclock.Duration
@@ -48,31 +45,30 @@ type CollectorConfig struct {
 	Campaign simclock.Interval
 	// Step is the probing cadence (default 5 minutes).
 	Step simclock.Duration
-	// AggStep is the stored bin width (default 30 minutes).
+	// AggStep is the stored bin width (default DefaultAggStep).
 	AggStep simclock.Duration
 	// FullResWindow, when non-degenerate, retains native-resolution
 	// series over the given sub-interval (for figures).
 	FullResWindow simclock.Interval
-	// Flat opts out of the compressed chunked backing and stores the
-	// aggregated series as plain []float64 — the pre-tschunk layout,
-	// kept for the backing-equivalence tests and for callers that want
-	// to mutate collected series.
-	Flat bool
 	// Arena, when non-nil, seals the chunked builders into the given
 	// shared slab instead of private per-builder arenas — the sharded
 	// campaign engine hands every shard one Arena so a shard's series
-	// memory is bounded and accountable in one place. Ignored with
-	// Flat. The sample values are bit-identical either way; only the
-	// byte store moves.
+	// memory is bounded and accountable in one place. The sample values
+	// are bit-identical either way; only the byte store moves.
 	Arena *tschunk.Arena
 }
+
+// DefaultAggStep is the collector's default bin width: the 30-minute
+// resolution the level-shift detector runs at. Offline replay bins
+// at the same width so it reaches the live grid.
+const DefaultAggStep = 30 * time.Minute
 
 func (c CollectorConfig) withDefaults() CollectorConfig {
 	if c.Step <= 0 {
 		c.Step = 5 * time.Minute
 	}
 	if c.AggStep <= 0 {
-		c.AggStep = 30 * time.Minute
+		c.AggStep = DefaultAggStep
 	}
 	return c
 }
@@ -89,13 +85,8 @@ func NewCollector(ts *prober.TSLP, cfg CollectorConfig) *Collector {
 		aggStep:  cfg.AggStep,
 		nAgg:     nAgg,
 		window:   cfg.FullResWindow,
-	}
-	if cfg.Flat {
-		c.near = timeseries.NewRegular(cfg.Campaign.Start, cfg.AggStep, nAgg)
-		c.far = timeseries.NewRegular(cfg.Campaign.Start, cfg.AggStep, nAgg)
-	} else {
-		c.nearB = tschunk.NewBuilderArena(nAgg, cfg.Arena)
-		c.farB = tschunk.NewBuilderArena(nAgg, cfg.Arena)
+		nearB:    tschunk.NewBuilderArena(nAgg, cfg.Arena),
+		farB:     tschunk.NewBuilderArena(nAgg, cfg.Arena),
 	}
 	if cfg.FullResWindow.Duration() > 0 {
 		n := cfg.FullResWindow.NumSteps(cfg.Step)
@@ -139,40 +130,33 @@ func (c *Collector) recordSample(t simclock.Time, s prober.Sample) {
 	if s.FarLost {
 		c.farLostRounds++
 	}
-	c.record(c.near, c.nearB, c.fullNear, t, s.NearLost, s.NearRTT)
-	c.record(c.far, c.farB, c.fullFar, t, s.FarLost, s.FarRTT)
+	c.record(c.nearB, c.fullNear, t, s.NearLost, s.NearRTT)
+	c.record(c.farB, c.fullFar, t, s.FarLost, s.FarRTT)
 }
 
-func (c *Collector) record(agg *timeseries.Series, aggB *tschunk.Builder, full *timeseries.Series, t simclock.Time, lost bool, rtt simclock.Duration) {
+func (c *Collector) record(agg *tschunk.Builder, full *timeseries.Series, t simclock.Time, lost bool, rtt simclock.Duration) {
 	if lost {
 		return
 	}
 	ms := float64(rtt) / float64(time.Millisecond)
 	if i := c.aggIndex(t); i >= 0 {
-		if aggB != nil {
-			aggB.MergeMin(i, ms) // streaming min filter, compressed backing
-		} else if timeseries.IsMissing(agg.Values[i]) || ms < agg.Values[i] {
-			agg.Values[i] = ms // streaming min filter
-		}
+		agg.MergeMin(i, ms) // streaming min filter
 	}
 	if full != nil && c.window.Contains(t) {
 		full.SetAt(t, ms)
 	}
 }
 
-// Series returns the aggregated link series for analysis. Chunked
-// collectors seal their builders on first call (the campaign engine
-// analyzes only after probing ends); the sealed views are cached, so
-// repeated calls return the same series.
+// Series returns the aggregated link series for analysis. The first
+// call seals the builders (the campaign engine analyzes only after
+// probing ends); the sealed views are cached, so repeated calls return
+// the same series.
 func (c *Collector) Series() LinkSeries {
-	if c.nearB != nil && c.nearS == nil {
+	if c.nearS == nil {
 		c.nearS = timeseries.FromChunk(c.aggStart, c.aggStep, c.nearB.Seal())
 		c.farS = timeseries.FromChunk(c.aggStart, c.aggStep, c.farB.Seal())
 	}
-	if c.nearS != nil {
-		return LinkSeries{Target: c.TSLP.Target, Near: c.nearS, Far: c.farS}
-	}
-	return LinkSeries{Target: c.TSLP.Target, Near: c.near, Far: c.far}
+	return LinkSeries{Target: c.TSLP.Target, Near: c.nearS, Far: c.farS}
 }
 
 // AggSpan returns the aggregated grid geometry: the grid origin, the
@@ -200,32 +184,24 @@ func (c *Collector) FinalizedBefore(t simclock.Time) int {
 
 // CopyAgg copies aggregated slots [from, from+len(near)) of both
 // series into caller-owned buffers (near and far must be the same
-// length). Unlike Series it never seals the chunked builders, so it
-// is safe mid-campaign: the engine's write path continues bit-for-bit
-// as if the read never happened. Allocation-free.
+// length). Unlike Series it never seals the builders, so it is safe
+// mid-campaign: the engine's write path continues bit-for-bit as if
+// the read never happened. Allocation-free.
 func (c *Collector) CopyAgg(from int, near, far []float64) {
-	if c.nearB != nil && c.nearS == nil {
+	if c.nearS == nil {
 		c.nearB.CopyRange(from, near)
 		c.farB.CopyRange(from, far)
 		return
 	}
-	ns, fs := c.near, c.far
-	if c.nearS != nil {
-		ns, fs = c.nearS, c.farS
-	}
-	copySeriesRange(ns, from, near)
-	copySeriesRange(fs, from, far)
+	copySeriesRange(c.nearS, from, near)
+	copySeriesRange(c.farS, from, far)
 }
 
-// copySeriesRange copies slots [from, from+len(dst)) of s into dst,
-// backing-agnostic. The chunked walk decodes every block up to the
-// range end; it only runs on sealed series (the mid-campaign fast
-// path reads the builders directly), where the cost is a one-off.
+// copySeriesRange copies slots [from, from+len(dst)) of a sealed
+// series into dst. The walk decodes every block up to the range end;
+// it only runs after sealing (the mid-campaign path reads the builders
+// directly), where the cost is a one-off.
 func copySeriesRange(s *timeseries.Series, from int, dst []float64) {
-	if !s.Chunked() {
-		copy(dst, s.Values[from:from+len(dst)])
-		return
-	}
 	to := from + len(dst)
 	s.Each(func(base int, vals []float64) {
 		for k, v := range vals {
@@ -243,19 +219,12 @@ func (c *Collector) FullRes() (near, far *timeseries.Series) {
 }
 
 // MemBytes reports the collector's resident series bytes outside any
-// shared arena: the aggregated backings (flat values or chunked
-// builder state) plus the full-resolution window. Collectors sealing
-// into a shared tschunk.Arena exclude the slab — the engine accounts
-// it once per shard. Allocation-free; the engine publishes per-shard
-// memory gauges from this at every batch barrier.
+// shared arena: the builders' state plus the full-resolution window.
+// Collectors sealing into a shared tschunk.Arena exclude the slab —
+// the engine accounts it once per shard. Allocation-free; the engine
+// publishes per-shard memory gauges from this at every batch barrier.
 func (c *Collector) MemBytes() int {
-	n := 0
-	if c.near != nil {
-		n += 8 * (len(c.near.Values) + len(c.far.Values))
-	}
-	if c.nearB != nil {
-		n += c.nearB.MemBytes() + c.farB.MemBytes()
-	}
+	n := c.nearB.MemBytes() + c.farB.MemBytes()
 	if c.fullNear != nil {
 		n += 8 * (len(c.fullNear.Values) + len(c.fullFar.Values))
 	}
@@ -291,15 +260,10 @@ func (c *Collector) FarLossFraction() float64 {
 }
 
 // CollectorState is a Collector's full mutable state at a batch
-// barrier, for engine checkpoints (DESIGN.md §15). Exactly one of the
-// chunked (NearB/FarB) or flat (Near/Far) pairs is populated,
-// mirroring the backing the collector runs with.
+// barrier, for engine checkpoints (DESIGN.md §15).
 type CollectorState struct {
-	// Chunked backing.
-	Chunked     bool
+	// The aggregated grids' builder state.
 	NearB, FarB tschunk.BuilderState
-	// Flat backing: the aggregated sample values.
-	Near, Far []float64
 	// Full-resolution window values, when configured.
 	FullNear, FullFar []float64
 	// Round accounting.
@@ -312,18 +276,12 @@ type CollectorState struct {
 // the builders (collectors are only checkpointed mid-campaign).
 func (c *Collector) Checkpoint() CollectorState {
 	st := CollectorState{
+		NearB:         c.nearB.State(),
+		FarB:          c.farB.State(),
 		FarRounds:     c.farRounds,
 		FarLostRounds: c.farLostRounds,
 		MissedRounds:  c.missedRounds,
 		SkippedRounds: c.skippedRounds,
-	}
-	if c.nearB != nil {
-		st.Chunked = true
-		st.NearB = c.nearB.State()
-		st.FarB = c.farB.State()
-	} else {
-		st.Near = c.near.Values
-		st.Far = c.far.Values
 	}
 	if c.fullNear != nil {
 		st.FullNear = c.fullNear.Values
@@ -336,16 +294,8 @@ func (c *Collector) Checkpoint() CollectorState {
 // taken at the same barrier of an equivalent run. The collector must
 // have been built with the same CollectorConfig.
 func (c *Collector) RestoreCheckpoint(st CollectorState) {
-	if st.Chunked != (c.nearB != nil) {
-		panic("analysis: RestoreCheckpoint backing mismatch (chunked vs flat)")
-	}
-	if st.Chunked {
-		c.nearB.RestoreState(st.NearB)
-		c.farB.RestoreState(st.FarB)
-	} else {
-		copy(c.near.Values, st.Near)
-		copy(c.far.Values, st.Far)
-	}
+	c.nearB.RestoreState(st.NearB)
+	c.farB.RestoreState(st.FarB)
 	if c.fullNear != nil {
 		copy(c.fullNear.Values, st.FullNear)
 		copy(c.fullFar.Values, st.FullFar)

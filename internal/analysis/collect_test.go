@@ -1,0 +1,174 @@
+package analysis
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"afrixp/internal/prober"
+	"afrixp/internal/simclock"
+	"afrixp/internal/timeseries"
+)
+
+// collectorStream is one random probing stream: times march forward
+// from before the campaign to past its end, in jumps of 0–40 minutes
+// (so a 30-minute bin gets zero, one or several hits), with lost near
+// and far samples and RTTs drawn from a small set so ties are common.
+func collectorStream(rng *rand.Rand, campaign simclock.Interval) []prober.Sample {
+	rtts := make([]simclock.Duration, 1+rng.Intn(8))
+	for i := range rtts {
+		rtts[i] = simclock.Duration(rng.Int63n(int64(200 * time.Millisecond)))
+	}
+	var out []prober.Sample
+	for t := campaign.Start.Add(-time.Duration(rng.Intn(120)) * time.Minute); t < campaign.End.Add(2*time.Hour); {
+		out = append(out, prober.Sample{
+			At:       t,
+			NearRTT:  rtts[rng.Intn(len(rtts))],
+			FarRTT:   rtts[rng.Intn(len(rtts))],
+			NearLost: rng.Intn(5) == 0,
+			FarLost:  rng.Intn(4) == 0,
+		})
+		t = t.Add(time.Duration(rng.Intn(41)) * time.Minute)
+	}
+	return out
+}
+
+// flatMinFilter is the oracle: the collector's binning and min filter
+// written out over flat series, placing samples with Series.Index.
+type flatMinFilter struct{ near, far *timeseries.Series }
+
+func newFlatMinFilter(campaign simclock.Interval) *flatMinFilter {
+	n := campaign.NumSteps(DefaultAggStep)
+	return &flatMinFilter{
+		near: timeseries.NewRegular(campaign.Start, DefaultAggStep, n),
+		far:  timeseries.NewRegular(campaign.Start, DefaultAggStep, n),
+	}
+}
+
+func (f *flatMinFilter) record(s prober.Sample) {
+	merge := func(dst *timeseries.Series, lost bool, rtt simclock.Duration) {
+		if lost {
+			return
+		}
+		ms := float64(rtt) / float64(time.Millisecond)
+		if i := dst.Index(s.At); i >= 0 && (timeseries.IsMissing(dst.Values[i]) || ms < dst.Values[i]) {
+			dst.Values[i] = ms
+		}
+	}
+	merge(f.near, s.NearLost, s.NearRTT)
+	merge(f.far, s.FarLost, s.FarRTT)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// seriesValues decodes a series' whole grid.
+func seriesValues(s *timeseries.Series) []float64 {
+	out := make([]float64, 0, s.Len())
+	s.Each(func(_ int, vals []float64) { out = append(out, vals...) })
+	return out
+}
+
+// copyAll reads the collector's whole grid through CopyAgg.
+func copyAll(c *Collector, n int) (near, far []float64) {
+	near, far = make([]float64, n), make([]float64, n)
+	c.CopyAgg(0, near, far)
+	return near, far
+}
+
+// TestCollectorMatchesFlatOracle checks the compressed collector
+// against a flat min filter, bit for bit: mid-stream through CopyAgg,
+// after sealing through Series and a sealed CopyAgg, and on a fresh
+// collector restored from a mid-stream Checkpoint and fed the rest of
+// the stream.
+func TestCollectorMatchesFlatOracle(t *testing.T) {
+	f := func(seed int64, startMin uint16, slots uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		start := simclock.Time(0).Add(time.Duration(startMin) * time.Minute)
+		campaign := simclock.Interval{Start: start,
+			End: start.Add(time.Duration(slots%700+1) * DefaultAggStep)}
+		cfg := CollectorConfig{Campaign: campaign}
+		ts := &prober.TSLP{}
+		col := NewCollector(ts, cfg)
+		ref := newFlatMinFilter(campaign)
+		_, _, n := col.AggSpan()
+		if n != ref.near.Len() {
+			t.Logf("grid %d slots, oracle %d", n, ref.near.Len())
+			return false
+		}
+
+		stream := collectorStream(rng, campaign)
+		cut := rng.Intn(len(stream) + 1)
+		var restored *Collector
+		for k, s := range stream {
+			if k == cut {
+				near, far := copyAll(col, n)
+				if !sameBits(near, ref.near.Values) || !sameBits(far, ref.far.Values) {
+					t.Logf("seed %d: mid-stream CopyAgg differs at sample %d", seed, k)
+					return false
+				}
+				restored = NewCollector(ts, cfg)
+				restored.RestoreCheckpoint(col.Checkpoint())
+			}
+			col.recordSample(s.At, s)
+			if restored != nil {
+				restored.recordSample(s.At, s)
+			}
+			ref.record(s)
+		}
+		if restored == nil {
+			restored = NewCollector(ts, cfg)
+			restored.RestoreCheckpoint(col.Checkpoint())
+		}
+
+		a1, f1, _, _ := col.Yield()
+		if a2, f2, _, _ := restored.Yield(); a1 != a2 || f1 != f2 {
+			t.Logf("seed %d: restored yield %d/%d, live %d/%d", seed, f2, a2, f1, a1)
+			return false
+		}
+		for _, c := range []*Collector{col, restored} {
+			near, far := copyAll(c, n)
+			if !sameBits(near, ref.near.Values) || !sameBits(far, ref.far.Values) {
+				t.Logf("seed %d: CopyAgg before sealing differs", seed)
+				return false
+			}
+			ls := c.Series()
+			for _, p := range []struct {
+				got  *timeseries.Series
+				want []float64
+			}{{ls.Near, ref.near.Values}, {ls.Far, ref.far.Values}} {
+				if !p.got.Chunked() || p.got.Start != start || p.got.Step != DefaultAggStep || p.got.Len() != n {
+					t.Logf("seed %d: sealed series shape %v/%v×%d chunked=%t", seed,
+						p.got.Start, p.got.Step, p.got.Len(), p.got.Chunked())
+					return false
+				}
+				if !sameBits(seriesValues(p.got), p.want) {
+					t.Logf("seed %d: sealed series differs", seed)
+					return false
+				}
+			}
+			from := rng.Intn(n)
+			near, far = make([]float64, n-from), make([]float64, n-from)
+			c.CopyAgg(from, near, far)
+			if !sameBits(near, ref.near.Values[from:]) || !sameBits(far, ref.far.Values[from:]) {
+				t.Logf("seed %d: sealed CopyAgg from %d differs", seed, from)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

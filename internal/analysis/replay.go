@@ -23,26 +23,15 @@ import (
 // when the far address itself echoed.
 //
 // Grid bounds come from campaign; records outside it are dropped.
-// step should match the probing cadence (5 minutes in the paper).
-// The result maps VP name → link → series.
-func FromWarts(r *warts.Reader, campaign simclock.Interval, step simclock.Duration) (map[string]map[prober.LinkTarget]LinkSeries, error) {
-	return fromWarts(r, campaign, step, false)
-}
-
-// FromWartsChunked is FromWarts returning chunk-backed series: each
-// reconstructed grid is XOR-compressed once ingest finishes. Warts
-// archives carry no per-link ordering guarantee, so ingest accumulates
-// into flat grids and compresses at the end — the resident set after
-// return is the compressed one, which is what matters for replaying
-// month-scale archives. Series values are bit-identical to FromWarts.
-func FromWartsChunked(r *warts.Reader, campaign simclock.Interval, step simclock.Duration) (map[string]map[prober.LinkTarget]LinkSeries, error) {
-	return fromWarts(r, campaign, step, true)
-}
-
-func fromWarts(r *warts.Reader, campaign simclock.Interval, step simclock.Duration, compress bool) (map[string]map[prober.LinkTarget]LinkSeries, error) {
-	if step <= 0 {
-		step = 5 * time.Minute
-	}
+// Samples are min-filtered into DefaultAggStep bins, the grid the live
+// Collector stores, so a replay reproduces the live series bit for
+// bit. Warts archives carry no per-link ordering guarantee, so ingest
+// accumulates into flat grids and XOR-compresses each once ingest
+// finishes: the resident set after return is the compressed one, which
+// is what matters for replaying month-scale archives. The result maps
+// VP name → link → series.
+func FromWarts(r *warts.Reader, campaign simclock.Interval) (map[string]map[prober.LinkTarget]LinkSeries, error) {
+	const step = DefaultAggStep
 	n := campaign.NumSteps(step)
 
 	type key struct {
@@ -110,11 +99,8 @@ func fromWarts(r *warts.Reader, campaign simclock.Interval, step simclock.Durati
 			out[k.vp] = make(map[prober.LinkTarget]LinkSeries)
 		}
 		target := prober.LinkTarget{Near: l.nearAddr, Far: k.far}
-		near, far := l.near, l.far
-		if compress {
-			near, far = timeseries.Compress(near), timeseries.Compress(far)
-		}
-		out[k.vp][target] = LinkSeries{Target: target, Near: near, Far: far}
+		out[k.vp][target] = LinkSeries{Target: target,
+			Near: timeseries.Compress(l.near), Far: timeseries.Compress(l.far)}
 	}
 	return out, nil
 }

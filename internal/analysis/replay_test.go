@@ -2,19 +2,22 @@ package analysis
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"afrixp/internal/prober"
 	"afrixp/internal/queue"
 	"afrixp/internal/simclock"
+	"afrixp/internal/timeseries"
 	"afrixp/internal/trafficmodel"
 	"afrixp/internal/warts"
 )
 
 // TestWartsReplayMatchesLiveAnalysis records a live campaign into a
-// warts archive, replays it, and checks the replayed verdict agrees
-// with the live one — the offline-analysis closed loop.
+// warts archive, replays it, and checks the replay reconstructs the
+// live collector's grid bit for bit and reaches the identical verdict —
+// the offline-analysis closed loop.
 func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 	w := buildLive(t)
 	w.port.Queue = queue.NewFluid(queue.Config{
@@ -38,7 +41,8 @@ func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 	if err := ww.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	live := AnalyzeLink(col.Series(), DefaultConfig())
+	liveSeries := col.Series()
+	live := AnalyzeLink(liveSeries, DefaultConfig())
 	if !live.Congested {
 		t.Fatal("live analysis should detect congestion")
 	}
@@ -47,7 +51,7 @@ func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := FromWarts(rd, campaign, 5*time.Minute)
+	replayed, err := FromWarts(rd, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +63,23 @@ func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 		if target.Near != w.near || target.Far != w.far {
 			t.Fatalf("replayed target %v, want %v→%v", target, w.near, w.far)
 		}
-		v := AnalyzeLink(ls, DefaultConfig())
-		if v.Congested != live.Congested {
-			t.Fatalf("replay verdict %v, live %v", v.Congested, live.Congested)
-		}
-		if v.AW < live.AW*0.7 || v.AW > live.AW*1.3 {
-			t.Fatalf("replay A_w %.1f vs live %.1f", v.AW, live.AW)
-		}
-		// Sample parity: the replayed far series carries the same
-		// present-count as the live aggregated one, modulo the grid
-		// aggregation factor.
 		if ls.Far.PresentCount() == 0 || ls.Near.PresentCount() == 0 {
 			t.Fatal("replayed series empty")
+		}
+		for _, p := range []struct {
+			name      string
+			got, want *timeseries.Series
+		}{{"near", ls.Near, liveSeries.Near}, {"far", ls.Far, liveSeries.Far}} {
+			if p.got.Start != p.want.Start || p.got.Step != p.want.Step || p.got.Len() != p.want.Len() {
+				t.Fatalf("%s grid %v/%v×%d, live %v/%v×%d", p.name,
+					p.got.Start, p.got.Step, p.got.Len(), p.want.Start, p.want.Step, p.want.Len())
+			}
+			if !sameBits(seriesValues(p.got), seriesValues(p.want)) {
+				t.Fatalf("%s series differs from the live collector's", p.name)
+			}
+		}
+		if v := AnalyzeLink(ls, DefaultConfig()); !reflect.DeepEqual(v, live) {
+			t.Fatalf("replay verdict %+v\nlive verdict %+v", v, live)
 		}
 	}
 }
@@ -83,7 +92,7 @@ func TestFromWartsSkipsForeignRecords(t *testing.T) {
 		At: simclock.Time(100 * 24 * time.Hour)}) // outside campaign
 	ww.Flush()
 	rd, _ := warts.NewReader(&buf)
-	out, err := FromWarts(rd, simclock.Interval{Start: 0, End: simclock.Time(24 * time.Hour)}, 0)
+	out, err := FromWarts(rd, simclock.Interval{Start: 0, End: simclock.Time(24 * time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}

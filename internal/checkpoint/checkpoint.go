@@ -35,7 +35,7 @@ import (
 // Format is the serialization format version. Bump on any
 // incompatible change to Snapshot's shape; LoadLatest refuses
 // mismatched formats via the manifest check.
-const Format = 1
+const Format = 2
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"

@@ -11,6 +11,7 @@ import (
 	"afrixp/internal/budget"
 	"afrixp/internal/loss"
 	"afrixp/internal/simclock"
+	"afrixp/internal/tschunk"
 )
 
 // snapAt builds a small but fully-populated snapshot: NaN-holed float
@@ -26,10 +27,10 @@ func snapAt(barrier simclock.Time) *Snapshot {
 			RoundsDown:      3,
 			Links: []LinkState{
 				{Collector: analysis.CollectorState{
-					Near: []float64{1.5, nan, 3.25}, Far: []float64{nan, 2.5, nan},
+					FullNear: []float64{1.5, nan, 3.25}, FullFar: []float64{nan, 2.5, nan},
 					FarRounds: 7, SkippedRounds: 2,
 				}},
-				{Collector: analysis.CollectorState{Chunked: true},
+				{Collector: analysis.CollectorState{NearB: tschunk.BuilderState{N: 3, Cur: []float64{nan, 4.5, nan}}},
 					Loss: &loss.CollectorState{
 						Batches: []loss.Batch{{Start: barrier, Sent: 100, Lost: 4}},
 						Skipped: 1, Missed: 2,
@@ -61,9 +62,12 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if got.Barrier != 1000 || got.Manifest != snap.Manifest {
 		t.Fatalf("roundtrip header mismatch: %+v", got)
 	}
-	near := got.VPs[0].Links[0].Collector.Near
+	near := got.VPs[0].Links[0].Collector.FullNear
 	if len(near) != 3 || near[0] != 1.5 || !math.IsNaN(near[1]) || near[2] != 3.25 {
 		t.Fatalf("float payload (incl. NaN) not preserved: %v", near)
+	}
+	if b := got.VPs[0].Links[1].Collector.NearB; b.N != 3 || len(b.Cur) != 3 || b.Cur[1] != 4.5 {
+		t.Fatalf("builder state not preserved: %+v", b)
 	}
 	l := got.VPs[0].Links[1].Loss
 	if l == nil || l.Batches[0].Lost != 4 || l.Skipped != 1 || l.Missed != 2 {

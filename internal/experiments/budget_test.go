@@ -82,7 +82,7 @@ func TestBudgetAwkwardBatchSizesBitIdentical(t *testing.T) {
 // full-rate exploration window before the first recompute), and lower
 // budgets must send monotonically less.
 func TestBudgetReducesProbes(t *testing.T) {
-	full := runShortCampaignCfg(2, 0, false)
+	full := runShortCampaignCfg(2, 0)
 	fullRounds, _ := attemptedRounds(full)
 	// Every link runs at full rate until the first recompute barrier
 	// (the exploration window: 6 h of this 96 h campaign), so the

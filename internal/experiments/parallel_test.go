@@ -18,13 +18,12 @@ import (
 // 2016-07-19 + 2 days), so snapshot discovery, TSLP rounds, and loss
 // batches all run.
 func runShortCampaign(workers int) *Result {
-	return runShortCampaignCfg(workers, 0, false)
+	return runShortCampaignCfg(workers, 0)
 }
 
 // runShortCampaignCfg is runShortCampaign with the batch-planner cap
-// and the series backing pinned too — the axes the chunked-backing
-// equivalence matrix sweeps.
-func runShortCampaignCfg(workers, batchSteps int, flat bool) *Result {
+// pinned too — the second axis the chunked-campaign matrix sweeps.
+func runShortCampaignCfg(workers, batchSteps int) *Result {
 	return Run(Config{
 		Opts: scenario.Options{Seed: 5, Scale: 0.1},
 		Campaign: simclock.Interval{
@@ -33,7 +32,6 @@ func runShortCampaignCfg(workers, batchSteps int, flat bool) *Result {
 		},
 		Workers:    workers,
 		BatchSteps: batchSteps,
-		FlatSeries: flat,
 	})
 }
 
@@ -91,16 +89,15 @@ func TestParallelCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChunkedCampaignBitIdentical is the tschunk retrofit's guarantee:
-// a campaign collected into XOR-compressed chunked series produces
-// exactly the same numbers — every series value, verdict scalar,
-// shift, event, loss batch, loss grid, and rendered report — as the
-// flat-slice backing, across the full Workers × BatchSteps matrix. The
-// flat workers=1 batch=1 run is the reference; every other cell of
-// {flat, chunked} × {1, 8 workers} × {1, 4096 batch steps} must match
-// it at the bit level.
+// TestChunkedCampaignBitIdentical is the chunked campaign's guarantee:
+// every series value, verdict scalar, shift, event, loss batch, loss
+// grid, and rendered report is the same across the Workers ×
+// BatchSteps matrix. The workers=1 batch=1 run is the reference; every
+// other cell of {1, 8 workers} × {1, 4096 batch steps} must match it
+// at the bit level. The collector's grids are checked against a flat
+// min filter by TestCollectorMatchesFlatOracle in internal/analysis.
 func TestChunkedCampaignBitIdentical(t *testing.T) {
-	ref := runShortCampaignCfg(1, 1, true)
+	ref := runShortCampaignCfg(1, 1)
 	links := 0
 	for _, vr := range ref.VPs {
 		links += len(vr.Links)
@@ -108,42 +105,22 @@ func TestChunkedCampaignBitIdentical(t *testing.T) {
 	if links == 0 {
 		t.Fatal("campaign discovered no links; equivalence check is vacuous")
 	}
+	checkLossGrids(t, ref)
 	refSum, refRep := summarizeResult(ref), renderReports(t, ref)
 
-	for _, flat := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			for _, batch := range []int{1, 4096} {
-				if flat && workers == 1 && batch == 1 {
-					continue // the reference itself
-				}
-				res := runShortCampaignCfg(workers, batch, flat)
-				checkBacking(t, res, flat)
-				if got := summarizeResult(res); got != refSum {
-					t.Errorf("flat=%t workers=%d batch=%d: results differ from flat reference\n%s",
-						flat, workers, batch, firstDiff(refSum, got))
-				}
-				if got := renderReports(t, res); got != refRep {
-					t.Errorf("flat=%t workers=%d batch=%d: reports differ from flat reference\n%s",
-						flat, workers, batch, firstDiff(refRep, got))
-				}
-				if !flat && workers == 1 && batch == 1 {
-					checkLossGrids(t, res)
-				}
+	for _, workers := range []int{1, 8} {
+		for _, batch := range []int{1, 4096} {
+			if workers == 1 && batch == 1 {
+				continue // the reference itself
 			}
-		}
-	}
-}
-
-// checkBacking asserts every collected series actually uses the
-// backing under test — otherwise the equivalence matrix could pass by
-// comparing flat against flat.
-func checkBacking(t *testing.T, res *Result, flat bool) {
-	t.Helper()
-	for _, vr := range res.VPs {
-		for _, lr := range vr.SortedLinks() {
-			ls := lr.Collector.Series()
-			if ls.Near.Chunked() == flat || ls.Far.Chunked() == flat {
-				t.Fatalf("link %v: Chunked()=%t with FlatSeries=%t", lr.Target, ls.Near.Chunked(), flat)
+			res := runShortCampaignCfg(workers, batch)
+			if got := summarizeResult(res); got != refSum {
+				t.Errorf("workers=%d batch=%d: results differ from reference\n%s",
+					workers, batch, firstDiff(refSum, got))
+			}
+			if got := renderReports(t, res); got != refRep {
+				t.Errorf("workers=%d batch=%d: reports differ from reference\n%s",
+					workers, batch, firstDiff(refRep, got))
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func runShardCampaign(workers, batchSteps, shards int, tele *telemetry.Telemetry
 // change only — a sharded campaign must reproduce the unsharded one at
 // the bit level for any shard and worker count.
 func TestShardedCampaignBitIdentical(t *testing.T) {
-	ref := runShortCampaignCfg(1, 1, false)
+	ref := runShortCampaignCfg(1, 1)
 	refSum, refRep := summarizeResult(ref), renderReports(t, ref)
 
 	for _, shards := range []int{2, 4} {
@@ -115,7 +115,7 @@ func residentBytesPrivate(res *Result) int64 {
 // shared arena must not cost more resident series bytes per link than
 // the private-arena layout (it saves the per-builder encode scratch).
 func TestShardedMemoryBounded(t *testing.T) {
-	ref := runShortCampaignCfg(1, 1, false)
+	ref := runShortCampaignCfg(1, 1)
 	refResident := residentBytesPrivate(ref)
 	refLinks := int64(0)
 	for _, vr := range ref.VPs {

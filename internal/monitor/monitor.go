@@ -32,11 +32,6 @@ type Config struct {
 	// EvaluateEvery controls how often the window is re-analyzed.
 	// Default 24 h (one evaluation per day, after the day completes).
 	EvaluateEvery simclock.Duration
-	// HistoryCap bounds a Fleet's retained alert history: a ring of
-	// the most recent alerts, so a year-long watch cannot grow without
-	// bound. The total alert count survives truncation
-	// (Fleet.TotalAlerts). Default 4096.
-	HistoryCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -54,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EvaluateEvery <= 0 {
 		c.EvaluateEvery = 24 * time.Hour
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 4096
 	}
 	return c
 }

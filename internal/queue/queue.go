@@ -231,25 +231,15 @@ func (q *Fluid) stepBy(occ, offered, dropped, bps, sec float64) (float64, float6
 // Advance moves the integration frontier to t. It is the single-writer
 // half of the parallel campaign protocol: the campaign engine advances
 // every queue once per probing step, then concurrent workers observe
-// the step through ObserveFrozen without mutating anything.
+// the step through ObserveFrozenCursor without mutating anything.
 func (q *Fluid) Advance(t simclock.Time) { q.advance(t) }
-
-// ObserveFrozen returns the queueing delay and drop probability a
-// packet arriving at t experiences, computed by integrating forward
-// from the current frontier into locals — the frontier itself is not
-// moved. Because the result depends only on (frontier, t), concurrent
-// observers see identical values regardless of ordering, which is what
-// makes campaign results bit-identical across worker counts.
-func (q *Fluid) ObserveFrozen(t simclock.Time) (simclock.Duration, float64) {
-	return q.ObserveFrozenCursor(nil, -1, t)
-}
 
 // AdvanceBatch advances the integration frontier through each step
 // time in order — exactly as len(steps) successive Advance calls would
 // — while recording the frontier state after every step. The recorded
-// states let ObserveFrozenStep later reproduce, for any step in the
-// batch, precisely what ObserveFrozen would have returned had the
-// campaign stopped to advance the world at that step. The scratch
+// states let ObserveFrozenCursor later reproduce, for any step in the
+// batch, precisely what a read of the live frontier would have
+// returned had the campaign stopped to advance the world at that step. The scratch
 // tables are reused across batches, so steady-state advancement does
 // not allocate.
 //
@@ -273,15 +263,6 @@ func (q *Fluid) AdvanceBatch(steps []simclock.Time) {
 		q.batchLoss[i] = q.lossFrac
 	}
 	q.gen++
-}
-
-// ObserveFrozenStep is ObserveFrozen evaluated against the frontier as
-// it stood after batch step i of the most recent AdvanceBatch. A
-// negative i observes the live frontier (the non-batched protocol).
-// Like ObserveFrozen it mutates nothing, so concurrent workers may
-// observe any mix of steps from the same batch.
-func (q *Fluid) ObserveFrozenStep(i int, t simclock.Time) (simclock.Duration, float64) {
-	return q.ObserveFrozenCursor(nil, i, t)
 }
 
 // Cursor carries a frozen read's integration over to the next read of
@@ -310,10 +291,20 @@ type Cursor struct {
 // Cursor.
 func (c *Cursor) Queue() *Fluid { return c.q }
 
-// ObserveFrozenCursor is ObserveFrozenStep(i, t), resuming from c when
-// c holds an earlier read of the same queue, step and generation at a
-// time before t, and leaving c where this read's integration stopped.
-// A nil c reads without resuming.
+// ObserveFrozenCursor returns the queueing delay and drop probability
+// a packet arriving at t experiences, integrating forward from the
+// frontier as it stood after batch step i of the most recent
+// AdvanceBatch; a negative i observes the live frontier (the
+// non-batched protocol). The integration runs in locals and the
+// cursor — the queue itself is not mutated. Because the result depends
+// only on (frontier, t), concurrent workers may observe any mix of
+// steps from the same batch and see identical values regardless of
+// ordering, which is what makes campaign results bit-identical across
+// worker counts.
+//
+// The read resumes from c when c holds an earlier read of the same
+// queue, step and generation at a time before t, and leaves c where
+// this read's integration stopped. A nil c reads without resuming.
 func (q *Fluid) ObserveFrozenCursor(c *Cursor, i int, t simclock.Time) (simclock.Duration, float64) {
 	from, occ, lossFrac := q.lastTime, q.occupancy, q.lossFrac
 	if i >= 0 {

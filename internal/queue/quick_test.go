@@ -79,8 +79,8 @@ func TestQuickBatchObservationMatchesPerStep(t *testing.T) {
 				perStep.Advance(st)
 				for _, off := range offsets {
 					at := st.Add(off)
-					d1, l1 := perStep.ObserveFrozen(at)
-					d2, l2 := batched.ObserveFrozenStep(i, at)
+					d1, l1 := perStep.ObserveFrozenCursor(nil, -1, at)
+					d2, l2 := batched.ObserveFrozenCursor(nil, i, at)
 					if d1 != d2 || math.Float64bits(l1) != math.Float64bits(l2) {
 						return false
 					}

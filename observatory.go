@@ -47,11 +47,6 @@ type CampaignConfig struct {
 	Thresholds []float64
 	// DisableLoss skips the 1 pps loss campaigns.
 	DisableLoss bool
-	// FlatSeries stores collected RTT series as plain []float64
-	// instead of the default XOR-compressed chunked backing. Results
-	// are bit-identical either way; the flag exists for callers that
-	// mutate collected series in place.
-	FlatSeries bool
 	// Workers fans probing and analysis across goroutines; results are
 	// bit-identical for any value. Default runtime.GOMAXPROCS(0).
 	Workers int
@@ -179,7 +174,6 @@ func RunCampaign(cfg CampaignConfig) *Campaign {
 		Opts:        scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale},
 		Thresholds:  cfg.Thresholds,
 		DisableLoss: cfg.DisableLoss,
-		FlatSeries:  cfg.FlatSeries,
 		Workers:     cfg.Workers,
 		BatchSteps:  cfg.BatchSteps,
 		Shards:      cfg.Shards,
@@ -333,9 +327,3 @@ const (
 func NewMonitor(target LinkTarget, cfg MonitorConfig) *Monitor {
 	return monitor.New(target, cfg)
 }
-
-// Fleet watches every link of one vantage point online.
-type Fleet = monitor.Fleet
-
-// NewFleet builds an empty fleet of link watchers.
-func NewFleet(cfg MonitorConfig) *Fleet { return monitor.NewFleet(cfg) }

@@ -55,10 +55,11 @@ echo "== budget determinism smoke (workers x batch under race) =="
 # streaming CUSUM taps, and the barrier recomputes race for real.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestBudgetCampaignBitIdentical|TestBudgetAwkwardBatchSizesBitIdentical' ./internal/experiments/
 
-echo "== chunked-backing determinism smoke (flat vs compressed under race) =="
-# The columnar tschunk backing must be invisible to the numbers: the
-# {flat, chunked} x workers x batch-size matrix runs raced at real
-# parallelism so block sealing and the streamed loss grid race too.
+echo "== chunked-backing determinism smoke (workers x batch size under race) =="
+# The collector's one storage backing, the columnar tschunk store, must
+# be invisible to the numbers: the workers x batch-size matrix runs
+# raced at real parallelism so block sealing and the streamed loss
+# grid race too.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestChunkedCampaign' ./internal/experiments/
 
 echo "== continent-scale smoke (10x generated world, raced) =="
