@@ -518,7 +518,8 @@ func BenchmarkAblationNearEndCheck(b *testing.B) {
 // and on 10×/100× generated worlds (4 shards), reporting probing
 // throughput (link_rounds_per_sec), resident series memory per probed
 // link (bytes_per_link — scripts/benchjson warns when a scale>1 row
-// exceeds the scale=1 figure, the sharded memory bound), and the
+// exceeds the scale=1 figure, the sharded memory bound), the wall time
+// spent in bdrmap discovery (discovery_s), and the
 // process RSS high-water mark (peak_rss_mb; cumulative across the
 // process, so within one run it is monotone in scale order). The 100×
 // point probes a deterministic 48-VP prefix to keep iterations
@@ -538,6 +539,7 @@ func BenchmarkScaleCampaign(b *testing.B) {
 			}
 			b.ReportMetric(p.LinkRoundsPerSec, "link_rounds_per_sec")
 			b.ReportMetric(p.BytesPerLink, "bytes_per_link")
+			b.ReportMetric(p.DiscoverySecs, "discovery_s")
 			b.ReportMetric(p.PeakRSSMB, "peak_rss_mb")
 		})
 	}

@@ -69,9 +69,11 @@ type Graph struct {
 	rels map[ASN]map[ASN]Rel
 	orgs map[ASN]Org
 	name map[ASN]string
-	// adjCache memoizes sorted neighbor lists; route computation
-	// scans them millions of times per topology version.
+	// adjCache memoizes sorted neighbor lists.
 	adjCache map[ASN][]ASN
+	// mutations counts changes to the AS set and its relationships;
+	// see Mutations.
+	mutations uint64
 }
 
 // NewGraph returns an empty graph.
@@ -89,14 +91,22 @@ func (g *Graph) dirty(ases ...ASN) {
 	for _, a := range ases {
 		delete(g.adjCache, a)
 	}
+	g.mutations++
 }
 
 // ensure registers an AS (idempotent).
 func (g *Graph) ensure(a ASN) {
 	if _, ok := g.rels[a]; !ok {
 		g.rels[a] = make(map[ASN]Rel)
+		g.mutations++
 	}
 }
+
+// Mutations returns a count that moves whenever an AS is registered or
+// a relationship is set or removed. Consumers that derive structures
+// from the graph (bgpsim's dense adjacency) compare it to know when to
+// rebuild them.
+func (g *Graph) Mutations() uint64 { return g.mutations }
 
 // AddAS registers an AS with a human-readable name and organization.
 func (g *Graph) AddAS(a ASN, name string, org Org) {

@@ -144,18 +144,22 @@ func Run(p *prober.Prober, cfg Config, t simclock.Time) (*Result, error) {
 	seen := make(map[linkKey]*Link)
 
 	at := t
+	// trace is one buffer for every traceroute: nothing below keeps
+	// hops past the iteration that traced them.
+	trace := make([]prober.Hop, 0, cfg.MaxTTL)
 	for _, po := range cfg.BGP.RoutedPrefixes() {
 		if inside[po.Origin] {
 			continue // no border crossing toward our own prefixes
 		}
 		target := traceTarget(po.Prefix)
-		hops, err := p.Traceroute(target, cfg.MaxTTL, at)
+		var err error
+		trace, err = p.AppendTraceroute(trace[:0], target, cfg.MaxTTL, at)
 		if err != nil {
 			return nil, fmt.Errorf("bdrmap: tracing %v: %w", po.Prefix, err)
 		}
 		res.TracesRun++
 		at = at.Add(200 * time.Millisecond)
-		hops = trimTrailingLoss(hops, cfg.MaxConsecutiveLoss)
+		hops := trimTrailingLoss(trace, cfg.MaxConsecutiveLoss)
 
 		near, far, ok := findBorder(hops, inside, cfg)
 		if !ok {

@@ -13,6 +13,7 @@ package bgpsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"afrixp/internal/asrel"
@@ -58,10 +59,20 @@ type Network struct {
 	// dense indexing for the route computation
 	asns []asrel.ASN
 	idx  map[asrel.ASN]int
+	// adj is the relationship graph over dense indices, in
+	// Neighbors' sorted order, so routesTo walks an edge without a
+	// map lookup. adjMutations is the graph's mutation count it was
+	// built at; adjFlat backs every row.
+	adj          [][]edge
+	adjFlat      []edge
+	adjMutations uint64
 
 	prefixTable *lpm.Table[asrel.ASN]
 	routeCache  map[asrel.ASN]*destRoutes
 	dirty       bool
+	// generation counts Announce, Withdraw and Invalidate calls; see
+	// Generation.
+	generation uint64
 	// scratch holds the per-destination working arrays routesTo needs
 	// (BFS queue, tentative distances, Dijkstra buckets). Continent-
 	// scale worlds compute routes for thousands of destinations over
@@ -103,6 +114,13 @@ func (s *routeScratch) grab(v, maxD int) {
 	s.queue = s.queue[:0]
 }
 
+// edge is one adjacency entry: the neighbor's dense index and its
+// relationship relative to the row's AS.
+type edge struct {
+	to  int32
+	rel asrel.Rel
+}
+
 // destRoutes holds, for one destination AS, each AS's selected route.
 type destRoutes struct {
 	nextHop []int32 // index of next-hop AS, -1 = none, self-index for origin
@@ -127,7 +145,7 @@ func (n *Network) Graph() *asrel.Graph { return n.graph }
 // Announce originates prefix p from AS a.
 func (n *Network) Announce(a asrel.ASN, p netaddr.Prefix) {
 	n.origins[a] = append(n.origins[a], p)
-	n.dirty = true
+	n.invalidate()
 }
 
 // Withdraw removes all originations of p by a.
@@ -140,13 +158,23 @@ func (n *Network) Withdraw(a asrel.ASN, p netaddr.Prefix) {
 		}
 	}
 	n.origins[a] = out
-	n.dirty = true
+	n.invalidate()
 }
 
 // Invalidate drops all cached routes; call after mutating the
 // relationship graph (membership churn is a first-class event in the
 // African IXP ecosystem the paper observes).
-func (n *Network) Invalidate() { n.dirty = true }
+func (n *Network) Invalidate() { n.invalidate() }
+
+func (n *Network) invalidate() {
+	n.dirty = true
+	n.generation++
+}
+
+// Generation returns a count that moves on every Announce, Withdraw
+// and Invalidate: anything that can change an address's origin or a
+// selected route. Data-plane caches keyed on it stay exact.
+func (n *Network) Generation() uint64 { return n.generation }
 
 func (n *Network) rebuild() {
 	if !n.dirty {
@@ -177,7 +205,33 @@ func (n *Network) rebuild() {
 		}
 	}
 	n.routeCache = make(map[asrel.ASN]*destRoutes)
+	n.adj = n.adj[:0]
 	n.dirty = false
+}
+
+// adjacency returns the dense adjacency, rebuilding it after rebuild
+// re-indexed the ASes or the graph's mutation count moved. Rows list
+// neighbors in Neighbors' sorted ASN order, which is what makes the
+// lowest-next-hop tie-break of routesTo hold.
+func (n *Network) adjacency() [][]edge {
+	if len(n.adj) == len(n.asns) && n.adjMutations == n.graph.Mutations() {
+		return n.adj
+	}
+	total := 0
+	for _, a := range n.asns {
+		total += n.graph.Degree(a)
+	}
+	flat := slices.Grow(n.adjFlat[:0], total)
+	adj := n.adj[:0]
+	for _, a := range n.asns {
+		start := len(flat)
+		for _, b := range n.graph.Neighbors(a) {
+			flat = append(flat, edge{to: int32(n.idx[b]), rel: n.graph.Rel(a, b)})
+		}
+		adj = append(adj, flat[start:len(flat):len(flat)])
+	}
+	n.adj, n.adjFlat, n.adjMutations = adj, flat, n.graph.Mutations()
+	return adj
 }
 
 // OriginOf maps an address to the AS originating its longest covering
@@ -280,6 +334,7 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 		return nil
 	}
 	v := len(n.asns)
+	adj := n.adjacency()
 	dr := &destRoutes{
 		nextHop: make([]int32, v),
 		rtype:   make([]RouteType, v),
@@ -305,15 +360,13 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 	custDist[di] = 0
 	for qi := 0; qi < len(queue); qi++ {
 		x := queue[qi]
-		ax := n.asns[x]
-		for _, b := range n.graph.Neighbors(ax) {
-			r := n.graph.Rel(ax, b)
+		for _, e := range adj[x] {
 			// Route at x is exported upward to x's providers and
 			// shared with siblings.
-			if r != asrel.Provider && r != asrel.Sibling {
+			if e.rel != asrel.Provider && e.rel != asrel.Sibling {
 				continue
 			}
-			bi := n.idx[b]
+			bi := int(e.to)
 			if custDist[bi] > custDist[x]+1 {
 				custDist[bi] = custDist[x] + 1
 				custHop[bi] = int32(x)
@@ -335,17 +388,15 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 		if dr.rtype[i] == RouteSelf || dr.rtype[i] == RouteCustomer {
 			continue
 		}
-		ai := n.asns[i]
 		best := int32(1 << 30)
 		var hop int32 = -1
-		for _, b := range n.graph.Neighbors(ai) {
-			if n.graph.Rel(ai, b) != asrel.Peer {
+		for _, e := range adj[i] {
+			if e.rel != asrel.Peer {
 				continue
 			}
-			bi := n.idx[b]
-			if custDist[bi] < best {
-				best = custDist[bi]
-				hop = int32(bi)
+			if custDist[e.to] < best {
+				best = custDist[e.to]
+				hop = e.to
 			}
 		}
 		if hop >= 0 {
@@ -380,15 +431,13 @@ func (n *Network) routesTo(dst asrel.ASN) *destRoutes {
 			if provDist[x] < int32(d) {
 				continue
 			}
-			ax := n.asns[x]
-			for _, b := range n.graph.Neighbors(ax) {
-				r := n.graph.Rel(ax, b)
+			for _, e := range adj[x] {
 				// Any route is exported down to customers; siblings
 				// also receive everything.
-				if r != asrel.Customer && r != asrel.Sibling {
+				if e.rel != asrel.Customer && e.rel != asrel.Sibling {
 					continue
 				}
-				bi := n.idx[b]
+				bi := int(e.to)
 				if dr.rtype[bi] != RouteNone {
 					continue // has a better class of route already
 				}

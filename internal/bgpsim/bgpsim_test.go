@@ -340,9 +340,33 @@ func BenchmarkRoutesTo(b *testing.B) {
 		g.SetProvider(asrel.ASN(1000+i), asrel.ASN(10+i%50))
 	}
 	n := New(g)
+	// Index the ASes first: without it idx is nil, routesTo misses the
+	// destination and the loop times one map allocation.
+	n.rebuild()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.routeCache = make(map[asrel.ASN]*destRoutes)
-		n.routesTo(asrel.ASN(1000 + i%2000))
+		if n.routesTo(asrel.ASN(1000+i%2000)) == nil {
+			b.Fatal("destination not indexed")
+		}
+	}
+}
+
+// TestAdjacencyFollowsGraphMutations: routes toward a destination first
+// computed after a relationship change see it even without Invalidate,
+// as they did when route computation read the graph edge by edge.
+func TestAdjacencyFollowsGraphMutations(t *testing.T) {
+	g := asrel.NewGraph()
+	for _, c := range []asrel.ASN{2, 3, 4} {
+		g.SetProvider(c, 1)
+	}
+	n := New(g)
+	if rt, d, ok := n.RouteTo(2, 3); !ok || rt != RouteProvider || d != 2 {
+		t.Fatalf("2→3 before peering: %v %d %v", rt, d, ok)
+	}
+	g.SetPeer(2, 4)
+	if rt, d, ok := n.RouteTo(2, 4); !ok || rt != RoutePeer || d != 1 {
+		t.Fatalf("2→4 after peering: %v %d %v, want a one-hop peer route", rt, d, ok)
 	}
 }

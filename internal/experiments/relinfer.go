@@ -36,7 +36,10 @@ type RelInference struct {
 
 // RunRelInference executes the experiment on a fresh world.
 func RunRelInference(opts scenario.Options, at simclock.Time) (*RelInference, error) {
-	w := scenario.Paper(opts)
+	w, err := scenario.BuildPaper(opts)
+	if err != nil {
+		return nil, err
+	}
 	w.AdvanceTo(at)
 
 	// Route collectors peer with the intercontinental carriers, the

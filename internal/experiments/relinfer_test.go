@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 
 	"afrixp/internal/scenario"
@@ -43,5 +44,19 @@ func TestRelationshipInference(t *testing.T) {
 	if res.PeersInferred < res.PeersTruth/2 {
 		t.Fatalf("peer classification collapsed: truth %d, inferred %d",
 			res.PeersTruth, res.PeersInferred)
+	}
+}
+
+// TestPaperExperimentsReportOverfullWorld checks that the experiments
+// building their own paper world pass the builder's capacity error up
+// instead of panicking (repro at -scale 10 used to die here).
+func TestPaperExperimentsReportOverfullWorld(t *testing.T) {
+	opts := scenario.Options{Scale: 10}
+	var full *scenario.LANFullError
+	if _, err := RunRelInference(opts, 0); !errors.As(err, &full) {
+		t.Errorf("RunRelInference: error %v, want a *scenario.LANFullError", err)
+	}
+	if _, err := RunUpgradeWhatIf(opts, []float64{1e9}); !errors.As(err, &full) {
+		t.Errorf("RunUpgradeWhatIf: error %v, want a *scenario.LANFullError", err)
 	}
 }

@@ -27,6 +27,9 @@ type ScalePoint struct {
 	ProbedLinks, Rounds int
 	// WallSecs is the campaign wall time (build + probe + analyze).
 	WallSecs float64
+	// DiscoverySecs is the part of WallSecs spent in bdrmap discovery
+	// (the engine's "discovery" spans).
+	DiscoverySecs float64
 	// LinkRoundsPerSec is probing throughput: Rounds / WallSecs.
 	LinkRoundsPerSec float64
 	// BytesPerLink is resident series memory per probed link: the
@@ -91,9 +94,9 @@ func RunScaleSweep(cfg ScaleSweepConfig) []ScalePoint {
 		out = append(out, p)
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress,
-				"scale %g: %d IXPs, %d links (%d probed), %.0f rounds/s, %.0f bytes/link, peak RSS %.1f MB (wall %.1fs)\n",
+				"scale %g: %d IXPs, %d links (%d probed), %.0f rounds/s, %.0f bytes/link, peak RSS %.1f MB (wall %.1fs, discovery %.1fs)\n",
 				p.Scale, p.IXPs, p.WorldLinks, p.ProbedLinks,
-				p.LinkRoundsPerSec, p.BytesPerLink, p.PeakRSSMB, p.WallSecs)
+				p.LinkRoundsPerSec, p.BytesPerLink, p.PeakRSSMB, p.WallSecs, p.DiscoverySecs)
 		}
 	}
 	return out
@@ -137,6 +140,11 @@ func runScalePoint(scale float64, cfg ScaleSweepConfig) ScalePoint {
 	}
 	if elapsed > 0 {
 		p.LinkRoundsPerSec = float64(p.Rounds) / elapsed
+	}
+	for _, s := range tele.Spans() {
+		if s.Phase == "discovery" {
+			p.DiscoverySecs += s.WallEnd.Sub(s.WallStart).Seconds()
+		}
 	}
 	p.BytesPerLink = bytesPerLink(res, tele)
 	p.PeakRSSMB = float64(peakRSSBytes()) / 1e6
@@ -198,11 +206,11 @@ func peakRSSBytes() int64 {
 
 // RenderScaleSweep writes the sweep as the EXPERIMENTS.md-style table.
 func RenderScaleSweep(w io.Writer, points []ScalePoint) {
-	fmt.Fprintf(w, "%8s %6s %6s %6s %10s %8s %12s %12s %10s\n",
-		"scale", "ixps", "ases", "vps", "worldlinks", "probed", "rounds/s", "bytes/link", "peakRSS")
+	fmt.Fprintf(w, "%8s %6s %6s %6s %10s %8s %12s %12s %10s %10s\n",
+		"scale", "ixps", "ases", "vps", "worldlinks", "probed", "rounds/s", "bytes/link", "peakRSS", "discovery")
 	for _, p := range points {
-		fmt.Fprintf(w, "%8g %6d %6d %6d %10d %8d %12.0f %12.0f %8.1fMB\n",
+		fmt.Fprintf(w, "%8g %6d %6d %6d %10d %8d %12.0f %12.0f %8.1fMB %9.2fs\n",
 			p.Scale, p.IXPs, p.ASes, p.VPs, p.WorldLinks, p.ProbedLinks,
-			p.LinkRoundsPerSec, p.BytesPerLink, p.PeakRSSMB)
+			p.LinkRoundsPerSec, p.BytesPerLink, p.PeakRSSMB, p.DiscoverySecs)
 	}
 }

@@ -39,7 +39,10 @@ func RunUpgradeWhatIf(base scenario.Options, capacities []float64) ([]WhatIfPoin
 	for _, capBps := range capacities {
 		opts := base
 		opts.NetpageUpgradeBps = capBps
-		w := scenario.Paper(opts)
+		w, err := scenario.BuildPaper(opts)
+		if err != nil {
+			return nil, err
+		}
 		vp, _ := w.VPByID("VP4")
 		p := prober.New(w.Net, vp.Node, prober.Config{Name: "whatif"})
 		session, err := p.NewTSLP(vp.CaseLinks["QCELL-NETPAGE"])

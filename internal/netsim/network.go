@@ -1,8 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"afrixp/internal/asrel"
@@ -74,6 +75,10 @@ func (n *Node) nextIPID() uint16 {
 	n.ipid++
 	return n.ipid
 }
+
+// IPID returns the IP identification value of the node's last ICMP
+// response (zero before its first).
+func (n *Node) IPID() uint16 { return n.ipid }
 
 // Iface is an addressed attachment point on a node.
 type Iface struct {
@@ -148,6 +153,10 @@ type Network struct {
 	// injStats counts injection walks by outcome; same single-
 	// goroutine contract as injWire (see InjectStats).
 	injStats InjectStats
+
+	// traj memoizes echo trajectories for Echo; same single-goroutine
+	// contract as injWire.
+	traj trajectory
 }
 
 // New creates an empty network over the given BGP control plane.
@@ -401,6 +410,11 @@ func (nw *Network) AdvanceQueuesBatch(steps []simclock.Time) {
 // Version returns the topology version; cached ProbePaths embed it.
 func (nw *Network) Version() int64 { return nw.version }
 
+// PacketNonces returns how many loss nonces the network-wide packet
+// counter has handed out: one per pipe traversal by Inject, Echo and
+// ProbePath.Sample.
+func (nw *Network) PacketNonces() uint64 { return nw.pktCounter }
+
 // InvalidateRoutes must be called after mutating the AS relationship
 // graph so both the BGP cache and node FIBs are recomputed.
 func (nw *Network) InvalidateRoutes() {
@@ -436,11 +450,8 @@ func (nw *Network) InterdomainLinks() []InterdomainLink {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NearIface != out[j].NearIface {
-			return out[i].NearIface < out[j].NearIface
-		}
-		return out[i].FarIface < out[j].FarIface
+	slices.SortFunc(out, func(a, b InterdomainLink) int {
+		return cmp.Or(cmp.Compare(a.NearIface, b.NearIface), cmp.Compare(a.FarIface, b.FarIface))
 	})
 	return out
 }

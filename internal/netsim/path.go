@@ -95,35 +95,15 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 func (pp *ProbePath) Valid() bool { return pp.version == pp.nw.version }
 
 // Sample sends one virtual probe along the cached path at time t,
-// returning the RTT and whether a response arrived (false = loss).
+// returning the RTT and whether a response arrived (false = loss). It
+// makes Inject's state changes except the responder's IP ID, which it
+// does not model.
 func (pp *ProbePath) Sample(t simclock.Time) (simclock.Duration, bool) {
-	start := t
-	for _, p := range pp.FwdPipes {
-		pp.nw.pktCounter++
-		exit, ok := p.Traverse(t, pp.nw.pktCounter)
-		if !ok {
-			return 0, false
-		}
-		t = exit
-	}
-	if pp.Responder.ICMPDown != nil && pp.Responder.ICMPDown(t) {
+	at, _, ok := pp.nw.replay(pp.FwdPipes, pp.Responder, pp.RevPipes, t, false)
+	if !ok {
 		return 0, false
 	}
-	if pp.Responder.ICMPRateLimit != nil && !pp.Responder.ICMPRateLimit.Allow(t) {
-		return 0, false
-	}
-	if pp.Responder.ICMPDelay != nil {
-		t = t.Add(pp.Responder.ICMPDelay(t))
-	}
-	for _, p := range pp.RevPipes {
-		pp.nw.pktCounter++
-		exit, ok := p.Traverse(t, pp.nw.pktCounter)
-		if !ok {
-			return 0, false
-		}
-		t = exit
-	}
-	return t.Sub(start), true
+	return at.Sub(t), true
 }
 
 // ProbeCtx is one measurement agent's private probe-side state: an

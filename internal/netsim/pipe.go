@@ -10,7 +10,8 @@
 // queueing delay and drawing deterministic loss. A cached fast path
 // (ProbePath) replays the same pipe sequence without per-hop
 // re-encoding for bulk year-long TSLP campaigns; its equivalence to
-// the packet walk is property-tested.
+// the packet walk is property-tested. Echo replays discovery probes
+// the same way over memoized routing (trajectory.go).
 package netsim
 
 import (

@@ -55,6 +55,9 @@ type Prober struct {
 	// across probes so steady-state probing does not allocate.
 	wire []byte
 	pkt  packet.Scratch
+	// wirePing, set only by tests, replaces Ping with a copy of the
+	// wire-level Ping: the oracle Ping is checked against.
+	wirePing func(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult, error)
 }
 
 // New binds a prober to a vantage-point node.
@@ -148,37 +151,31 @@ type PingResult struct {
 }
 
 // Ping sends one echo probe with the given TTL at (no earlier than) t.
+// The network replays it over its memoized trajectory (Network.Echo);
+// probes the replay cannot express go out as wires through Inject.
+// Both make the same state changes and give the same result.
 func (p *Prober) Ping(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult, error) {
+	if p.wirePing != nil {
+		return p.wirePing(dst, ttl, t)
+	}
 	sendAt := p.bucket.NextAllowed(t)
 	p.bucket.Allow(sendAt)
 	p.seq++
-	wire, err := p.pkt.Echo(p.wire[:0], packet.IPv4{
-		TTL: ttl, Src: p.nw.SrcAddr(p.vp), Dst: dst, ID: p.seq,
-	}, p.icmpID, p.seq, p.tsPayload(sendAt))
-	if err != nil {
-		return PingResult{}, fmt.Errorf("prober: building echo: %w", err)
-	}
-	p.wire = wire
-	resp, outcome, err := p.nw.Inject(p.vp, wire, sendAt)
-	if err != nil {
-		return PingResult{}, fmt.Errorf("prober: inject: %w", err)
+	echo, ok := p.nw.Echo(p.vp, dst, ttl, sendAt)
+	if !ok {
+		var err error
+		if echo, err = p.injectEcho(dst, ttl, sendAt); err != nil {
+			return PingResult{}, err
+		}
 	}
 	res := PingResult{SentAt: sendAt}
-	if outcome != netsim.Delivered {
+	if echo.Outcome != netsim.Delivered {
 		res.Lost = true
 	} else {
-		rip, pl, derr := packet.DecodeIPv4(resp.Wire)
-		if derr != nil {
-			return PingResult{}, derr
-		}
-		icmp, derr := packet.DecodeICMP(pl)
-		if derr != nil {
-			return PingResult{}, derr
-		}
-		res.Responder = resp.From
-		res.RespType = icmp.Type
-		res.RespIPID = rip.ID
-		res.RTT = resp.At.Sub(sendAt)
+		res.Responder = echo.From
+		res.RespType = echo.Type
+		res.RespIPID = echo.IPID
+		res.RTT = echo.At.Sub(sendAt)
 		if res.RTT > p.cfg.Timeout {
 			// Response slower than the timeout counts as loss, as it
 			// would for scamper.
@@ -191,6 +188,35 @@ func (p *Prober) Ping(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult,
 		RTT: res.RTT, Lost: res.Lost,
 	})
 	return res, nil
+}
+
+// injectEcho sends Ping's probe as a wire-format datagram through
+// Network.Inject and decodes the response.
+func (p *Prober) injectEcho(dst netaddr.Addr, ttl uint8, sendAt simclock.Time) (netsim.EchoResult, error) {
+	wire, err := p.pkt.Echo(p.wire[:0], packet.IPv4{
+		TTL: ttl, Src: p.nw.SrcAddr(p.vp), Dst: dst, ID: p.seq,
+	}, p.icmpID, p.seq, p.tsPayload(sendAt))
+	if err != nil {
+		return netsim.EchoResult{}, fmt.Errorf("prober: building echo: %w", err)
+	}
+	p.wire = wire
+	resp, outcome, err := p.nw.Inject(p.vp, wire, sendAt)
+	if err != nil {
+		return netsim.EchoResult{}, fmt.Errorf("prober: inject: %w", err)
+	}
+	if outcome != netsim.Delivered {
+		return netsim.EchoResult{Outcome: outcome}, nil
+	}
+	rip, pl, err := packet.DecodeIPv4(resp.Wire)
+	if err != nil {
+		return netsim.EchoResult{}, err
+	}
+	icmp, err := packet.DecodeICMP(pl)
+	if err != nil {
+		return netsim.EchoResult{}, err
+	}
+	return netsim.EchoResult{Outcome: netsim.Delivered, At: resp.At, From: resp.From,
+		Type: icmp.Type, IPID: rip.ID}, nil
 }
 
 // Hop is one traceroute step.
@@ -213,7 +239,12 @@ const tracerouteGapLimit = 4
 // reached. Each hop consumes pacing budget; lost hops are retried
 // once, as scamper does by default.
 func (p *Prober) Traceroute(dst netaddr.Addr, maxTTL uint8, t simclock.Time) ([]Hop, error) {
-	hops := make([]Hop, 0, maxTTL)
+	return p.AppendTraceroute(make([]Hop, 0, maxTTL), dst, maxTTL, t)
+}
+
+// AppendTraceroute is Traceroute appending the hops to hops, so a
+// caller tracing many targets can reuse one buffer.
+func (p *Prober) AppendTraceroute(hops []Hop, dst netaddr.Addr, maxTTL uint8, t simclock.Time) ([]Hop, error) {
 	gap := 0
 	at := t
 	for ttl := uint8(1); ttl <= maxTTL; ttl++ {

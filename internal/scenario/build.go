@@ -158,11 +158,30 @@ type PortSpec struct {
 	SkipPCH bool
 }
 
+// LANFullError reports an exchange whose peering LAN has no address
+// left for another member port. The paper world's bulk populations
+// grow with Scale while its peering LANs stay /24s, so large scales
+// overflow them; BuildPaper returns the error.
+type LANFullError struct {
+	IXP string
+	LAN netaddr.Prefix
+	// Ports is the member-port count the LAN holds.
+	Ports int
+}
+
+func (e *LANFullError) Error() string {
+	return fmt.Sprintf("scenario: %s peering LAN %v is full at %d member ports", e.IXP, e.LAN, e.Ports)
+}
+
 // joinIXP attaches an AS's border router to an exchange fabric and
 // records peerings with the existing members, the directory port
-// assignment, and rDNS for the port.
+// assignment, and rDNS for the port. It panics with a *LANFullError
+// when the LAN has no address left (BuildPaper recovers it).
 func (b *builder) joinIXP(a *asInfo, x *IXPInfo, spec PortSpec) netaddr.Addr {
 	slot := len(x.PeeringLAN.Attachments)
+	if uint64(10+slot) >= x.Peering.NumAddrs() {
+		panic(&LANFullError{IXP: x.Name, LAN: x.Peering, Ports: slot})
+	}
 	addr := x.Peering.Nth(uint64(10 + slot))
 	name := geo.InterfaceName(fmt.Sprintf("xe0-%d", slot), "br1",
 		cityOfIXP(x), x.Country, domainOf(a.Name))

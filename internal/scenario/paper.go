@@ -69,7 +69,24 @@ type noiseBand struct {
 	loMs, hiMs float64
 }
 
-// Paper builds the six-IXP world of the study.
+// BuildPaper builds the six-IXP world of the study, or returns a
+// *LANFullError when Scale grows an exchange's members past its
+// peering LAN. Worlds that fit are exactly Paper's.
+func BuildPaper(opts Options) (w *World, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			full, ok := r.(*LANFullError)
+			if !ok {
+				panic(r)
+			}
+			w, err = nil, full
+		}
+	}()
+	return Paper(opts), nil
+}
+
+// Paper builds the six-IXP world of the study. It panics where
+// BuildPaper returns an error.
 func Paper(opts Options) *World {
 	opts = opts.withDefaults()
 	b := newBuilder(opts.Seed)

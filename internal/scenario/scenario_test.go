@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -263,4 +264,34 @@ func TestAddEventInPastPanics(t *testing.T) {
 		}
 	}()
 	w.AddEvent(Event{At: simclock.Time(50), Name: "late", Apply: func(*World) {}})
+}
+
+// TestBuildPaperRejectsOverfullLAN checks the paper builder's
+// peering-LAN capacity check: at Scale 10 JINX's bulk population
+// outgrows its /24 and BuildPaper reports it instead of panicking,
+// while a world that fits builds exactly as Paper builds it.
+func TestBuildPaperRejectsOverfullLAN(t *testing.T) {
+	w, err := BuildPaper(Options{Scale: 10})
+	full, ok := err.(*LANFullError)
+	if !ok || w != nil {
+		t.Fatalf("Scale 10: got world %v, error %v; want a *LANFullError", w != nil, err)
+	}
+	if full.IXP != "JINX" || full.LAN.NumAddrs() != 256 || full.Ports != 246 {
+		t.Fatalf("Scale 10: %+v, want JINX's /24 full at 246 ports", full)
+	}
+
+	var got, want bytes.Buffer
+	w, err = BuildPaper(Options{Scale: 2})
+	if err != nil {
+		t.Fatalf("Scale 2: %v", err)
+	}
+	if err := w.Net.DumpTopology(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := Paper(Options{Scale: 2}).Net.DumpTopology(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("BuildPaper's world differs from Paper's")
+	}
 }

@@ -1,10 +1,12 @@
 package worldgen
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"afrixp/internal/asrel"
 	"afrixp/internal/scenario"
@@ -48,15 +50,22 @@ func StatsOf(w *scenario.World) Stats {
 // GOMAXPROCS, and different seeds must diverge. The determinism tests
 // pin this.
 func Fingerprint(w *scenario.World) string {
-	h := sha256.New()
+	sum := sha256.New()
+	h := bufio.NewWriterSize(sum, 4<<10)
 	fmt.Fprintf(h, "afrixp-worldgen/1 seed=%#x\n", w.Seed)
+	// Relationship and link lines are most of the text on large
+	// worlds; they are appended with strconv instead of fmt, to the
+	// same bytes.
+	var line []byte
 
 	ases := w.Graph.ASes() // sorted
 	fmt.Fprintf(h, "ases=%d\n", len(ases))
 	for _, a := range ases {
 		fmt.Fprintf(h, "AS%d name=%s org=%s\n", a, w.Graph.Name(a), w.Graph.OrgOf(a))
 		for _, nb := range w.Graph.Neighbors(a) { // sorted
-			fmt.Fprintf(h, "  rel AS%d %d\n", nb, w.Graph.Rel(a, nb))
+			line = strconv.AppendUint(append(line[:0], "  rel AS"...), uint64(nb), 10)
+			line = strconv.AppendInt(append(line, ' '), int64(w.Graph.Rel(a, nb)), 10)
+			h.Write(append(line, '\n'))
 		}
 	}
 
@@ -98,7 +107,11 @@ func Fingerprint(w *scenario.World) string {
 	links := w.Net.InterdomainLinks() // sorted by the enumerator
 	fmt.Fprintf(h, "links=%d\n", len(links))
 	for _, l := range links {
-		fmt.Fprintf(h, "link %d %d AS%d AS%d\n", l.NearIface, l.FarIface, l.NearAS, l.FarAS)
+		line = strconv.AppendInt(append(line[:0], "link "...), int64(l.NearIface), 10)
+		line = strconv.AppendInt(append(line, ' '), int64(l.FarIface), 10)
+		line = strconv.AppendUint(append(line, " AS"...), uint64(l.NearAS), 10)
+		line = strconv.AppendUint(append(line, " AS"...), uint64(l.FarAS), 10)
+		h.Write(append(line, '\n'))
 	}
 
 	evs := w.PendingEvents() // sorted by At
@@ -118,6 +131,7 @@ func Fingerprint(w *scenario.World) string {
 		}
 	}
 
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	h.Flush() // writes to a hash never fail
+	var digest [sha256.Size]byte
+	return hex.EncodeToString(sum.Sum(digest[:0]))
 }

@@ -47,6 +47,13 @@ go test -run '^$' \
   -bench 'BenchmarkInjectFarProbe$|BenchmarkProbePathSample$|BenchmarkFrozenLossBatch$|BenchmarkTSLPRoundYear$|BenchmarkFluidAdvanceYear' \
   -benchmem -count "$COUNT" ./internal/netsim ./internal/prober ./internal/queue | tee -a "$RAW"
 
+# The discovery plane's own rows: one BGP route computation toward a
+# fresh destination over a 2000-AS graph, and one bdrmap run (every
+# traceroute of a small VP world).
+go test -run '^$' \
+  -bench 'BenchmarkRoutesTo$|BenchmarkBorderMapping$' \
+  -benchmem -count "$COUNT" ./internal/bgpsim ./internal/bdrmap | tee -a "$RAW"
+
 # BenchmarkScaleCampaign rides in the multi-proc pass: its 10x/100x
 # points run the sharded engine, whose bytes_per_link metric the
 # benchjson guard checks against the scale=1 figure (the per-shard

@@ -7,6 +7,8 @@
 #   test -race full suite under the race detector — the parallel
 #              campaign engine's determinism tests double as its race
 #              exerciser (8 workers over shared world state)
+#   pins       the two pinned -result-sha campaigns print their
+#              digests and exit 0
 #   bench 1x   smoke-runs every benchmark once so they cannot bit-rot,
 #              then compares ns/op against the committed
 #              BENCH_campaign.json (warn-only: smoke timings are noisy)
@@ -211,6 +213,36 @@ RES_SHA="$(GOMAXPROCS=4 "$CKPT_TMP/repro" "${REPRO_ARGS[@]}" \
   || { echo "FAIL: resumed run differs from uninterrupted: '$RES_SHA' vs '$REF_SHA'"; exit 1; }
 rm -rf "$CKPT_TMP"
 echo "checkpoint restart OK (${REF_SHA#result sha256: })"
+
+echo "== pinned result digests (paper 255-day and faulted 10x week) =="
+# -result-sha hashes every campaign observable. Two campaigns are
+# pinned: the paper world's 255 days at Scale 0.08, and a faulted,
+# half-budget week on the 10x generated world. With no report flag
+# repro also runs every report, the paper-world experiments included,
+# so each run must exit 0 as well as print its pinned digest. Only a
+# change meant to move results may re-pin them, here and in CHANGES.md.
+PIN_TMP="$(mktemp -d)"
+trap 'rm -rf "$PIN_TMP"' EXIT
+go build -o "$PIN_TMP/repro" ./cmd/repro
+check_pin() {
+  local want="$1" got status=0
+  shift
+  "$PIN_TMP/repro" "$@" -quiet -result-sha >"$PIN_TMP/out" 2>"$PIN_TMP/err" || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "FAIL: repro $* exited $status"
+    tail -n 20 "$PIN_TMP/err"
+    exit 1
+  fi
+  got="$(sed -n 's/^result sha256: //p' "$PIN_TMP/out")"
+  [ "$got" = "$want" ] \
+    || { echo "FAIL: repro $*: digest '$got', want '$want'"; exit 1; }
+  echo "pinned digest OK: $*"
+}
+check_pin eb70ececc60a47080822fcdac0b6fb274350acaa744d1accfa7f2c21bde3a7e0 \
+  -scale 0.08 -days 255
+check_pin 12e41ff4bf109a4f5309aedf22daa34d8374ec01b272258e867f4a0534dca110 \
+  -scale 10 -days 7 -faults -budget 0.5
+rm -rf "$PIN_TMP"
 
 echo "== bench smoke (1 iteration each) =="
 SMOKE="$(mktemp)"
