@@ -34,8 +34,9 @@ import (
 
 // Format is the serialization format version. Bump on any
 // incompatible change to Snapshot's shape; LoadLatest refuses
-// mismatched formats via the manifest check.
-const Format = 2
+// mismatched formats with a hard error. Format 3 packs each builder's
+// open block with the tschunk block codec (tschunk.BuilderState).
+const Format = 3
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"
@@ -112,10 +113,7 @@ func Write(dir string, snap *Snapshot) (int, error) {
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
 		return 0, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	header := make([]byte, headerLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(payload.Len()))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload.Bytes()))
+	header := frameHeader(payload.Bytes())
 
 	final := filepath.Join(dir, fileName(snap.Barrier))
 	tmp := final + ".tmp"
@@ -142,6 +140,16 @@ func Write(dir string, snap *Snapshot) (int, error) {
 	}
 	prune(dir)
 	return payload.Len(), nil
+}
+
+// frameHeader returns the file header framing payload: magic, payload
+// length, CRC32.
+func frameHeader(payload []byte) []byte {
+	header := make([]byte, headerLen)
+	copy(header, magic)
+	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
+	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
+	return header
 }
 
 // prune removes all but the newest keepNewest snapshots. Best-effort:
@@ -174,18 +182,26 @@ func snapshotNames(dir string) []string {
 // the fallback that makes resume survive dying during a checkpoint.
 // When want is non-nil, the loaded manifest must match it exactly;
 // a mismatch is a hard error, never a fallback, because an older
-// snapshot from the wrong run would be just as wrong. (nil, nil) means
-// no checkpoint exists and the caller should start fresh.
+// snapshot from the wrong run would be just as wrong. A snapshot of
+// another Format is the same hard error whether or not want is given.
+// (nil, nil) means no checkpoint exists and the caller should start
+// fresh.
 func LoadLatest(dir string, want *Manifest) (*Snapshot, error) {
 	names := snapshotNames(dir)
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, names[i])
-		snap, ok, err := readSnapshot(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
+		snap, ok := decodeSnapshot(data)
 		if !ok {
 			continue // truncated or corrupt: fall back to the prior barrier
+		}
+		if snap.Manifest.Format != Format {
+			return nil, fmt.Errorf(
+				"checkpoint: %s belongs to a different run: format %d, this build reads format %d",
+				path, snap.Manifest.Format, Format)
 		}
 		if want != nil && snap.Manifest != *want {
 			return nil, fmt.Errorf(
@@ -197,30 +213,26 @@ func LoadLatest(dir string, want *Manifest) (*Snapshot, error) {
 	return nil, nil
 }
 
-// readSnapshot parses one file. ok=false flags recoverable damage
-// (truncation, bad CRC); err flags unrecoverable problems (I/O).
-func readSnapshot(path string) (*Snapshot, bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: %w", err)
-	}
+// decodeSnapshot parses one file's bytes. ok=false flags recoverable
+// damage: truncation, a bad CRC, or a payload gob cannot decode.
+func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
-		return nil, false, nil
+		return nil, false
 	}
 	payloadLen := binary.BigEndian.Uint64(data[len(magic):])
 	wantCRC := binary.BigEndian.Uint32(data[len(magic)+8:])
 	payload := data[headerLen:]
 	if uint64(len(payload)) != payloadLen {
-		return nil, false, nil // truncated (or trailing garbage)
+		return nil, false // truncated (or trailing garbage)
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, false, nil
+		return nil, false
 	}
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, false, nil // CRC race with format drift: treat as damage
+		return nil, false // CRC race with format drift: treat as damage
 	}
-	return &snap, true, nil
+	return &snap, true
 }
 
 func max(a, b int) int {

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,9 +16,20 @@ import (
 	"afrixp/internal/tschunk"
 )
 
+// openBlockState is the state of a private builder over len(vals)
+// slots whose open block holds vals, captured the way the engine does.
+func openBlockState(vals ...float64) tschunk.BuilderState {
+	b := tschunk.NewBuilder(len(vals))
+	for i, v := range vals {
+		b.Set(i, v)
+	}
+	return b.State()
+}
+
 // snapAt builds a small but fully-populated snapshot: NaN-holed float
-// payloads (the bit pattern gob must preserve), an optional loss
-// collector, a budget checkpoint, and shard arena bytes.
+// payloads (the bit pattern gob must preserve), an encoded open
+// builder block, an optional loss collector, a budget checkpoint, and
+// shard arena bytes.
 func snapAt(barrier simclock.Time) *Snapshot {
 	nan := math.NaN()
 	return &Snapshot{
@@ -30,7 +43,7 @@ func snapAt(barrier simclock.Time) *Snapshot {
 					FullNear: []float64{1.5, nan, 3.25}, FullFar: []float64{nan, 2.5, nan},
 					FarRounds: 7, SkippedRounds: 2,
 				}},
-				{Collector: analysis.CollectorState{NearB: tschunk.BuilderState{N: 3, Cur: []float64{nan, 4.5, nan}}},
+				{Collector: analysis.CollectorState{NearB: openBlockState(nan, 4.5, nan)},
 					Loss: &loss.CollectorState{
 						Batches: []loss.Batch{{Start: barrier, Sent: 100, Lost: 4}},
 						Skipped: 1, Missed: 2,
@@ -66,8 +79,10 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if len(near) != 3 || near[0] != 1.5 || !math.IsNaN(near[1]) || near[2] != 3.25 {
 		t.Fatalf("float payload (incl. NaN) not preserved: %v", near)
 	}
-	if b := got.VPs[0].Links[1].Collector.NearB; b.N != 3 || len(b.Cur) != 3 || b.Cur[1] != 4.5 {
-		t.Fatalf("builder state not preserved: %+v", b)
+	b := tschunk.NewBuilder(3)
+	b.RestoreState(got.VPs[0].Links[1].Collector.NearB)
+	if c := b.Seal(); !math.IsNaN(c.At(0)) || c.At(1) != 4.5 || !math.IsNaN(c.At(2)) {
+		t.Fatalf("builder state not preserved: %+v", got.VPs[0].Links[1].Collector.NearB)
 	}
 	l := got.VPs[0].Links[1].Loss
 	if l == nil || l.Batches[0].Lost != 4 || l.Skipped != 1 || l.Missed != 2 {
@@ -176,4 +191,86 @@ func TestFileNameOrdering(t *testing.T) {
 	if a, b := fileName(999), fileName(1000); a >= b {
 		t.Fatalf("fileName ordering broken: %q >= %q", a, b)
 	}
+}
+
+// The v2* types mirror the Format-2 snapshot shape, whose builders
+// carried the open block as raw float64s (v2BuilderState is the old
+// tschunk.BuilderState verbatim; the enclosing types keep only the
+// path to it).
+type v2BuilderState struct {
+	N      int
+	Blocks []tschunk.BlockRef
+	Shared bool
+	Arena  []byte
+	EncLen int
+	HasNaN bool
+	NaNRef tschunk.BlockRef
+	CurBlk int
+	Cur    []float64
+	Dirty  bool
+}
+
+type v2Collector struct{ NearB, FarB v2BuilderState }
+
+type v2Link struct{ Collector v2Collector }
+
+type v2VP struct{ Links []v2Link }
+
+type v2Snapshot struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []v2VP
+}
+
+// A Format-2 file still decodes (gob skips the raw block the renamed
+// field left behind), so it must reach the format check and fail
+// loudly: a resume that silently started over would look like success.
+func TestFormat2FileIsHardError(t *testing.T) {
+	near := v2BuilderState{N: 3, Cur: []float64{math.NaN(), 4.5, math.NaN()}, Dirty: true}
+	old := v2Snapshot{
+		Manifest: Manifest{Format: 2, ConfigHash: "cfg", WorldFingerprint: "world"},
+		Barrier:  1000,
+		VPs:      []v2VP{{Links: []v2Link{{Collector: v2Collector{NearB: near}}}}},
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	file := append(frameHeader(payload.Bytes()), payload.Bytes()...)
+	if err := os.WriteFile(filepath.Join(dir, fileName(1000)), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Manifest{Format: Format, ConfigHash: "cfg", WorldFingerprint: "world"}
+	for _, w := range []*Manifest{&want, nil} {
+		snap, err := LoadLatest(dir, w)
+		if err == nil {
+			t.Fatalf("want=%v: Format-2 file loaded as %+v, want a hard error", w, snap)
+		}
+		if !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "format 2") {
+			t.Fatalf("want=%v: unexpected error: %v", w, err)
+		}
+	}
+}
+
+// FuzzReadSnapshot wraps arbitrary bytes in a valid header and CRC so
+// they reach the gob decoder, which must reject or accept them without
+// panicking. A crafted slice length cannot allocate without bound:
+// gob caps each up-front slice allocation (internal/saferio, 10 MiB)
+// and grows it only as elements actually decode from the input.
+func FuzzReadSnapshot(f *testing.F) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(snapAt(1000)); err != nil {
+		f.Fatal(err)
+	}
+	seed := payload.Bytes()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		snap, ok := decodeSnapshot(append(frameHeader(payload), payload...))
+		if ok != (snap != nil) {
+			t.Fatalf("decodeSnapshot returned ok=%v with snapshot %v", ok, snap)
+		}
+	})
 }

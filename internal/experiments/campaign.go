@@ -137,9 +137,10 @@ type Config struct {
 	// results — stay bit-identical for any Workers × BatchSteps ×
 	// Shards, and the steady-state probing step stays allocation-free
 	// with the service attached (both pinned by tests). After the
-	// analysis phase the engine calls Finalize, which derives the
-	// service's end-of-campaign verdicts from the same batch sweep over
-	// the same frozen series — bit-identical to the engine's own
+	// analysis phase the engine hands the service each link's verdicts
+	// (SetLinkVerdicts) and calls Finalize, which then has nothing left
+	// to sweep: the service's end-of-campaign verdicts are the engine's
+	// own, and a fresh service swept independently must match them
 	// (DESIGN.md §16). Excluded from the checkpoint manifest: a resumed
 	// run may attach or detach it freely.
 	Observatory *observatory.Service
@@ -1110,10 +1111,14 @@ func Run(cfg Config) *Result {
 	anaWall := time.Now()
 	res.Reanalyze(cfg.Workers)
 	if svc != nil {
-		// The analysis phase sealed every collector; the service now
-		// derives its end-of-campaign verdicts from the same batch
-		// sweep over the same frozen series — bit-identical to
-		// res.Reanalyze's by construction (DESIGN.md §16).
+		// Hand the service the verdicts res.Reanalyze just computed, so
+		// the campaign sweeps once (DESIGN.md §16). Every watched link
+		// is in links, so Finalize finds nothing left to sweep.
+		for si, st := range states {
+			for _, lr := range links[si] {
+				svc.SetLinkVerdicts(st.vr.VP.ID, lr.Target, lr.Verdicts)
+			}
+		}
 		svc.Finalize(cfg.Thresholds)
 	}
 	tele.EndSpan(anaRef, cfg.Campaign.End)

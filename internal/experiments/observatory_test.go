@@ -76,6 +76,80 @@ func checkServiceVerdicts(t *testing.T, label string, res *Result, svc *observat
 	}
 }
 
+// checkReplayOracle is the independent check on a live service whose
+// verdicts are the engine's own, handed over: a fresh service watches
+// every link of res, is fed once to campaign end, and sweeps every link
+// itself in Finalize. Its verdicts must equal the engine's and its
+// alert log the live service's.
+func checkReplayOracle(t *testing.T, label string, res *Result, live *observatory.Service) {
+	t.Helper()
+	replay := observatory.New(observatory.Config{})
+	for _, vr := range res.VPs {
+		for _, lr := range vr.SortedLinks() {
+			replay.Watch(vr.VP.ID, lr.Target, lr.Collector, lr.CaseName,
+				lr.Symmetry != nil && !lr.Symmetry.Symmetric)
+			if replay.LinkVerdicts(vr.VP.ID, lr.Target) != nil {
+				t.Fatalf("%s: replay has verdicts before its own sweep", label)
+			}
+		}
+	}
+	replay.ObserveBarrier(res.Cfg.Campaign.End)
+	replay.Finalize(res.Cfg.Thresholds)
+	checkServiceVerdicts(t, label+" replay", res, replay)
+	if got, want := renderAlerts(replay), renderAlerts(live); got != want {
+		t.Fatalf("%s: replayed alert log differs from the live one\n%s", label, firstDiff(want, got))
+	}
+}
+
+// TestObservatoryVerdictsDoNotAliasEngine pins the hand-over's copy:
+// rewriting the engine's verdict maps after Run returns must not reach
+// the service.
+func TestObservatoryVerdictsDoNotAliasEngine(t *testing.T) {
+	svc := observatory.New(observatory.Config{})
+	res := Run(Config{
+		Opts: scenario.Options{Seed: 5, Scale: 0.1},
+		Campaign: simclock.Interval{
+			Start: simclock.Date(2016, time.July, 20),
+			End:   simclock.Date(2016, time.July, 22),
+		},
+		DisableLoss: true,
+		Observatory: svc,
+	})
+	render := func() string {
+		var b strings.Builder
+		for _, vr := range res.VPs {
+			for _, lr := range vr.SortedLinks() {
+				got := svc.LinkVerdicts(vr.VP.ID, lr.Target)
+				if got == nil {
+					t.Fatalf("service has no verdicts for %s %v", vr.VP.ID, lr.Target)
+				}
+				for _, thr := range res.Cfg.Thresholds {
+					fmt.Fprintf(&b, "%s %v %v: %+v\n", vr.VP.ID, lr.Target, thr, got[thr])
+				}
+			}
+		}
+		return b.String()
+	}
+	before := render()
+	links := 0
+	for _, vr := range res.VPs {
+		for _, lr := range vr.SortedLinks() {
+			for thr, v := range lr.Verdicts {
+				v.Flagged, v.Congested, v.AW = !v.Flagged, !v.Congested, -1
+				lr.Verdicts[thr] = v
+			}
+			delete(lr.Verdicts, res.Cfg.Thresholds[0])
+			links++
+		}
+	}
+	if links == 0 {
+		t.Fatal("campaign discovered no links; the aliasing check is vacuous")
+	}
+	if after := render(); after != before {
+		t.Fatalf("mutating the engine's verdicts changed the service's\n%s", firstDiff(before, after))
+	}
+}
+
 // TestObservatoryCampaignMatrix is the streaming observatory's
 // determinism gate: with faults and a 50% probe budget enabled, the
 // attached service must (1) leave campaign results bit-identical to a
@@ -118,6 +192,7 @@ func TestObservatoryCampaignMatrix(t *testing.T) {
 		t.Fatal("observatory emitted no alerts over a congested case-study window; the alert-log claim is vacuous")
 	}
 	checkServiceVerdicts(t, "reference", ref, refSvc)
+	checkReplayOracle(t, "reference", ref, refSvc)
 
 	cells := [][3]int{
 		{1, 1, 4}, {1, 4096, 1}, {1, 4096, 4},
@@ -142,5 +217,9 @@ func TestObservatoryCampaignMatrix(t *testing.T) {
 			t.Fatalf("%s: fed %d slots, reference fed %d", label, svc.FedSlots(), refFed)
 		}
 		checkServiceVerdicts(t, label, res, svc)
+		if c == cells[0] {
+			// cells[0] is sharded in the full matrix and under -race.
+			checkReplayOracle(t, label, res, svc)
+		}
 	}
 }

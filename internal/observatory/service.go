@@ -14,10 +14,13 @@
 //     timestamps taken from slot virtual times, and each barrier's
 //     emissions are ordered by (slot time, link id) — so the log is
 //     bit-identical across Workers × BatchSteps × Shards.
-//   - End-of-campaign verdicts come from the same batch sweep
-//     (analysis.AnalyzeLinkSweep) over the same frozen series the
-//     engine analyzes, so they are bit-identical to the engine's by
-//     construction; the streaming state steers alert timing only.
+//   - End-of-campaign verdicts are the engine's own: after its batch
+//     sweep (analysis.AnalyzeLinkSweep) the engine hands each link's
+//     verdicts over (SetLinkVerdicts), and Finalize sweeps only links
+//     nobody handed verdicts to. A fresh service fed the same
+//     collectors and swept by Finalize must reach the same verdicts —
+//     the replay the tests and the benchmark check. The streaming
+//     state steers alert timing only.
 package observatory
 
 import (
@@ -90,15 +93,20 @@ type linkState struct {
 	cursor   int // finalized slots fed so far
 	recent   []Alert
 	recentN  uint64
-	verdicts map[float64]analysis.Verdict // set by Finalize
+	verdicts map[float64]analysis.Verdict // handed in, or swept by Finalize
 }
 
 // Service is the streaming observatory. All methods are safe for
-// concurrent use; the engine-facing feed path (Watch, ObserveBarrier,
-// Finalize) is allocation-free in the steady state, which the
-// zero-alloc campaign test pins with a service attached.
+// concurrent use; the engine-facing feed path (Watch, ObserveBarrier)
+// is allocation-free in the steady state, which the zero-alloc
+// campaign test pins with a service attached.
 type Service struct {
 	cfg Config
+
+	// feedMu serializes the paths that read watched collectors:
+	// ObserveBarrier reads them under mu, but Finalize sweeps (and so
+	// seals) them outside mu, so API reads never wait on a sweep.
+	feedMu sync.Mutex
 
 	mu      sync.RWMutex
 	links   map[string]*linkState
@@ -107,7 +115,6 @@ type Service struct {
 	alertN  uint64       // total alerts ever; Seq of the newest
 	barrier simclock.Time
 	fed     uint64 // total finalized slots fed across links
-	final   bool
 
 	// Feed scratch, reused across links and barriers.
 	near, far []float64
@@ -179,6 +186,8 @@ func (s *Service) Watch(vp string, target prober.LinkTarget, col *analysis.Colle
 // calls — which depends on BatchSteps — cannot affect the alert log.
 // Allocation-free in the steady state.
 func (s *Service) ObserveBarrier(t simclock.Time) {
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
 	s.mu.Lock()
 	if t.After(s.barrier) {
 		s.barrier = t
@@ -275,31 +284,91 @@ func (s *Service) appendAlert(a Alert) {
 	ls.recentN++
 }
 
-// Finalize runs the batch sweep over every watched link's frozen
-// series — the same pure function over the same input as the engine's
-// Reanalyze, so the verdicts it stores are bit-identical to the
-// engine's (the DESIGN.md §16 equivalence). The engine calls it after
-// its own analysis phase, when collectors are sealed.
+// SetLinkVerdicts hands a watched link its per-threshold batch
+// verdicts — the engine's own, computed by its analysis phase — so the
+// service need not sweep the link again. The map is copied (the
+// Verdict values are; the slices and series inside them are the
+// sweep's immutable results and stay shared), and the service applies
+// its own asymmetric-route override, which is idempotent on verdicts
+// the engine already overrode. Unwatched links are ignored.
+func (s *Service) SetLinkVerdicts(vp string, target prober.LinkTarget, verdicts map[float64]analysis.Verdict) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ls := s.links[LinkID(vp, target)]
+	if ls == nil {
+		return
+	}
+	m := make(map[float64]analysis.Verdict, len(verdicts))
+	for thr, v := range verdicts {
+		m[thr] = ls.override(v)
+	}
+	ls.verdicts = m
+}
+
+// override applies the record-route verdict: an asymmetric route
+// invalidates the TSLP attribution, exactly as in the engine.
+func (ls *linkState) override(v analysis.Verdict) analysis.Verdict {
+	if ls.asym {
+		v.Symmetric = false
+		v.Congested = false
+	}
+	return v
+}
+
+// covers reports whether verdicts holds every threshold.
+func covers(verdicts map[float64]analysis.Verdict, thresholds []float64) bool {
+	for _, thr := range thresholds {
+		if _, ok := verdicts[thr]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Finalize completes the end-of-campaign verdicts: every watched link
+// whose handed-in verdicts (SetLinkVerdicts) miss a threshold is swept
+// (analysis.AnalyzeLinkSweep over its sealed series — the same pure
+// function over the same input as the engine's Reanalyze, so the
+// verdicts are bit-identical to the engine's; DESIGN.md §16). The
+// engine hands every link over first, so its Finalize sweeps nothing;
+// a replayed service that nobody hands verdicts to sweeps them all.
+// The sweep runs outside the read-write lock and its maps are
+// installed under one short write lock, so API reads never stall
+// behind it. Call it once collectors are done being written.
 func (s *Service) Finalize(thresholds []float64) {
 	if len(thresholds) == 0 {
 		thresholds = s.cfg.Thresholds
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw := analysis.NewSweeper()
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
+	s.mu.RLock()
+	var todo []*linkState
 	for _, ls := range s.order {
-		verdicts := sw.AnalyzeLinkSweep(ls.col.Series(), analysis.DefaultConfig(), thresholds)
-		ls.verdicts = make(map[float64]analysis.Verdict, len(thresholds))
-		for k, thr := range thresholds {
-			v := verdicts[k]
-			if ls.asym {
-				v.Symmetric = false
-				v.Congested = false
-			}
-			ls.verdicts[thr] = v
+		if !covers(ls.verdicts, thresholds) {
+			todo = append(todo, ls)
 		}
 	}
-	s.final = true
+	s.mu.RUnlock()
+	if len(todo) == 0 {
+		return
+	}
+	swept := make([]map[float64]analysis.Verdict, len(todo))
+	sw := analysis.NewSweeper()
+	for i, ls := range todo {
+		verdicts := sw.AnalyzeLinkSweep(ls.col.Series(), analysis.DefaultConfig(), thresholds)
+		m := make(map[float64]analysis.Verdict, len(thresholds))
+		for k, thr := range thresholds {
+			m[thr] = ls.override(verdicts[k])
+		}
+		swept[i] = m
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, ls := range todo {
+		if !covers(ls.verdicts, thresholds) { // handed in meanwhile: keep those
+			ls.verdicts = swept[i]
+		}
+	}
 }
 
 // Barrier is the latest virtual time the service has been fed to.
@@ -351,8 +420,9 @@ func (s *Service) AlertsSince(since uint64, limit int, dst []Alert) ([]Alert, ui
 	return dst, base + 1
 }
 
-// LinkVerdicts returns a watched link's finalized per-threshold batch
-// verdicts (nil before Finalize). The map is a copy.
+// LinkVerdicts returns a watched link's per-threshold batch verdicts
+// (nil until they are handed in or Finalize sweeps them). The map is a
+// copy.
 func (s *Service) LinkVerdicts(vp string, target prober.LinkTarget) map[float64]analysis.Verdict {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -19,6 +19,7 @@
 package tschunk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -347,12 +348,17 @@ func (b *Builder) sealCur() {
 	b.blocks = append(b.blocks, b.appendEncoded(b.cur))
 }
 
-func (b *Builder) appendEncoded(vals []float64) blockRef {
-	scratch := b.scratch
+// encodeScratch returns the empty worst-case encode buffer: the
+// builder's own, or the shared arena's.
+func (b *Builder) encodeScratch() []byte {
 	if b.shared != nil {
-		scratch = b.shared.scratch
+		return b.shared.scratch[:0]
 	}
-	enc := encodeBlock(vals, scratch[:0])
+	return b.scratch[:0]
+}
+
+func (b *Builder) appendEncoded(vals []float64) blockRef {
+	enc := encodeBlock(vals, b.encodeScratch())
 	b.encLen += len(enc)
 	if b.shared != nil {
 		off := len(b.shared.buf)
@@ -486,7 +492,7 @@ func (b *Builder) Seal() *Chunk {
 // ---------------------------------------------------------------
 // Checkpoint state: the engine snapshots builders and arenas at batch
 // barriers (DESIGN.md §15). A snapshot captures exactly the mutable
-// write-side state — sealed block refs, the raw current block, and
+// write-side state — sealed block refs, the open current block, and
 // (for private-arena builders) the encoded bytes — so a restored
 // builder continues the stream bit-identically.
 // ---------------------------------------------------------------
@@ -502,24 +508,34 @@ type BlockRef struct {
 // Arena.State. (Shared is an explicit flag, not Arena == nil: a
 // private builder that hasn't compressed a block yet has no arena
 // bytes either, and gob erases the nil/empty distinction anyway.)
+//
+// CurBlock is the open current block packed with the block codec
+// itself, which is exact on bit patterns: the mostly-missing block
+// costs a few dozen bytes instead of 2 KiB of float64s. Its value
+// count is implied by N and CurBlk. (The field was renamed from the
+// raw Cur []float64 of checkpoint format 2, so gob skips an old file's
+// raw block rather than failing on it, and the old file reaches the
+// checkpoint manifest's format check.)
 type BuilderState struct {
-	N      int
-	Blocks []BlockRef
-	Shared bool
-	Arena  []byte
-	EncLen int
-	HasNaN bool
-	NaNRef BlockRef
-	CurBlk int
-	Cur    []float64
-	Dirty  bool
+	N        int
+	Blocks   []BlockRef
+	Shared   bool
+	Arena    []byte
+	EncLen   int
+	HasNaN   bool
+	NaNRef   BlockRef
+	CurBlk   int
+	CurBlock []byte
+	Dirty    bool
 }
 
-// State captures the builder's write-side state. The returned slices
-// alias live buffers: callers must serialize (or copy) the state
+// State captures the builder's write-side state. Arena aliases the
+// live private arena: callers must serialize (or copy) the state
 // before the next write, which barrier-synchronous checkpointing
-// guarantees. Panics after Seal — sealed builders are immutable and
-// cheaper to rebuild than to snapshot.
+// guarantees. Packing the current block borrows the encode scratch,
+// so on a shared Arena State follows the slab's single-writer rule
+// like a seal does. Panics after Seal — sealed builders are immutable
+// and cheaper to rebuild than to snapshot.
 func (b *Builder) State() BuilderState {
 	if b.sealed != nil {
 		panic("tschunk: State after Seal")
@@ -532,9 +548,9 @@ func (b *Builder) State() BuilderState {
 		HasNaN: b.hasNaN,
 		NaNRef: BlockRef{Off: b.nanRef.off, Size: b.nanRef.size, Count: b.nanRef.count},
 		CurBlk: b.curBlk,
-		Cur:    b.cur,
 		Dirty:  b.dirty,
 	}
+	st.CurBlock = append([]byte(nil), encodeBlock(b.cur, b.encodeScratch())...)
 	for i, ref := range b.blocks {
 		st.Blocks[i] = BlockRef{Off: ref.off, Size: ref.size, Count: ref.count}
 	}
@@ -569,7 +585,7 @@ func (b *Builder) RestoreState(st BuilderState) {
 	b.hasNaN = st.HasNaN
 	b.nanRef = blockRef{off: st.NaNRef.Off, size: st.NaNRef.Size, count: st.NaNRef.Count}
 	b.resetCur(st.CurBlk)
-	copy(b.cur, st.Cur)
+	decodeBlock(st.CurBlock, b.cur)
 	b.dirty = st.Dirty
 }
 
@@ -615,18 +631,19 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 	if n < 64 {
 		v &= (1 << n) - 1
 	}
-	for n > 0 {
-		free := 64 - w.nacc
-		take := n
-		if take > free {
-			take = free
-		}
-		w.acc |= (v >> (n - take)) << (free - take)
-		w.nacc += take
-		n -= take
-		if w.nacc == 64 {
-			w.flushAcc()
-		}
+	free := 64 - w.nacc // ≥ 1: a full accumulator is flushed at once
+	if n < free {
+		w.acc |= v << (free - n)
+		w.nacc += n
+		return
+	}
+	// Top up the accumulator, flush its 64 bits as one word, and keep
+	// v's low rest bits MSB-aligned.
+	rest := n - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v>>rest)
+	w.acc, w.nacc = 0, rest
+	if rest > 0 {
+		w.acc = v << (64 - rest)
 	}
 }
 
@@ -693,12 +710,22 @@ func encodeBlock(vals []float64, dst []byte) []byte {
 	prev := math.Float64bits(vals[0])
 	w.writeBits(prev, 64)
 	leading, trailing := uint(65), uint(0) // 65: no window established
-	for _, v := range vals[1:] {
-		cur := math.Float64bits(v)
+	for i := 1; i < len(vals); i++ {
+		cur := math.Float64bits(vals[i])
 		xor := cur ^ prev
 		prev = cur
 		if xor == 0 {
-			w.writeBits(0, 1)
+			// A run of repeats — missing stretches, a flat floor — is
+			// one '0' bit per value; write the run 64 bits at a time.
+			run := uint(1)
+			for i+1 < len(vals) && math.Float64bits(vals[i+1]) == prev {
+				i++
+				run++
+			}
+			for ; run > 64; run -= 64 {
+				w.writeBits(0, 64)
+			}
+			w.writeBits(0, run)
 			continue
 		}
 		lz := uint(bits.LeadingZeros64(xor))
@@ -722,7 +749,9 @@ func encodeBlock(vals []float64, dst []byte) []byte {
 	return w.finish()
 }
 
-// decodeBlock unpacks exactly len(dst) values from data.
+// decodeBlock unpacks exactly len(dst) values from data. It is total
+// on arbitrary bytes — reads past the end yield zero bits — so a
+// damaged block decodes to wrong values but never hangs or panics.
 func decodeBlock(data []byte, dst []float64) {
 	if len(dst) == 0 {
 		return
@@ -730,7 +759,11 @@ func decodeBlock(data []byte, dst []float64) {
 	r := bitReader{buf: data}
 	prev := r.readBits(64)
 	dst[0] = math.Float64frombits(prev)
-	leading, trailing := uint(65), uint(0)
+	// A valid stream opens a window ('11') before reusing one ('10'),
+	// so the initial window is never read from well-formed input. It is
+	// the empty one rather than the encoder's 65 sentinel: 64-65 would
+	// wrap to a 2^64-bit read on a stray '10'.
+	leading, trailing := uint(64), uint(0)
 	for i := 1; i < len(dst); i++ {
 		if r.readBits(1) == 0 {
 			dst[i] = math.Float64frombits(prev)

@@ -34,10 +34,17 @@ go test -run '^$' \
 
 # The analysis layer's own rows: one bootstrap window (a day of
 # 5-minute samples, flat and with a shift), the year-long hourly
-# rank-CUSUM scan, and one 255-day diurnal fold.
+# rank-CUSUM scan, one 255-day diurnal fold, and one streaming CUSUM
+# tap update (the budget scheduler's per-round change detector).
 go test -run '^$' \
-  -bench 'BenchmarkDetectYearHourly$|BenchmarkBootstrapWindow|BenchmarkDiurnalFold$' \
+  -bench 'BenchmarkDetectYearHourly$|BenchmarkBootstrapWindow|BenchmarkDiurnalFold$|BenchmarkStreamObserve$' \
   -benchmem -count "$COUNT" ./internal/cusum ./internal/diurnal | tee -a "$RAW"
+
+# The byte-boundary rows: one longest-prefix-match lookup (the
+# address-to-AS and IXP-prefix maps) and one warts record write.
+go test -run '^$' \
+  -bench 'BenchmarkLookup$|BenchmarkWrite$' \
+  -benchmem -count "$COUNT" ./internal/lpm ./internal/warts | tee -a "$RAW"
 
 # The probe path's own rows: the packet walk, the cached-path sampler,
 # one TSLP round on a year-old world, a year of fluid-queue advance

@@ -59,11 +59,17 @@ type Run struct {
 	// lifted from the compression_x metric when the run includes
 	// BenchmarkChunkCompression.
 	CompressionRatio float64 `json:"compression_ratio,omitempty"`
-	// Notes carries machine-readable caveats about the row. The one
-	// writer today is "scaling_unverified", stamped when the run was
-	// recorded on a single effective core (Cores=1): every multi-worker
-	// number in the row then measured time-sharing, not parallelism, so
-	// no speedup claim may be read from it.
+	// Notes carries machine-readable caveats about the row (rowNotes):
+	//
+	//   - "scaling_unverified", stamped when the run was recorded on a
+	//     single effective core (Cores=1): every multi-worker number in
+	//     the row then measured time-sharing, not parallelism, so no
+	//     speedup claim may be read from it.
+	//   - "checkpoint_capture_untimed", stamped when the row holds
+	//     BenchmarkCheckpoint: it rewrites a loaded snapshot, so its
+	//     ns/op leaves out the capture-time packing of each builder's
+	//     open block (checkpoint format 3). The end-to-end campaign
+	//     figures (perfbench's campaign_s) include it.
 	Notes      []string    `json:"notes,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -113,8 +119,8 @@ func main() {
 		CompressionRatio: compressionRatio(benches),
 		Benchmarks:       benches,
 	}}
+	ledger.Notes = rowNotes(benches, *cores)
 	if *cores == 1 {
-		ledger.Notes = addNote(ledger.Notes, "scaling_unverified")
 		fmt.Fprintln(os.Stderr,
 			"benchjson: note: scaling_unverified — this row was recorded on a single effective core; multi-worker numbers measure time-sharing, not speedup")
 	}
@@ -133,6 +139,20 @@ func main() {
 	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 		fatal("benchjson: %v", err)
 	}
+}
+
+// rowNotes returns the caveats a recorded row carries (Run.Notes).
+func rowNotes(benches []Benchmark, cores int) []string {
+	var notes []string
+	if cores == 1 {
+		notes = addNote(notes, "scaling_unverified")
+	}
+	for _, b := range benches {
+		if b.Name == "BenchmarkCheckpoint" {
+			notes = addNote(notes, "checkpoint_capture_untimed")
+		}
+	}
+	return notes
 }
 
 // addNote appends note to a Run's Notes unless it is already present.

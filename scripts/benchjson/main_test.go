@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -290,6 +291,27 @@ func TestAddNoteDeduplicates(t *testing.T) {
 	notes = addNote(notes, "scaling_unverified")
 	if len(notes) != 2 {
 		t.Fatalf("addNote with mixed notes: %v, want 2 distinct entries", notes)
+	}
+}
+
+func TestRowNotes(t *testing.T) {
+	ckpt := Benchmark{Name: "BenchmarkCheckpoint", Procs: 2}
+	full := Benchmark{Name: "BenchmarkFullCampaign", Procs: 2}
+	cases := []struct {
+		benches []Benchmark
+		cores   int
+		want    []string
+	}{
+		{[]Benchmark{full}, 2, nil},
+		{[]Benchmark{full}, 1, []string{"scaling_unverified"}},
+		{[]Benchmark{ckpt, full, ckpt}, 2, []string{"checkpoint_capture_untimed"}},
+		{[]Benchmark{ckpt}, 1, []string{"scaling_unverified", "checkpoint_capture_untimed"}},
+	}
+	for _, c := range cases {
+		got := rowNotes(c.benches, c.cores)
+		if strings.Join(got, ",") != strings.Join(c.want, ",") {
+			t.Fatalf("rowNotes(%v, %d) = %v, want %v", c.benches, c.cores, got, c.want)
+		}
 	}
 }
 
