@@ -24,7 +24,7 @@ func TestSampleCtxBatchMatchesPerStep(t *testing.T) {
 		}
 		w.r200FromFabric.Queue = queue.NewFluid(queue.Config{
 			CapacityBps: 100e6, BufferDrain: 28 * time.Millisecond,
-			Load: load.Bps, PacketBits: 12000,
+			Load: trafficmodel.Func(load.Bps), PacketBits: 12000,
 		})
 		w.r200FromFabric.BaseLoss = 0.01
 		pp, err := w.nw.TracePath(w.vp, w.farAddr, 64)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"afrixp/internal/diurnal"
 	"afrixp/internal/simclock"
 	"afrixp/internal/timeseries"
 )
@@ -76,22 +77,7 @@ func (s *Service) handleLinks(w http.ResponseWriter, r *http.Request) {
 	if per < 1 || per > 1000 {
 		per = 100
 	}
-	s.mu.RLock()
-	total := len(s.order)
-	lo := (page - 1) * per
-	hi := lo + per
-	if lo > total {
-		lo = total
-	}
-	if hi > total {
-		hi = total
-	}
-	rows := make([]linkStatus, 0, hi-lo)
-	for _, ls := range s.order[lo:hi] {
-		rows = append(rows, s.statusLocked(ls))
-	}
-	barrier := s.barrier
-	s.mu.RUnlock()
+	total, rows, barrier := s.linksPage(page, per)
 	pages := (total + per - 1) / per
 	writeJSON(w, map[string]any{
 		"schema":     Schema,
@@ -105,6 +91,26 @@ func (s *Service) handleLinks(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// linksPage copies page page (from 1) of per status rows, the link
+// count and the barrier under the read lock. A page past the last is
+// empty; it is bounded before the offset is multiplied out, so no page
+// number can overflow the slice bounds.
+func (s *Service) linksPage(page, per int) (total int, rows []linkStatus, barrier simclock.Time) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	total = len(s.order)
+	lo := total
+	if page-1 < total/per+1 {
+		lo = min((page-1)*per, total)
+	}
+	hi := min(lo+per, total)
+	rows = make([]linkStatus, 0, hi-lo)
+	for _, ls := range s.order[lo:hi] {
+		rows = append(rows, s.statusLocked(ls))
+	}
+	return total, rows, s.barrier
+}
+
 // handleLink serves one link's detail: live status, streaming diurnal
 // snapshot, day-folded profile, recent alerts, and (after Finalize)
 // the batch verdict sweep.
@@ -114,34 +120,45 @@ func (s *Service) handleLink(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/links/")
-	s.mu.RLock()
-	ls, ok := s.links[id]
-	if !ok {
-		s.mu.RUnlock()
+	var (
+		status   linkStatus
+		snap     diurnal.Verdict
+		profile  []float64
+		recent   []Alert
+		verdicts map[string]any
+		barrier  simclock.Time
+	)
+	found := func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		ls, ok := s.links[id]
+		if !ok {
+			return false
+		}
+		status = s.statusLocked(ls)
+		snap = ls.det.Snapshot()
+		profile = ls.det.Profile(nil)
+		recent, _ = appendRing(make([]Alert, 0, len(ls.recent)), ls.recent, ls.recentN, 0)
+		if ls.verdicts != nil {
+			verdicts = make(map[string]any, len(ls.verdicts))
+			for thr, v := range ls.verdicts {
+				verdicts[strconv.FormatFloat(thr, 'g', -1, 64)] = map[string]any{
+					"flagged":   v.Flagged,
+					"near_flat": v.NearFlat,
+					"diurnal":   v.Diurnal.Diurnal,
+					"symmetric": v.Symmetric,
+					"congested": v.Congested,
+					"class":     v.Class.String(),
+				}
+			}
+		}
+		barrier = s.barrier
+		return true
+	}()
+	if !found {
 		http.Error(w, "unknown link id", http.StatusNotFound)
 		return
 	}
-	status := s.statusLocked(ls)
-	snap := ls.det.Snapshot()
-	profile := ls.det.Profile(nil)
-	recent := make([]Alert, 0, len(ls.recent))
-	recent, _ = appendRing(recent, ls.recent, ls.recentN, 0)
-	var verdicts map[string]any
-	if ls.verdicts != nil {
-		verdicts = make(map[string]any, len(ls.verdicts))
-		for thr, v := range ls.verdicts {
-			verdicts[strconv.FormatFloat(thr, 'g', -1, 64)] = map[string]any{
-				"flagged":   v.Flagged,
-				"near_flat": v.NearFlat,
-				"diurnal":   v.Diurnal.Diurnal,
-				"symmetric": v.Symmetric,
-				"congested": v.Congested,
-				"class":     v.Class.String(),
-			}
-		}
-	}
-	barrier := s.barrier
-	s.mu.RUnlock()
 
 	prof := make([]*float64, len(profile))
 	for i := range profile {
@@ -254,16 +271,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	s.mu.RLock()
-	hello := streamHello{
-		Schema:    Schema,
-		Barrier:   s.barrier.String(),
-		BarrierNs: int64(s.barrier),
-		Links:     len(s.order),
-		Seq:       s.alertN,
-	}
-	s.mu.RUnlock()
-	hb, _ := json.Marshal(hello)
+	hb, _ := json.Marshal(s.hello())
 	fmt.Fprintf(w, "event: hello\ndata: %s\n\n", hb)
 	fl.Flush()
 
@@ -284,6 +292,19 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 		}
+	}
+}
+
+// hello reads the /stream hello event under the read lock.
+func (s *Service) hello() streamHello {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return streamHello{
+		Schema:    Schema,
+		Barrier:   s.barrier.String(),
+		BarrierNs: int64(s.barrier),
+		Links:     len(s.order),
+		Seq:       s.alertN,
 	}
 }
 

@@ -411,7 +411,10 @@ func (s *Service) AlertsSince(since uint64, limit int, dst []Alert) ([]Alert, ui
 	if from < base {
 		from = base
 	}
-	for seq := from + 1; seq <= s.alertN; seq++ {
+	// A since at or past the newest alert (any uint64 may arrive from
+	// the query) matches nothing; stopping here keeps from+1 from
+	// wrapping to 0.
+	for seq := from + 1; from < s.alertN && seq <= s.alertN; seq++ {
 		if limit > 0 && len(dst) >= limit {
 			break
 		}

@@ -23,7 +23,7 @@ func referenceIntegrate(q *Fluid, from simclock.Time, occ float64, t simclock.Ti
 			dt = rem
 		}
 		sec := dt.Seconds()
-		in := q.load(from) * sec
+		in := q.load.Bps(from) * sec
 		out := q.capacityBps * sec
 		offered += in
 		next := occ + in - out
@@ -237,7 +237,7 @@ func TestCursorInvalidatedByChanges(t *testing.T) {
 		// 0 was sec(0) and is now sec(300).
 		{"batch in place", 0, func(q *Fluid) { q.AdvanceBatch([]simclock.Time{sec(300)}) }},
 	} {
-		q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 30 * time.Millisecond, Load: load})
+		q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 30 * time.Millisecond, Load: trafficmodel.Func(load)})
 		q.AdvanceBatch([]simclock.Time{sec(0), sec(300)})
 		var cur Cursor
 		q.ObserveFrozenCursor(&cur, tc.step, sec(400))

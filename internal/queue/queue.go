@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"afrixp/internal/simclock"
+	"afrixp/internal/trafficmodel"
 )
 
 // Fluid is a fluid-approximation FIFO queue attached to a link of a
@@ -34,9 +35,8 @@ type Fluid struct {
 	capacityBps float64
 	// bufferBits is the maximum occupancy (tail-drop beyond it).
 	bufferBits float64
-	// load returns the offered background load in bits per second at
-	// virtual time t.
-	load func(simclock.Time) float64
+	// load is the offered background load in bits per second.
+	load trafficmodel.Load
 
 	// integration state
 	lastTime  simclock.Time
@@ -57,6 +57,11 @@ type Fluid struct {
 	batchOcc  []float64
 	batchLoss []float64
 
+	// loads is advance's scratch: a chunk of the offered loads its
+	// integration steps start at, filled by one load.Fill. Only the live
+	// (single-writer) advance touches it; frozen reads call load.Bps.
+	loads [fillChunk]float64
+
 	// gen changes whenever anything a frozen read integrates from
 	// changes — the frontier, the batch tables, the capacity or the
 	// buffer — so a Cursor taken before the change never matches.
@@ -72,9 +77,9 @@ type Config struct {
 	// capacity — the standing-queue delay plateau and therefore the
 	// level-shift magnitude TSLP observes.
 	BufferDrain simclock.Duration
-	// Load is the offered background load (bits/s) as a function of
-	// virtual time. nil means an always-idle link.
-	Load func(simclock.Time) float64
+	// Load is the offered background load (bits/s) over virtual time.
+	// nil means an always-idle link.
+	Load trafficmodel.Load
 	// Step is the integration granularity; defaults to 30 s, fine
 	// enough for 5-minute TSLP sampling.
 	Step simclock.Duration
@@ -102,7 +107,7 @@ func NewFluid(cfg Config) *Fluid {
 	}
 	load := cfg.Load
 	if load == nil {
-		load = func(simclock.Time) float64 { return 0 }
+		load = trafficmodel.Constant(0)
 	}
 	return &Fluid{
 		capacityBps: cfg.CapacityBps,
@@ -151,18 +156,52 @@ func (q *Fluid) SetBufferDrain(t simclock.Time, drain simclock.Duration) {
 	q.gen++
 }
 
+// fillChunk is how many offered loads advance evaluates per
+// load.Fill: enough to share a day's amplitude and a minute's noise
+// across many steps, few enough to keep inside the Fluid.
+const fillChunk = 64
+
 // advance integrates the fluid model up to t. Observations at or
 // before the current integration frontier return the frontier state
 // unchanged: probes traversing different paths can observe a shared
 // queue slightly out of order (a probe that crossed a congested queue
 // arrives "later" than one sent just after it), and within one
 // integration step the occupancy difference is below model resolution.
+//
+// It runs integrate's arithmetic in integrate's order, but takes the
+// loads it needs — at the origin and at the end of every full step,
+// that is every step but the final one — from load.Fill, a chunk at a
+// time; Fill equals load.Bps at every point bit for bit. The final
+// step is integrate's own finalStep.
 func (q *Fluid) advance(t simclock.Time) {
 	if t <= q.lastTime {
 		return
 	}
-	w := q.origin(q.lastTime, q.occupancy)
-	q.occupancy, q.lossFrac = q.integrate(&w, t)
+	at, occ, offered, dropped, load := q.lastTime, q.occupancy, 0.0, 0.0, 0.0
+	stepSec := q.step.Seconds()
+	for first := true; first || t.Sub(at) > q.step; first = false {
+		// The chunk's loads: the origin's (first chunk only), then one at
+		// the end of each full step, counted by integrate's own test —
+		// a step from p is full when t.Sub(p) > q.step.
+		from, n := at.Add(q.step), 0
+		if first {
+			from, n = at, 1
+		}
+		for p := at; n < fillChunk && t.Sub(p) > q.step; p = p.Add(q.step) {
+			n++
+		}
+		loads := q.loads[:n]
+		q.load.Fill(from, q.step, loads)
+		if first {
+			load, loads = loads[0], loads[1:]
+		}
+		for _, next := range loads {
+			occ, offered, dropped = q.stepBy(occ, offered, dropped, load, stepSec)
+			at = at.Add(q.step)
+			load = next
+		}
+	}
+	q.occupancy, q.lossFrac = q.finalStep(occ, offered, dropped, load, t.Sub(at))
 	q.lastTime = t
 	q.gen++
 }
@@ -179,7 +218,7 @@ type walk struct {
 
 // origin starts a walk at time at with occupancy occ.
 func (q *Fluid) origin(at simclock.Time, occ float64) walk {
-	return walk{at: at, occ: occ, load: q.load(at)}
+	return walk{at: at, occ: occ, load: q.load.Bps(at)}
 }
 
 // integrate runs the fluid stepping from w up to t > w.at and returns
@@ -197,17 +236,24 @@ func (q *Fluid) integrate(w *walk, t simclock.Time) (float64, float64) {
 	for {
 		if rem := t.Sub(at); rem <= q.step {
 			*w = walk{at: at, occ: occ, offered: offered, dropped: dropped, load: load}
-			occ, offered, dropped = q.stepBy(occ, offered, dropped, load, rem.Seconds())
-			lossFrac := 0.0
-			if offered > 0 {
-				lossFrac = math.Min(1, dropped/offered)
-			}
-			return occ, lossFrac
+			return q.finalStep(occ, offered, dropped, load, rem)
 		}
 		occ, offered, dropped = q.stepBy(occ, offered, dropped, load, stepSec)
 		at = at.Add(q.step)
-		load = q.load(at)
+		load = q.load.Bps(at)
 	}
+}
+
+// finalStep runs an integration's last step, rem long (at most q.step),
+// and returns the occupancy after it and the drop fraction over the
+// whole integration.
+func (q *Fluid) finalStep(occ, offered, dropped, load float64, rem simclock.Duration) (float64, float64) {
+	occ, offered, dropped = q.stepBy(occ, offered, dropped, load, rem.Seconds())
+	lossFrac := 0.0
+	if offered > 0 {
+		lossFrac = math.Min(1, dropped/offered)
+	}
+	return occ, lossFrac
 }
 
 // stepBy is one integration step of sec seconds at offered load bps:
@@ -329,7 +375,7 @@ func (q *Fluid) ObserveFrozenCursor(c *Cursor, i int, t simclock.Time) (simclock
 func (q *Fluid) delayFromOccupancy(occ float64, t simclock.Time) simclock.Duration {
 	d := occ / q.capacityBps
 	if q.pktBits > 0 {
-		rho := q.load(t) / q.capacityBps
+		rho := q.load.Bps(t) / q.capacityBps
 		if rho >= 1 {
 			d = q.bufferBits / q.capacityBps
 		} else if rho > 0 {
@@ -368,7 +414,7 @@ func (q *Fluid) Occupancy(t simclock.Time) float64 {
 // Utilization returns offered load over capacity at time t (can
 // exceed 1 during overload).
 func (q *Fluid) Utilization(t simclock.Time) float64 {
-	return q.load(t) / q.capacityBps
+	return q.load.Bps(t) / q.capacityBps
 }
 
 // TokenBucket enforces the prober's packets-per-second budget (the

@@ -9,9 +9,7 @@ import (
 	"afrixp/internal/trafficmodel"
 )
 
-func constLoad(bps float64) func(simclock.Time) float64 {
-	return func(simclock.Time) float64 { return bps }
-}
+func constLoad(bps float64) trafficmodel.Load { return trafficmodel.Constant(bps) }
 
 func sec(n int) simclock.Time { return simclock.Time(time.Duration(n) * time.Second) }
 
@@ -73,7 +71,7 @@ func TestQueueDrainsAfterLoadDrops(t *testing.T) {
 		}
 		return 0
 	}
-	q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 50 * time.Millisecond, Load: load})
+	q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 50 * time.Millisecond, Load: trafficmodel.Func(load)})
 	if d := q.DelayAt(sec(60)); d != 50*time.Millisecond {
 		t.Fatalf("peak delay = %v", d)
 	}
@@ -177,7 +175,7 @@ func TestDiurnalLoadProducesDiurnalDelay(t *testing.T) {
 		}
 		return 30e6
 	}
-	q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 25 * time.Millisecond, Load: load})
+	q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 25 * time.Millisecond, Load: trafficmodel.Func(load)})
 	night := q.DelayAt(simclock.Time(day) + simclock.Time(4*time.Hour))
 	noon := q.DelayAt(simclock.Time(day) + simclock.Time(13*time.Hour))
 	nextNight := q.DelayAt(simclock.Time(day) + simclock.Time(23*time.Hour))
@@ -294,7 +292,7 @@ func BenchmarkFluidAdvanceYear(b *testing.B) {
 		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 3}
 	for _, bc := range []struct {
 		name string
-		load func(simclock.Time) float64
+		load trafficmodel.Load
 	}{
 		{"constant", constLoad(90e6)},
 		{"diurnal", diurnal.Load()},
@@ -309,5 +307,20 @@ func BenchmarkFluidAdvanceYear(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFluidCatchUp is observatory-live's first discovery ping
+// through a planted port: one DelayAt integrating a worldgen-shaped
+// planted-port Diurnal from Epoch to 2016-07-20, about 429k steps.
+func BenchmarkFluidCatchUp(b *testing.B) {
+	const capBps = 1e9
+	load := trafficmodel.Diurnal{BaseBps: 0.5 * capBps, PeakBps: 1.225 * capBps, PeakHour: 15,
+		Width: 2.5, WeekendFactor: 0.75, DayJitterFrac: 0.1, NoiseFrac: 0.06, Seed: 0x0301009D}.Load()
+	july20 := simclock.Date(2016, time.July, 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q := NewFluid(Config{CapacityBps: capBps, BufferDrain: 23 * time.Millisecond, Load: load, PacketBits: 12000})
+		q.DelayAt(july20)
 	}
 }

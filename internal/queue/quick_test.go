@@ -23,7 +23,7 @@ func TestQuickDelayAndLossBounds(t *testing.T) {
 			NoiseFrac: 0.2, Seed: uint64(seed),
 		}
 		q := NewFluid(Config{CapacityBps: capBps, BufferDrain: drain,
-			Load: load.Bps, PacketBits: 12000})
+			Load: trafficmodel.Func(load.Bps), PacketBits: 12000})
 		for hour := 0; hour < 48; hour++ {
 			at := simclock.Time(time.Duration(hour) * time.Hour)
 			d := q.DelayAt(at)
@@ -59,7 +59,7 @@ func TestQuickBatchObservationMatchesPerStep(t *testing.T) {
 		}
 		mk := func() *Fluid {
 			return NewFluid(Config{CapacityBps: capBps, BufferDrain: drain,
-				Load: load.Bps, PacketBits: 12000})
+				Load: trafficmodel.Func(load.Bps), PacketBits: 12000})
 		}
 		perStep, batched := mk(), mk()
 		step := time.Duration(stepMin%30+1) * time.Minute
@@ -125,7 +125,7 @@ func TestQuickSetCapacityPreservesBound(t *testing.T) {
 		cap2 := float64(c2%1000+1) * 1e6
 		drain := time.Duration(drainMs%80+1) * time.Millisecond
 		q := NewFluid(Config{CapacityBps: cap1, BufferDrain: drain,
-			Load: func(simclock.Time) float64 { return 10 * cap1 }})
+			Load: trafficmodel.Func(func(simclock.Time) float64 { return 10 * cap1 })})
 		d1 := q.DelayAt(simclock.Time(time.Hour))
 		q.SetCapacity(simclock.Time(time.Hour), cap2)
 		d2 := q.DelayAt(simclock.Time(2 * time.Hour))

@@ -237,8 +237,8 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 	}.Load())
 	upLoad.At(phase2, trafficmodel.Constant(0.3*capBps))
 
-	pipeDown := congestedPort(capBps, 25*time.Millisecond, downLoad.Load())
-	pipeUp := congestedPort(capBps, 25*time.Millisecond, upLoad.Load())
+	pipeDown := congestedPort(capBps, 25*time.Millisecond, downLoad)
+	pipeUp := congestedPort(capBps, 25*time.Millisecond, upLoad)
 	pipeDown.Up = netsim.DownAfter(shutdown)
 	pipeUp.Up = netsim.DownAfter(shutdown)
 	// At phase 2 the buffer shrinks: peering service on the same wire
@@ -300,7 +300,7 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 			BaseBps: 0.45 * 1e9, PeakBps: 1.05 * 1e9, PeakHour: 15, Width: 3.0,
 			DayJitterFrac: 0.025, NoiseFrac: 0.015, Seed: b.w.Seed ^ 0xE1,
 		}.Load())
-	knetPort := congestedPort(1e9, 18*time.Millisecond, knetLoad.Load())
+	knetPort := congestedPort(1e9, 18*time.Millisecond, knetLoad)
 	b.joinEvent(knet, x, simclock.Date(2016, time.June, 29),
 		PortSpec{FromFabric: knetPort},
 		func(addr netaddr.Addr) {

@@ -93,7 +93,7 @@ func (diurnalCase) Generate(r *rand.Rand, _ int) reflect.Value {
 func TestLoadTableMatchesBps(t *testing.T) {
 	check := func(c diurnalCase) bool {
 		want := referenceBps(c.D, c.T)
-		got := c.D.Load()(c.T)
+		got := c.D.Load().Bps(c.T)
 		bps := c.D.Bps(c.T)
 		return math.Float64bits(got) == math.Float64bits(want) &&
 			math.Float64bits(bps) == math.Float64bits(want)
@@ -114,7 +114,7 @@ func TestLoadTableWholeDay(t *testing.T) {
 		for s := 0; s < 24*3600; s += shapeGrid {
 			for _, off := range []simclock.Duration{0, time.Nanosecond, time.Second, 29 * time.Second} {
 				tm := day.Add(time.Duration(s)*time.Second + off)
-				if got, want := l(tm), referenceBps(d, tm); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := l.Bps(tm), referenceBps(d, tm); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%v: Load %v, reference %v", tm, got, want)
 				}
 			}

@@ -19,11 +19,42 @@ import (
 
 // Load is an offered-load process: bits per second at virtual time t.
 // Implementations must be pure functions of t.
-type Load func(simclock.Time) float64
+type Load interface {
+	// Bps returns the offered load at t.
+	Bps(t simclock.Time) float64
+	// Fill writes Bps(start + i·step) into dst[i] for every i, bit for
+	// bit, for a positive step. It lets a caller that steps through
+	// time — the fluid queues — share per-day and per-minute work
+	// across the points of a grid.
+	Fill(start simclock.Time, step simclock.Duration, dst []float64)
+}
+
+// Func adapts a per-point function to Load; its Fill evaluates the
+// function at every point.
+type Func func(simclock.Time) float64
+
+// Bps calls f.
+func (f Func) Bps(t simclock.Time) float64 { return f(t) }
+
+// Fill calls f at every grid point.
+func (f Func) Fill(start simclock.Time, step simclock.Duration, dst []float64) {
+	for i := range dst {
+		dst[i] = f(start.Add(simclock.Duration(i) * step))
+	}
+}
+
+// constant is a flat load.
+type constant float64
 
 // Constant returns a flat load.
-func Constant(bps float64) Load {
-	return func(simclock.Time) float64 { return bps }
+func Constant(bps float64) Load { return constant(bps) }
+
+func (c constant) Bps(simclock.Time) float64 { return float64(c) }
+
+func (c constant) Fill(_ simclock.Time, _ simclock.Duration, dst []float64) {
+	for i := range dst {
+		dst[i] = float64(c)
+	}
 }
 
 // Diurnal describes the canonical daily demand waveform observed on
@@ -57,9 +88,10 @@ type Diurnal struct {
 	Seed uint64
 }
 
-// Bps implements the Load signature.
+// Bps returns the offered load at t. A Diurnal is not itself a Load:
+// Load() builds one, with the shape table its Fill reads.
 func (d Diurnal) Bps(t simclock.Time) float64 {
-	return d.at(t, d.shape(t.SecondOfDay()))
+	return d.point(d.dayAmp(t), d.shape(t.SecondOfDay()), d.noise(t))
 }
 
 // shape is the unit-peak daily waveform at second sec of the UTC day:
@@ -77,9 +109,10 @@ func (d Diurnal) shape(sec int) float64 {
 	return math.Exp(-dist * dist / (2 * w * w))
 }
 
-// at finishes a load value from the shape at t's second of day:
-// weekend modulation, day jitter and minute noise over the base.
-func (d Diurnal) at(t simclock.Time, shape float64) float64 {
+// dayAmp is the waveform amplitude on t's UTC day: the peak over the
+// base, with weekend modulation and the day's jitter. It depends on the
+// day alone, so Fill computes it once per day.
+func (d *Diurnal) dayAmp(t simclock.Time) float64 {
 	amp := d.PeakBps - d.BaseBps
 	if t.IsWeekend() {
 		f := d.WeekendFactor
@@ -90,13 +123,40 @@ func (d Diurnal) at(t simclock.Time, shape float64) float64 {
 	}
 	if d.DayJitterFrac > 0 {
 		u := hashUnit(d.Seed, uint64(t.Day()))
-		amp *= 1 + d.DayJitterFrac*(2*u-1)
+		amp *= 1 + float64(d.DayJitterFrac*(2*u-1))
 	}
-	v := d.BaseBps + amp*shape
+	return amp
+}
+
+// noiseMinute is the index of t's noise minute: whole minutes since
+// Epoch, truncated toward zero (so the minute either side of Epoch is
+// one index).
+func noiseMinute(t simclock.Time) int64 {
+	return int64(time.Duration(t) / time.Minute)
+}
+
+// noise is the relative noise factor of t's minute (1 without noise).
+// It depends on the minute alone, so Fill computes it once per minute.
+func (d *Diurnal) noise(t simclock.Time) float64 {
+	if d.NoiseFrac <= 0 {
+		return 1
+	}
+	return d.minuteNoise(noiseMinute(t))
+}
+
+func (d *Diurnal) minuteNoise(minute int64) float64 {
+	u := hashUnit(d.Seed^0x9E3779B97F4A7C15, uint64(minute))
+	return 1 + float64(d.NoiseFrac*(2*u-1))
+}
+
+// point finishes one load value from its day's amplitude, its shape
+// and its minute's noise factor. Bps and Fill both end here, and every
+// product is rounded by an explicit conversion, so no architecture can
+// fuse a multiply-add in one path and not the other.
+func (d *Diurnal) point(amp, shape, noise float64) float64 {
+	v := d.BaseBps + float64(amp*shape)
 	if d.NoiseFrac > 0 {
-		minute := uint64(time.Duration(t) / time.Minute)
-		u := hashUnit(d.Seed^0x9E3779B97F4A7C15, minute)
-		v *= 1 + d.NoiseFrac*(2*u-1)
+		v = float64(v * noise)
 	}
 	if v < 0 {
 		v = 0
@@ -132,38 +192,66 @@ func wrap24(x float64) float64 {
 // grid-aligned start reads every load's shape from the table.
 const shapeGrid = 30
 
-// Load adapts the Diurnal to the Load type. It tabulates the shape at
-// every shapeGrid-aligned second of the day once (2880 values), so the
-// returned function reads the table on the grid and computes the shape
-// only off it. The values are bit-identical to Bps at every instant.
+// Load builds the Diurnal's Load. It tabulates the shape at every
+// shapeGrid-aligned second of the day once (2880 values), so it reads
+// the table on the grid and computes the shape only off it. Its values
+// are bit-identical to Bps at every instant.
 func (d Diurnal) Load() Load {
-	tab := make([]float64, 24*3600/shapeGrid)
-	for i := range tab {
-		tab[i] = d.shape(i * shapeGrid)
+	l := &diurnalLoad{d: d, tab: make([]float64, 24*3600/shapeGrid)}
+	for i := range l.tab {
+		l.tab[i] = d.shape(i * shapeGrid)
 	}
-	return func(t simclock.Time) float64 {
-		sec := t.SecondOfDay()
-		if sec%shapeGrid == 0 {
-			return d.at(t, tab[sec/shapeGrid])
-		}
-		return d.at(t, d.shape(sec))
-	}
+	return l
 }
 
-// Sum superimposes several load processes.
-func Sum(loads ...Load) Load {
-	return func(t simclock.Time) float64 {
-		var v float64
-		for _, l := range loads {
-			v += l(t)
-		}
-		return v
-	}
+// diurnalLoad is a Diurnal with its shape table.
+type diurnalLoad struct {
+	d   Diurnal
+	tab []float64
 }
 
-// Scale multiplies a load by k.
-func Scale(l Load, k float64) Load {
-	return func(t simclock.Time) float64 { return l(t) * k }
+// shapeAt is the shape at second sec of the day, from the table when
+// sec is on its grid.
+func (l *diurnalLoad) shapeAt(sec int) float64 {
+	if sec%shapeGrid == 0 {
+		return l.tab[sec/shapeGrid]
+	}
+	return l.d.shape(sec)
+}
+
+func (l *diurnalLoad) Bps(t simclock.Time) float64 {
+	return l.d.point(l.d.dayAmp(t), l.shapeAt(t.SecondOfDay()), l.d.noise(t))
+}
+
+// Fill evaluates the grid with one amplitude per UTC day and one noise
+// factor per minute; each point costs a shape read and point's tail.
+// A point inside the current day [dayStart, dayStart+24h) takes its
+// second of day from the offset to dayStart, which is SecondOfDay's
+// floored remainder; any other point (including one past an
+// overflowing day end) recomputes the day.
+func (l *diurnalLoad) Fill(start simclock.Time, step simclock.Duration, dst []float64) {
+	d := &l.d
+	var (
+		dayStart, dayEnd simclock.Time
+		minute           int64
+		amp              float64
+		noise            = 1.0
+	)
+	for i := range dst {
+		t := start.Add(simclock.Duration(i) * step)
+		if i == 0 || t < dayStart || t >= dayEnd {
+			dayStart = t.Truncate(24 * time.Hour)
+			dayEnd = dayStart.Add(24 * time.Hour)
+			amp = d.dayAmp(t)
+		}
+		if d.NoiseFrac > 0 {
+			if m := noiseMinute(t); i == 0 || m != minute {
+				minute, noise = m, d.minuteNoise(m)
+			}
+		}
+		sec := int(t.Sub(dayStart) / time.Second)
+		dst[i] = d.point(amp, l.shapeAt(sec), noise)
+	}
 }
 
 // Schedule is a piecewise load: the latest phase whose start is ≤ t
@@ -190,8 +278,14 @@ func (s *Schedule) At(t simclock.Time, l Load) *Schedule {
 	return s
 }
 
-// Bps evaluates the schedule. Binary search keeps long schedules cheap.
+// Bps evaluates the schedule.
 func (s *Schedule) Bps(t simclock.Time) float64 {
+	return s.loads[s.phase(t)].Bps(t)
+}
+
+// phase is the index of the phase that applies at t. Binary search
+// keeps long schedules cheap.
+func (s *Schedule) phase(t simclock.Time) int {
 	lo, hi := 0, len(s.starts)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -201,20 +295,25 @@ func (s *Schedule) Bps(t simclock.Time) float64 {
 			hi = mid - 1
 		}
 	}
-	return s.loads[lo](t)
+	return lo
 }
 
-// Load adapts the schedule to the Load type.
-func (s *Schedule) Load() Load { return s.Bps }
-
-// Spike returns a load that is bps during [start, end) and zero
-// elsewhere — a transient demand surge.
-func Spike(start, end simclock.Time, bps float64) Load {
-	return func(t simclock.Time) float64 {
-		if t >= start && t < end {
-			return bps
+// Fill splits the grid into runs of one phase each, by Bps's rule (a
+// point at a phase start belongs to the new phase), and hands each run
+// to its phase's Fill.
+func (s *Schedule) Fill(start simclock.Time, step simclock.Duration, dst []float64) {
+	at := func(i int) simclock.Time { return start.Add(simclock.Duration(i) * step) }
+	for from := 0; from < len(dst); {
+		p := s.phase(at(from))
+		to := len(dst)
+		if p+1 < len(s.starts) {
+			to = from + 1
+			for to < len(dst) && at(to) < s.starts[p+1] {
+				to++
+			}
 		}
-		return 0
+		s.loads[p].Fill(at(from), step, dst[from:to])
+		from = to
 	}
 }
 

@@ -19,7 +19,7 @@ func sat(hour float64) simclock.Time {
 
 func TestConstant(t *testing.T) {
 	l := Constant(42e6)
-	if l(0) != 42e6 || l(mon(12)) != 42e6 {
+	if l.Bps(0) != 42e6 || l.Bps(mon(12)) != 42e6 {
 		t.Fatal("Constant is not constant")
 	}
 }
@@ -123,16 +123,6 @@ func TestSeedDecorrelates(t *testing.T) {
 	}
 }
 
-func TestSumAndScale(t *testing.T) {
-	l := Sum(Constant(10), Constant(5))
-	if l(0) != 15 {
-		t.Fatal("Sum wrong")
-	}
-	if Scale(Constant(10), 2.5)(0) != 25 {
-		t.Fatal("Scale wrong")
-	}
-}
-
 func TestScheduleSwitchesPhases(t *testing.T) {
 	s := NewSchedule(Constant(10)).
 		At(mon(0), Constant(20)).
@@ -171,16 +161,6 @@ func TestScheduleManyPhases(t *testing.T) {
 		if got := s.Bps(tm); got != float64(i) {
 			t.Fatalf("phase %d: got %v", i, got)
 		}
-	}
-}
-
-func TestSpike(t *testing.T) {
-	sp := Spike(mon(10), mon(12), 5e6)
-	if sp(mon(9.9)) != 0 || sp(mon(12)) != 0 {
-		t.Fatal("spike active outside window")
-	}
-	if sp(mon(10)) != 5e6 || sp(mon(11.5)) != 5e6 {
-		t.Fatal("spike inactive inside window")
 	}
 }
 

@@ -48,10 +48,11 @@ go test -run '^$' \
 
 # The probe path's own rows: the packet walk, the cached-path sampler,
 # one TSLP round on a year-old world, a year of fluid-queue advance
-# under a flat and a diurnal load, and one batch step's 100 one-second
-# frozen loss probes.
+# under a flat and a diurnal load, one planted port's catch-up from
+# Epoch to July 20 (a mid-year campaign's first read), and one batch
+# step's 100 one-second frozen loss probes.
 go test -run '^$' \
-  -bench 'BenchmarkInjectFarProbe$|BenchmarkProbePathSample$|BenchmarkFrozenLossBatch$|BenchmarkTSLPRoundYear$|BenchmarkFluidAdvanceYear' \
+  -bench 'BenchmarkInjectFarProbe$|BenchmarkProbePathSample$|BenchmarkFrozenLossBatch$|BenchmarkTSLPRoundYear$|BenchmarkFluidAdvanceYear|BenchmarkFluidCatchUp$' \
   -benchmem -count "$COUNT" ./internal/netsim ./internal/prober ./internal/queue | tee -a "$RAW"
 
 # The discovery plane's own rows: one BGP route computation toward a

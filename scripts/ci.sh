@@ -87,14 +87,17 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestObservatoryCampaignMatrix' ./inter
 GOMAXPROCS=4 go test -race -count=1 ./internal/observatory/
 GOMAXPROCS=4 go test -race -count=1 -run 'TestServeMounts|TestServeScrapeWhilePublishing' ./internal/telemetry/
 
-echo "== fuzz smoke (checkpoint reader, chunk codec) =="
+echo "== fuzz smoke (checkpoint reader, chunk codec, API query parameters) =="
 # A short pass over the two decoders of stored bytes: the checkpoint
 # reader (arbitrary payloads framed with a valid header and CRC, so
-# they reach gob) and the chunk codec's bit-exact round-trip. Ten
+# they reach gob) and the chunk codec's bit-exact round-trip; and over
+# the observatory API's query parameters and link ids, which must
+# answer with a defined status and leave the service lock free. Ten
 # seconds each on one worker keeps the step cheap and memory-light;
 # a failing input lands in the package's testdata/fuzz directory.
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -parallel 1 ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 10s -parallel 1 ./internal/tschunk/
+go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 10s -parallel 1 ./internal/observatory/
 
 echo "== /metrics + observatory endpoint smoke =="
 # Start a short observatory run with the live telemetry endpoint and a
