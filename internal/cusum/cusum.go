@@ -10,6 +10,7 @@ package cusum
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 )
@@ -106,17 +107,46 @@ func DetectRaw(xs []float64, cfg Config) []ChangePoint {
 type Detector struct {
 	cfg Config
 	src lfSource
+	// seeds memoizes the generator state right after seeding, by seed.
+	// Level-shift windows reseed with Seed+lo, so a campaign's tens of
+	// thousands of windows draw from a few hundred seeds; a hit copies
+	// the state instead of refilling it.
+	seeds map[int64]*lfSource
+	// slab is unused memo storage. It is allocated in runs that double
+	// up to seedSlabMax states, so a detector that sees k seeds makes
+	// O(log k) allocations instead of k, and one that sees a single
+	// seed allocates a single state.
+	slab []lfSource
 	// exactSums is set while the window being analyzed holds ranks of
 	// fewer than 2²⁶ samples: every partial sum is then a half-integer
 	// below 2⁵², exact in float64 whatever the summation order.
 	exactSums bool
+	// intChart is set while the window holds ranks of fewer than
+	// intChartMax samples: bootstrap tests then shuffle and scan the
+	// exact integer chart (bootstrapInt). win is the window's length,
+	// which bounds every rank in it.
+	intChart bool
+	win      int
 
 	ranks   []float64
 	rankIdx []int
 	shuf    []float64
+	ichart  []int64
 	cps     []int
 	confs   []float64
 }
+
+// seedMemoCap bounds a detector's seed memo: 1024 states of ≈4.9 KB.
+// seedSlabMax caps one allocation of memo storage.
+const (
+	seedMemoCap = 1024
+	seedSlabMax = 64
+)
+
+// intChartMax caps the window length of the integer chart. Below it a
+// rank is at most 2²⁰, so every chart value, partial sum and range
+// below fits an int64 (|T| < n²·W ≤ 2⁶⁰), and 2n·x stays below 2⁵³.
+const intChartMax = 1 << 20
 
 // NewDetector builds a reusable detector. cfg.Seed is ignored — each
 // Detect call takes its own seed.
@@ -160,7 +190,9 @@ func (d *Detector) AppendCandidates(dst []Candidate, xs []float64, seed int64) [
 		work = d.ranksInto(xs)
 	}
 	d.exactSums = d.cfg.UseRanks && len(work) < 1<<26
-	d.src.seed(seed)
+	d.intChart = d.cfg.UseRanks && len(work) < intChartMax
+	d.win = len(work)
+	d.reseed(seed)
 	d.cps = d.cps[:0]
 	d.confs = d.confs[:0]
 	d.segment(work, 0, len(work), true)
@@ -248,6 +280,29 @@ func confAt(cands []Candidate, idx int) float64 {
 		return cands[k].Confidence
 	}
 	return 0
+}
+
+// reseed seeds the generator, copying the state from the memo when
+// this seed was seen before. The copy is the state seed computes, so
+// the stream is the same.
+func (d *Detector) reseed(seed int64) {
+	if st, ok := d.seeds[seed]; ok {
+		d.src = *st
+		return
+	}
+	d.src.seed(seed)
+	if len(d.seeds) < seedMemoCap {
+		if d.seeds == nil {
+			d.seeds = make(map[int64]*lfSource)
+		}
+		if len(d.slab) == 0 {
+			d.slab = make([]lfSource, min(max(len(d.seeds), 1), seedSlabMax))
+		}
+		st := &d.slab[0]
+		d.slab = d.slab[1:]
+		*st = d.src
+		d.seeds[seed] = st
+	}
 }
 
 // ranksInto is Ranks writing into the detector's scratch buffers.
@@ -347,12 +402,15 @@ func maxCusumSplitBounded(xs []float64, minSeg int) (int, float64) {
 //
 // The result is bit-identical to shuffling Bootstraps times with
 // (*rand.Rand).Shuffle and counting maxCusumSplit ranges below
-// observed, with three shortcuts that cannot change it:
+// observed, with four shortcuts that cannot change it:
 //   - In rank mode the values are half-integers whose sums are exact in
 //     any order (exactSums), so the chart's mean is computed once, not
 //     per shuffle.
 //   - Each shuffle's scan stops as soon as the range reaches observed
 //     (rangeBelow).
+//   - Below intChartMax samples, rank-mode shuffles scan the exact
+//     integer chart and fall back to rangeBelow only where its float
+//     range could land on the other side of observed (bootstrapInt).
 //   - Once so many shuffles have failed that even all-smaller remaining
 //     ones could not reach Confidence, the test is rejected on the spot.
 //     A rejected test's confidence is never recorded, only compared, so
@@ -364,20 +422,32 @@ func (d *Detector) bootstrapConfidence(xs []float64, observed float64, last bool
 	if observed <= 0 {
 		return 0
 	}
+	if d.intChart {
+		return d.bootstrapInt(xs, observed, last)
+	}
 	shuf := append(d.shuf[:0], xs...)
 	d.shuf = shuf
 	m := 0.0
 	if d.exactSums {
 		m = mean(xs)
 	}
-	n := d.cfg.Bootstraps
-	smaller, failed := 0, 0
-	for b := 0; b < n; b++ {
-		d.src.shuffle(shuf)
+	return countBelow(d, shuf, last, func(shuf []float64) bool {
 		if !d.exactSums {
 			m = mean(shuf)
 		}
-		if rangeBelow(shuf, m, observed) {
+		return rangeBelow(shuf, m, observed)
+	})
+}
+
+// countBelow is the bootstrap's draw loop, shared by the float and
+// the integer chart: Bootstraps Fisher–Yates shuffles of shuf, each
+// judged by below, with early rejection (see bootstrapConfidence).
+func countBelow[T int64 | float64](d *Detector, shuf []T, last bool, below func([]T) bool) float64 {
+	n := d.cfg.Bootstraps
+	smaller, failed := 0, 0
+	for b := 0; b < n; b++ {
+		fisherYates(&d.src, shuf, len(shuf))
+		if below(shuf) {
 			smaller++
 			continue
 		}
@@ -390,6 +460,93 @@ func (d *Detector) bootstrapConfidence(xs []float64, observed float64, last bool
 		}
 	}
 	return float64(smaller) / float64(n)
+}
+
+// bootstrapInt is the rank-mode bootstrap over the exact integer
+// chart: the same draws as the float path, each shuffle judged by an
+// intJudge.
+func (d *Detector) bootstrapInt(xs []float64, observed float64, last bool) float64 {
+	j := newIntJudge(xs, observed, d.win, d.ichart, d.shuf)
+	d.ichart, d.shuf = j.ys, j.fs
+	return countBelow(d, j.ys, last, j.below)
+}
+
+// intJudge decides rangeBelow for shuffles of one rank segment from
+// its exact integer chart. With Σ the sum of 2x over the segment's n
+// values, the chart of y_i = n·2x_i − Σ is 2n times the exact CUSUM
+// chart, so its range D is an integer. rangeBelow's float range F of
+// the same shuffle sits within chartErrorBound of D/2n (DESIGN.md
+// §8.1). So a shuffle with D/2n below observed−E is below, one with
+// D/2n at or above observed+E is not, and only one in between is
+// rescanned by rangeBelow, on float values recovered exactly as
+// (y+Σ)/2n. Every decision is the float code's.
+type intJudge struct {
+	ys                     []int64   // the chart values, shuffled in place
+	fs                     []float64 // a rescan's float values
+	sum2                   int64
+	scale, m, observed     float64
+	surelyBelow, surelyNot int64
+}
+
+// newIntJudge encodes the ranks xs, whose window is w samples long, as
+// the integer chart, reusing the storage of ys and fs.
+func newIntJudge(xs []float64, observed float64, w int, ys []int64, fs []float64) intJudge {
+	n := len(xs)
+	if cap(ys) < n {
+		ys = make([]int64, n)
+	}
+	if cap(fs) < n {
+		fs = make([]float64, n)
+	}
+	j := intJudge{ys: ys[:n], fs: fs[:n], scale: float64(2 * n), m: mean(xs), observed: observed}
+	for _, x := range xs {
+		j.sum2 += int64(2 * x)
+	}
+	for i, x := range xs {
+		j.ys[i] = int64(n)*int64(2*x) - j.sum2
+	}
+	e := chartErrorBound(n, w)
+	j.surelyBelow = int64(math.Ceil((observed - e) * j.scale))
+	j.surelyNot = int64(math.Ceil((observed + e) * j.scale))
+	return j
+}
+
+// below is rangeBelow(x, m, observed) for the shuffle whose chart is
+// ys.
+func (j *intJudge) below(ys []int64) bool {
+	switch r := chartRange(ys); {
+	case r < j.surelyBelow:
+		return true
+	case r >= j.surelyNot:
+		return false
+	}
+	for i, y := range ys {
+		j.fs[i] = float64(y+j.sum2) / j.scale
+	}
+	return rangeBelow(j.fs, j.m, j.observed)
+}
+
+// chartErrorBound bounds |F − D/2n|, the distance between
+// rangeBelow's float range of an n-sample rank segment and its exact
+// range, when every rank is at most w. The proven bound is below
+// 3(n+2)²·w·2⁻⁵³ for n < 2²⁰; the extra (n+2)²·w·2⁻⁵³ covers the
+// rounding of the thresholds bootstrapInt derives from it (DESIGN.md
+// §8.1).
+func chartErrorBound(n, w int) float64 {
+	k := float64(n + 2)
+	return 4 * k * k * float64(w) * 0x1p-53
+}
+
+// chartRange returns the range max(0, Tmax) − min(0, Tmin) of the
+// integer chart T_k = y_1 + … + y_k, without branches.
+func chartRange(ys []int64) int64 {
+	var s, hi, lo int64
+	for _, y := range ys {
+		s += y
+		hi = max(hi, s)
+		lo = min(lo, s)
+	}
+	return hi - lo
 }
 
 // rangeBelow reports whether the CUSUM chart of xs about mean m has a

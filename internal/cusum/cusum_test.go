@@ -275,24 +275,30 @@ func BenchmarkDetectYearHourly(b *testing.B) {
 	}
 }
 
-// BenchmarkBootstrapWindow is one detection window as the level-shift
-// detector runs it: a day of 5-minute RTTs (288 samples), rank mode,
-// the default 100-shuffle bootstrap, and a fresh seed per window. The
-// seeds cycle through a fixed 128 so ns/op does not drift with b.N (a
-// chance acceptance on a flat window costs several times a rejection).
-// "flat" has no shift, so its root test is rejected — the common case
-// across a campaign; "shift" steps up 25 ms for its last 88 samples, so
-// accepted tests run their full bootstrap and recurse.
+// BenchmarkBootstrapWindow is one detection window with a fresh seed
+// per window, rank mode. The seeds cycle through a fixed 128 so ns/op
+// does not drift with b.N (a chance acceptance on a flat window costs
+// several times a rejection). "flat" and "shift" are a day of 5-minute
+// RTTs (288 samples) under the default 100-shuffle bootstrap; "flat48"
+// and "shift48" are the level-shift pipeline's own windows: a day of
+// 30-minute minimum bins under its 60-shuffle bootstrap. The flat
+// cases have no shift, so their root test is rejected — the common
+// case across a campaign; the shift cases step up 25 ms for their last
+// 30%, so accepted tests run their full bootstrap and recurse.
 func BenchmarkBootstrapWindow(b *testing.B) {
+	pipeline := Config{Bootstraps: 60, Confidence: 0.95, MinSegment: 2, UseRanks: true}
 	for _, bc := range []struct {
 		name string
 		xs   []float64
+		cfg  Config
 	}{
-		{"flat", step(144, 20, 144, 20, 1, 3)},
-		{"shift", step(200, 20, 88, 45, 1, 4)},
+		{"flat", step(144, 20, 144, 20, 1, 3), Config{UseRanks: true}},
+		{"shift", step(200, 20, 88, 45, 1, 4), Config{UseRanks: true}},
+		{"flat48", step(24, 20, 24, 20, 1, 3), pipeline},
+		{"shift48", step(34, 20, 14, 45, 1, 4), pipeline},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			d := NewDetector(Config{UseRanks: true})
+			d := NewDetector(bc.cfg)
 			var dst []Candidate
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -105,7 +105,7 @@ func TestLFSourceShufflePermutation(t *testing.T) {
 			got := append([]float64(nil), want...)
 			for round := 0; round < 3; round++ {
 				ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
-				src.shuffle(got)
+				fisherYates(&src, got, len(got))
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d n %d round %d: permutation differs", seed, n, round)
 				}
@@ -148,7 +148,7 @@ func TestLFSourceShuffleRejectionPath(t *testing.T) {
 			before := cs.draws
 			ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
 			redraws += cs.draws - before - (n - 1)
-			src.shuffle(got)
+			fisherYates(&src, got, len(got))
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d round %d: permutation differs", seed, round)
 			}
@@ -171,7 +171,7 @@ func TestLFSourceSkipShufflesMatchesShuffling(t *testing.T) {
 			b.seed(seed)
 			xs := make([]float64, n)
 			for k := 0; k < 7; k++ {
-				a.shuffle(xs)
+				fisherYates(&a, xs, len(xs))
 			}
 			b.skipShuffles(n, 7)
 			if a != b {

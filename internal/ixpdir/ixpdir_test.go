@@ -2,6 +2,7 @@ package ixpdir
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -143,4 +144,33 @@ func TestMembers(t *testing.T) {
 	if len(ix.Members("NONE")) != 0 {
 		t.Fatal("unknown IXP has no members")
 	}
+}
+
+// FuzzIXPDirParse feeds the directory parser arbitrary bytes. It must
+// not panic, and an accepted directory must survive Write and Parse
+// unchanged.
+func FuzzIXPDirParse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("# comment\n\nixp|X|ZZ||0|0.0.0.0/0|\nport|X|0.0.0.0|0\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := Parse(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, got); err != nil {
+			return
+		}
+		again, err := Parse(&out)
+		if err != nil {
+			t.Fatalf("written directory does not parse: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("round trip changed the directory:\n%+v\n%+v", got, again)
+		}
+	})
 }

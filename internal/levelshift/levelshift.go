@@ -136,10 +136,16 @@ func Analyze(s *timeseries.Series, cfg Config) Result {
 // Detection is the threshold-independent half of the analysis: the
 // aggregated series, the NaN-compacted samples with their grid
 // mapping, the global baseline, and the per-window CUSUM candidate
-// lists. It is the expensive part — segmentation plus bootstrap — and
-// none of it depends on the magnitude threshold, so a Table-1 style
-// sensitivity sweep computes it once and calls AtThreshold per
-// threshold.
+// lists. The candidates are the expensive part — segmentation plus
+// bootstrap — and none of it depends on the magnitude threshold, so a
+// Table-1 style sensitivity sweep detects once and calls AtThreshold
+// per threshold.
+//
+// A window's candidates are computed on the first AtThreshold call
+// that can keep one of them, and never for a window too flat for any
+// threshold asked (the flat-window screen, DESIGN.md §8.1). Each
+// window reseeds its bootstrap with Seed+lo, so a late computation
+// yields the same candidates as an early one.
 type Detection struct {
 	// Series is the series the detector actually ran on (after
 	// min-filter aggregation).
@@ -148,9 +154,11 @@ type Detection struct {
 	// percentile of the compacted samples.
 	Baseline float64
 
-	cfg Config   // captured analysis config (ThresholdMs unused)
-	scr *Scratch // compacted samples, candidate arena, work buffers
-	win int      // detection window length in samples
+	cfg  Config          // captured analysis config (ThresholdMs unused)
+	ccfg cusum.Config    // the windows' detector configuration
+	det  *cusum.Detector // computes candidates on demand
+	scr  *Scratch        // compacted samples, candidate arena, work buffers
+	win  int             // detection window length in samples
 }
 
 // Scratch is the reusable working memory behind a Detection: the
@@ -163,12 +171,54 @@ type Scratch struct {
 	vals      []float64 // present samples, NaNs compacted away
 	slots     []int     // vals[i] came from the analyzed series' grid slot slots[i]
 	cands     []cusum.Candidate
-	candOff   []int // window w's candidates = cands[candOff[w]:candOff[w+1]]
+	wins      []window
 	elevation []float64
 	bounds    []int
 	sortBuf   []float64
 	cpBuf     []cusum.ChangePoint
 	keptBuf   []int
+}
+
+// window is one detection window's screen bound and candidates.
+type window struct {
+	// magBound bounds every level change ApplyMagnitude can compute in
+	// the window: its value range plus a rounding margin for the
+	// segment means (flatBound).
+	magBound float64
+	// from, to delimit the window's candidates in Scratch.cands; from
+	// is negative until they are computed.
+	from, to int
+	// level is the whole window's median, once hasLevel is set: the
+	// level of a window that keeps no change point at a threshold, so
+	// most windows at most thresholds.
+	level    float64
+	hasLevel bool
+}
+
+// median returns the median of win, the window's samples, computing
+// it on first use.
+func (wd *window) median(scr *Scratch, win []float64) float64 {
+	if !wd.hasLevel {
+		wd.level, wd.hasLevel = scr.median(win), true
+	}
+	return wd.level
+}
+
+// flatBound returns an upper bound on |mean(a) − mean(b)|, as
+// ApplyMagnitude computes it, for any two runs a and b of vs. Exact
+// means lie in [lo, hi]. Summing k ≤ n values of magnitude at most M
+// and dividing by k moves a mean by at most about k·M·2⁻⁵³, and the
+// subtraction adds one more rounding, so the computed difference stays
+// below (hi−lo) + 2(n+1)·M·2⁻⁵³. The margin (n+1)·M·2⁻⁴⁸ is 16 times
+// that and also absorbs this sum's own rounding.
+func flatBound(vs []float64) float64 {
+	lo, hi := vs[0], vs[0]
+	for _, v := range vs[1:] {
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	m := max(-lo, hi)
+	return (hi - lo) + float64(len(vs)+1)*m*0x1p-48
 }
 
 // median computes the median of vs through the scratch sort buffer —
@@ -213,7 +263,8 @@ func DetectWith(det *cusum.Detector, s *timeseries.Series, cfg Config) *Detectio
 // compaction buffers and the per-window candidate arena come from scr
 // instead of fresh allocations. The returned Detection reads through
 // scr and is invalidated by the next DetectScratch call with the same
-// scratch. Results are bit-identical to Detect.
+// scratch; its AtThreshold calls run det, so they share det's
+// goroutine. Results are bit-identical to Detect.
 func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *Scratch) *Detection {
 	work := s
 	if cfg.AggregateTo > 0 && cfg.AggregateTo > s.Step {
@@ -249,20 +300,30 @@ func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *S
 			d.win = n
 		}
 	}
-	ccfg := cfg.Cusum
-	ccfg.UseRanks = true
-	det.Reconfigure(ccfg)
+	d.ccfg = cfg.Cusum
+	d.ccfg.UseRanks = true
+	d.det = det
 	scr.cands = scr.cands[:0]
-	scr.candOff = append(scr.candOff[:0], 0)
+	scr.wins = scr.wins[:0]
 	for lo := 0; lo < len(vals); lo += d.win {
-		hi := lo + d.win
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		scr.cands = det.AppendCandidates(scr.cands, vals[lo:hi], ccfg.Seed+int64(lo))
-		scr.candOff = append(scr.candOff, len(scr.cands))
+		hi := min(lo+d.win, len(vals))
+		scr.wins = append(scr.wins, window{magBound: flatBound(vals[lo:hi]), from: -1})
 	}
 	return d
+}
+
+// candidates returns window w's candidates (the window starts at
+// compacted sample lo), computing them on first use.
+func (d *Detection) candidates(w, lo, hi int) []cusum.Candidate {
+	scr := d.scr
+	win := &scr.wins[w]
+	if win.from < 0 {
+		d.det.Reconfigure(d.ccfg)
+		win.from = len(scr.cands)
+		scr.cands = d.det.AppendCandidates(scr.cands, scr.vals[lo:hi], d.ccfg.Seed+int64(lo))
+		win.to = len(scr.cands)
+	}
+	return scr.cands[win.from:win.to]
 }
 
 // AtThreshold runs the cheap per-threshold classification phase:
@@ -296,10 +357,14 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 			hi = len(vals)
 		}
 		win := vals[lo:hi]
+		// A window whose every level change is below minMag keeps no
+		// change point: skip its candidates.
 		var cps []cusum.ChangePoint
-		scr.cpBuf, scr.keptBuf = cusum.ApplyMagnitudeInto(
-			scr.cpBuf[:0], scr.keptBuf, win, scr.cands[scr.candOff[w]:scr.candOff[w+1]], minMag)
-		cps = scr.cpBuf
+		if !(scr.wins[w].magBound < minMag) {
+			scr.cpBuf, scr.keptBuf = cusum.ApplyMagnitudeInto(
+				scr.cpBuf[:0], scr.keptBuf, win, d.candidates(w, lo, hi), minMag)
+			cps = scr.cpBuf
+		}
 		for _, cp := range cps {
 			cp.Index += lo
 			res.Shifts = append(res.Shifts, cp)
@@ -315,7 +380,12 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 			if b <= a {
 				continue
 			}
-			level := scr.median(win[a:b])
+			var level float64
+			if a == 0 && b == len(win) {
+				level = scr.wins[w].median(scr, win)
+			} else {
+				level = scr.median(win[a:b])
+			}
 			if level-base >= thresholdMs {
 				for i := lo + a; i < lo+b; i++ {
 					elevation[i] = level - base

@@ -56,9 +56,16 @@ type File struct {
 
 // Write serializes the file in the extended delegated format. IPv4
 // delegations whose size is not a power of two are rejected (the
-// simulator always delegates CIDR-aligned blocks).
+// simulator always delegates CIDR-aligned blocks), and so is any text
+// field Parse would read back differently (checkFields).
 func Write(w io.Writer, f *File) error {
 	bw := bufio.NewWriter(w)
+	if f.Registry == "2" || f.Registry == "2.3" || strings.HasPrefix(f.Registry, "#") {
+		return fmt.Errorf("registry: registry name %q reads as a version or comment line", f.Registry)
+	}
+	if err := checkFields(f.Registry, f.Serial); err != nil {
+		return err
+	}
 	var v4, asn int
 	for _, d := range f.Delegations {
 		switch d.Type {
@@ -68,6 +75,9 @@ func Write(w io.Writer, f *File) error {
 			asn++
 		default:
 			return fmt.Errorf("registry: unknown delegation type %q", d.Type)
+		}
+		if err := checkFields(d.CC, d.Status, d.Opaque); err != nil {
+			return err
 		}
 	}
 	serial := f.Serial
@@ -91,6 +101,18 @@ func Write(w io.Writer, f *File) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// checkFields rejects a text field that would not read back as
+// written: one holding the separator or a line break, or one with
+// surrounding white space, which Parse trims off a line's ends.
+func checkFields(fields ...string) error {
+	for _, s := range fields {
+		if strings.ContainsAny(s, "|\r\n") || strings.TrimSpace(s) != s {
+			return fmt.Errorf("registry: field %q cannot be written", s)
+		}
+	}
+	return nil
 }
 
 // Parse reads an extended delegated file, validating record syntax.
@@ -146,8 +168,10 @@ func Parse(r io.Reader) (*File, error) {
 			if err != nil {
 				return nil, fmt.Errorf("registry: line %d: %v", lineNo, err)
 			}
+			// A block is a power of two no larger than the address
+			// space (2³² is the one /0).
 			count, err := strconv.ParseUint(fields[4], 10, 64)
-			if err != nil || count == 0 || count&(count-1) != 0 {
+			if err != nil || count == 0 || count&(count-1) != 0 || count > 1<<32 {
 				return nil, fmt.Errorf("registry: line %d: bad address count %q", lineNo, fields[4])
 			}
 			prefixBits := 32 - (bits.Len64(count) - 1)

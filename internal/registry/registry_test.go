@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -173,5 +174,129 @@ func TestWriteRejectsUnknownType(t *testing.T) {
 	f := &File{Registry: "afrinic", Delegations: []Delegation{{Type: "ipv6"}}}
 	if err := Write(&bytes.Buffer{}, f); err == nil {
 		t.Fatal("unknown type must be rejected")
+	}
+}
+
+// An IPv4 block holds a power of two of addresses no larger than the
+// address space: 2³² is the one /0, and anything larger is rejected
+// rather than clamped to /0.
+func TestParseIPv4BlockSizes(t *testing.T) {
+	cases := []struct {
+		start, count string
+		want         string // parsed prefix, or "" for an error
+	}{
+		{"0.0.0.0", "4294967296", "0.0.0.0/0"},
+		{"128.0.0.0", "2147483648", "128.0.0.0/1"},
+		{"196.49.7.1", "1", "196.49.7.1/32"},
+		{"0.0.0.0", "8589934592", ""},          // 2³³
+		{"0.0.0.0", "9223372036854775808", ""}, // 2⁶³
+		{"0.0.0.0", "18446744073709551616", ""},
+		{"0.0.0.0", "0", ""},
+		{"128.0.0.0", "4294967296", ""}, // /0 must start at 0.0.0.0
+	}
+	for _, c := range cases {
+		line := "afrinic|ZZ|ipv4|" + c.start + "|" + c.count + "|20050110|allocated\n"
+		f, err := Parse(strings.NewReader(line))
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("%s count %s: parsed as %v, want an error", c.start, c.count, f.Delegations[0].Prefix)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s count %s: %v", c.start, c.count, err)
+			continue
+		}
+		if got := f.Delegations[0].Prefix; got != netaddr.MustParsePrefix(c.want) {
+			t.Errorf("%s count %s: parsed %v, want %s", c.start, c.count, got, c.want)
+		}
+	}
+}
+
+// sameDelegations compares two parsed files' records on every field
+// Write carries (a record's own registry column is written as the
+// file's).
+func sameDelegations(a, b *File) bool {
+	if len(a.Delegations) != len(b.Delegations) {
+		return false
+	}
+	for i, x := range a.Delegations {
+		y := b.Delegations[i]
+		if x.CC != y.CC || x.Type != y.Type || x.Prefix != y.Prefix || x.ASN != y.ASN ||
+			!x.Date.Equal(y.Date) || x.Status != y.Status || x.Opaque != y.Opaque {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzRegistryParse feeds the delegation parser arbitrary bytes. It
+// must not panic. An accepted file must survive Write and Parse
+// unchanged, and each accepted IPv4 record's block must hold exactly
+// the address count its line states.
+func FuzzRegistryParse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sample()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Block sizes at the address space's edge: 2³² is the one /0,
+	// 2³³ and 2⁶³ are too large.
+	for _, count := range []string{"4294967296", "8589934592", "9223372036854775808"} {
+		f.Add([]byte("afrinic|ZZ|ipv4|0.0.0.0|" + count + "|20050110|allocated\n"))
+	}
+	f.Add([]byte("# comment\n\nafrinic|ZZ|asn|100|1||reserved|ORG\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := Parse(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		// The records Parse accepted, in order, with their stated
+		// address counts.
+		k := 0
+		for _, line := range strings.Split(string(in), "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			fields := strings.Split(line, "|")
+			if fields[0] == "2" || fields[0] == "2.3" || len(fields) >= 6 && fields[5] == "summary" {
+				continue
+			}
+			if d := got.Delegations[k]; d.Type == "ipv4" {
+				if count, _ := strconv.ParseUint(fields[4], 10, 64); d.Prefix.NumAddrs() != count {
+					t.Fatalf("line %q parsed as %v, %d addresses", line, d.Prefix, d.Prefix.NumAddrs())
+				}
+			}
+			k++
+		}
+		var out bytes.Buffer
+		if err := Write(&out, got); err != nil {
+			return
+		}
+		again, err := Parse(&out)
+		if err != nil {
+			t.Fatalf("written file does not parse: %v\n%s", err, out.Bytes())
+		}
+		if again.Registry != got.Registry || !sameDelegations(got, again) {
+			t.Fatalf("round trip changed the file:\n%+v\n%+v", got, again)
+		}
+	})
+}
+
+// Write refuses text Parse would read back differently.
+func TestWriteRejectsUnreadableFields(t *testing.T) {
+	for name, mod := range map[string]func(*File){
+		"comment registry": func(f *File) { f.Registry = "#afrinic" },
+		"version registry": func(f *File) { f.Registry = "2" },
+		"separator in cc":  func(f *File) { f.Delegations[0].CC = "G|H" },
+		"newline status":   func(f *File) { f.Delegations[1].Status = "allocated\n" },
+		"trailing opaque":  func(f *File) { f.Delegations[2].Opaque = "ORG-GIXA " },
+	} {
+		f := sample()
+		mod(f)
+		if err := Write(&bytes.Buffer{}, f); err == nil {
+			t.Errorf("%s: Write accepted it", name)
+		}
 	}
 }

@@ -174,3 +174,68 @@ func BenchmarkWrite(b *testing.B) {
 	}
 	w.Flush()
 }
+
+// FuzzWartsReader feeds the reader arbitrary streams. It must not
+// panic, and every record it returns before its first error must
+// survive Write and Next unchanged.
+func FuzzWartsReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range sample() {
+		if err := w.Write(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()-3])
+	f.Add([]byte("AWT1"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := NewReader(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var got []*Record
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				break
+			}
+			got = append(got, rec)
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range got {
+			if err := w.Write(rec); err != nil {
+				t.Fatalf("rewriting %+v: %v", rec, err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err = NewReader(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range got {
+			rec, err := r.Next()
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			if !reflect.DeepEqual(rec, want) {
+				t.Fatalf("record %d: round trip gave %+v, want %+v", i, rec, want)
+			}
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("after %d records: %v, want EOF", len(got), err)
+		}
+	})
+}

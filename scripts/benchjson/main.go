@@ -10,8 +10,9 @@
 //	benchjson -raw bench.txt -prev BENCH_campaign.json -out BENCH_campaign.json
 //
 // Guard mode compares a raw benchmark log against the committed
-// ledger and prints a warning for every benchmark whose ns/op
-// regressed beyond the tolerance. It always exits 0 — single-shot CI
+// ledger and prints a warning for every benchmark whose median ns/op
+// (or allocs/op, bytes/op) regressed beyond the tolerance and beyond
+// the baseline's own sample spread. It always exits 0 — single-shot CI
 // smoke runs are too noisy to gate on — the warning is for humans:
 //
 //	benchjson -guard -raw smoke.txt -prev BENCH_campaign.json -tolerance 25
@@ -25,6 +26,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -273,59 +275,50 @@ func readLedger(path string) (Ledger, error) {
 	return l, nil
 }
 
-// runGuard warns about ns/op and allocs/op regressions beyond tol
-// percent against the baseline ledger, plus inverted parallel scaling
-// in the current run, returning the warning count. Benchmarks are
-// matched by name and procs; benchmarks present on only one side are
-// skipped (new or retired benchmarks are not regressions). The caller
-// always exits 0 — single-shot CI smoke runs are too noisy to gate on.
+// runGuard warns about ns/op, allocs/op and bytes/op regressions
+// against the baseline ledger, plus inverted parallel scaling in the
+// current run, returning the warning count. Benchmarks are matched by
+// name and procs; benchmarks present on only one side are skipped (new
+// or retired benchmarks are not regressions). A COUNT=N log and ledger
+// row hold N samples per benchmark, so each side is reduced to its
+// median, and a regression warns only when the median grew by more
+// than tol percent and by more than the baseline's own interquartile
+// spread (zero for a one-sample row). The caller always exits 0 —
+// single-shot CI smoke runs are too noisy to gate on.
 func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 	baselineLedger, err := readLedger(prevPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: guard skipped: %v\n", err)
 		return 0
 	}
-	type key struct {
-		name  string
-		procs int
-	}
-	baseline := make(map[key]Benchmark, len(baselineLedger.Benchmarks))
-	for _, b := range baselineLedger.Benchmarks {
-		baseline[key{b.Name, b.Procs}] = b
-	}
+	baseline, _ := groupSamples(baselineLedger.Benchmarks)
+	current, order := groupSamples(benches)
 	regressions := 0
-	for _, b := range benches {
-		base, ok := baseline[key{b.Name, b.Procs}]
+	for _, k := range order {
+		base, ok := baseline[k]
 		if !ok {
 			continue
-		}
-		if base.NsPerOp > 0 {
-			change := 100 * (b.NsPerOp - base.NsPerOp) / base.NsPerOp
-			if change > tol {
-				regressions++
-				fmt.Printf("WARNING: %s (procs=%d) ns/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)\n",
-					b.Name, b.Procs, change, base.NsPerOp, b.NsPerOp, tol)
-			}
 		}
 		// allocs/op and bytes/op are deterministic where ns/op is
 		// noisy, so the same tolerance catches real allocation creep
 		// without false alarms. bytes/op is the one the columnar-store
 		// work drove down 4×+ — creeping back up is a regression even
 		// when ns/op holds.
-		if base.AllocsPerOp != nil && b.AllocsPerOp != nil && *base.AllocsPerOp > 0 {
-			change := 100 * (*b.AllocsPerOp - *base.AllocsPerOp) / *base.AllocsPerOp
-			if change > tol {
-				regressions++
-				fmt.Printf("WARNING: %s (procs=%d) allocs/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)\n",
-					b.Name, b.Procs, change, *base.AllocsPerOp, *b.AllocsPerOp, tol)
+		for _, m := range guardMetrics {
+			bv, cv := m.values(base), m.values(current[k])
+			if len(bv) == 0 || len(cv) == 0 {
+				continue
 			}
-		}
-		if base.BytesPerOp != nil && b.BytesPerOp != nil && *base.BytesPerOp > 0 {
-			change := 100 * (*b.BytesPerOp - *base.BytesPerOp) / *base.BytesPerOp
-			if change > tol {
+			bMed, bSpread := medianSpread(bv)
+			cMed, _ := medianSpread(cv)
+			if bMed <= 0 {
+				continue
+			}
+			change := 100 * (cMed - bMed) / bMed
+			if change > tol && cMed-bMed > bSpread {
 				regressions++
-				fmt.Printf("WARNING: %s (procs=%d) bytes/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)\n",
-					b.Name, b.Procs, change, *base.BytesPerOp, *b.BytesPerOp, tol)
+				fmt.Printf("WARNING: %s (procs=%d) %s regressed %.1f%% (median %.0f -> %.0f over %d -> %d samples, tolerance %.0f%%, baseline spread %.0f)\n",
+					k.name, k.procs, m.unit, change, bMed, cMed, len(bv), len(cv), tol, bSpread)
 			}
 		}
 	}
@@ -340,6 +333,73 @@ func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 			regressions)
 	}
 	return regressions
+}
+
+// benchKey identifies one benchmark across runs.
+type benchKey struct {
+	name  string
+	procs int
+}
+
+// groupSamples collects each benchmark's samples (one per -count
+// repetition), returning the keys in first-seen order.
+func groupSamples(benches []Benchmark) (map[benchKey][]Benchmark, []benchKey) {
+	groups := make(map[benchKey][]Benchmark, len(benches))
+	var order []benchKey
+	for _, b := range benches {
+		k := benchKey{b.Name, b.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	return groups, order
+}
+
+// guardMetric is one per-op figure the guard compares.
+type guardMetric struct {
+	unit string
+	get  func(Benchmark) (float64, bool)
+}
+
+var guardMetrics = []guardMetric{
+	{"ns/op", func(b Benchmark) (float64, bool) { return b.NsPerOp, true }},
+	{"allocs/op", func(b Benchmark) (float64, bool) { return deref(b.AllocsPerOp) }},
+	{"bytes/op", func(b Benchmark) (float64, bool) { return deref(b.BytesPerOp) }},
+}
+
+func deref(p *float64) (float64, bool) {
+	if p == nil {
+		return 0, false
+	}
+	return *p, true
+}
+
+// values returns the metric over the samples that report it.
+func (m guardMetric) values(samples []Benchmark) []float64 {
+	var vs []float64
+	for _, b := range samples {
+		if v, ok := m.get(b); ok {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// medianSpread returns the median of vs and its interquartile spread
+// Q3 − Q1, each quantile linearly interpolated between closest ranks.
+func medianSpread(vs []float64) (median, spread float64) {
+	sorted := slices.Clone(vs)
+	slices.Sort(sorted)
+	q := func(p float64) float64 {
+		pos := p * float64(len(sorted)-1)
+		lo := int(pos)
+		if lo+1 >= len(sorted) {
+			return sorted[lo]
+		}
+		return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
+	}
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // workersVariant splits "Benchmark.../workers=N" sub-benchmark names.

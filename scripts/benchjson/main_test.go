@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -357,5 +358,76 @@ func TestWarnScaleMemory(t *testing.T) {
 	// nothing to compare, not a crash.
 	if got := warnScaleMemory([]Benchmark{mk("100", 9000)}, Ledger{}, 25); got != 0 {
 		t.Fatalf("missing siblings: %d warnings, want 0", got)
+	}
+}
+
+// samples builds one benchmark's -count repetitions at the given ns/op.
+func samples(name string, ns ...float64) []Benchmark {
+	out := make([]Benchmark, len(ns))
+	for i, v := range ns {
+		out[i] = Benchmark{Name: name, Procs: 1, Iterations: 1, NsPerOp: v}
+	}
+	return out
+}
+
+// ledgerJSON writes a ledger whose latest row holds benches.
+func ledgerJSON(t *testing.T, benches []Benchmark) string {
+	t.Helper()
+	buf, err := json.Marshal(Ledger{Run: Run{Date: "2026-01-01T00:00:00Z", Go: "go1.24.0", Benchmarks: benches}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeTemp(t, "base.json", string(buf))
+}
+
+func TestMedianSpread(t *testing.T) {
+	for _, c := range []struct {
+		vs             []float64
+		median, spread float64
+	}{
+		{[]float64{7}, 7, 0},
+		{[]float64{4, 1, 3, 2}, 2.5, 1.5},
+		{[]float64{140, 60, 100, 120, 80}, 100, 40},
+	} {
+		if m, s := medianSpread(c.vs); m != c.median || s != c.spread {
+			t.Errorf("medianSpread(%v) = %v, %v; want %v, %v", c.vs, m, s, c.median, c.spread)
+		}
+	}
+}
+
+// With five samples a side, the guard compares medians: one slow
+// current sample, or one fast baseline sample recorded last, is not a
+// regression; a shift of the whole distribution is, once.
+func TestGuardComparesMedians(t *testing.T) {
+	const name = "BenchmarkAnalysisSweep/sweep"
+	for _, c := range []struct {
+		what        string
+		base, cur   []float64
+		wantWarning int
+	}{
+		{"one slow current sample", []float64{100, 100, 100, 100, 100}, []float64{100, 100, 300, 100, 100}, 0},
+		{"fast last baseline sample", []float64{100, 100, 100, 100, 40}, []float64{105, 105, 105, 105, 105}, 0},
+		{"whole distribution slower", []float64{100, 100, 100, 100, 100}, []float64{140, 140, 140, 140, 140}, 1},
+		{"within the baseline's spread", []float64{60, 80, 100, 120, 140}, []float64{130, 130, 130, 130, 130}, 0},
+		{"beyond the baseline's spread", []float64{60, 80, 100, 120, 140}, []float64{150, 150, 150, 150, 150}, 1},
+		{"one sample a side", []float64{100}, []float64{130}, 1},
+	} {
+		got := runGuard(samples(name, c.cur...), ledgerJSON(t, samples(name, c.base...)), 25)
+		if got != c.wantWarning {
+			t.Errorf("%s: %d warnings, want %d", c.what, got, c.wantWarning)
+		}
+	}
+}
+
+// A COUNT=N log parses to all N samples, in order, which record mode
+// writes into the ledger row as they are.
+func TestParseRawKeepsEverySample(t *testing.T) {
+	raw := "BenchmarkX-2 10 100 ns/op\nBenchmarkX-2 10 120 ns/op\nBenchmarkX-2 10 90 ns/op\n"
+	benches, err := parseRaw(writeTemp(t, "raw.txt", raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(benches) != 3 || benches[1].NsPerOp != 120 {
+		t.Fatalf("parsed %+v, want the three samples in order", benches)
 	}
 }
