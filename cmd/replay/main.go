@@ -68,6 +68,7 @@ func main() {
 		Header: []string{"VP", "link", "flagged", "diurnal", "congested", "class", "A_w (ms)"},
 	}
 	totalLinks, totalCongested := 0, 0
+	sw := analysis.NewSweeper()
 	for _, vp := range vps {
 		links := byVP[vp]
 		targets := make([]string, 0, len(links))
@@ -79,7 +80,7 @@ func main() {
 		}
 		sort.Strings(targets)
 		for _, key := range targets {
-			v := analysis.AnalyzeLink(index[key], cfg)
+			v := sw.AnalyzeLink(index[key], cfg)
 			totalLinks++
 			if v.Congested {
 				totalCongested++

@@ -220,11 +220,7 @@ func run() error {
 		fmt.Fprintf(out, "%d fault episodes injected\n\n", len(c.Faults.Faults))
 	}
 	if *budgetFrac > 0 {
-		var rounds, skipped int
-		for _, y := range c.Yields() {
-			rounds += y.Rounds
-			skipped += y.Skipped
-		}
+		rounds, skipped := c.BudgetRounds()
 		fmt.Fprintf(os.Stderr, "probe budget %.0f%%: %d rounds sent, %d skipped (%.1f%% of schedule)\n\n",
 			100**budgetFrac, rounds, skipped,
 			100*float64(rounds)/float64(rounds+skipped))

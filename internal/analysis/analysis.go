@@ -104,7 +104,7 @@ type Verdict struct {
 // AnalyzeLink runs the full per-link pipeline at cfg.ThresholdMs — the
 // single-threshold case of AnalyzeLinkSweep.
 func AnalyzeLink(ls LinkSeries, cfg Config) Verdict {
-	return AnalyzeLinkSweep(ls, cfg, []float64{cfg.ThresholdMs})[0]
+	return NewSweeper().AnalyzeLink(ls, cfg)
 }
 
 // AnalyzeLinkSweep runs the per-link pipeline across a threshold sweep
@@ -155,6 +155,12 @@ func (sw *Sweeper) Stats() SweeperStats { return sw.stats }
 // NewSweeper builds a reusable analysis worker state.
 func NewSweeper() *Sweeper {
 	return &Sweeper{det: cusum.NewDetector(cusum.Config{})}
+}
+
+// AnalyzeLink is the package-level AnalyzeLink reusing the sweeper's
+// detector scratch across calls.
+func (sw *Sweeper) AnalyzeLink(ls LinkSeries, cfg Config) Verdict {
+	return sw.AnalyzeLinkSweep(ls, cfg, []float64{cfg.ThresholdMs})[0]
 }
 
 // AnalyzeLinkSweep is the package-level AnalyzeLinkSweep reusing the

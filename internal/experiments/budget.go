@@ -79,13 +79,7 @@ func budgetRecall(res *Result) (truth, detected int, meanDelay simclock.Duration
 }
 
 // attemptedRounds sums per-link rounds attempted and budget-skipped.
-func attemptedRounds(res *Result) (rounds, skipped int) {
-	for _, y := range res.Yields() {
-		rounds += y.Rounds
-		skipped += y.Skipped
-	}
-	return rounds, skipped
-}
+func attemptedRounds(res *Result) (rounds, skipped int) { return res.BudgetRounds() }
 
 // table1Fidelity compares flagged-link counts cell by cell (per VP ×
 // threshold, "All VPs" row excluded) between a budgeted and the

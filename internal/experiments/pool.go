@@ -7,48 +7,48 @@ import (
 	"afrixp/internal/telemetry"
 )
 
-// probePool is the campaign's persistent probing crew: long-lived
-// worker goroutines fed task indexes over a channel, replacing the
-// spawn-and-join barrier the engine used to pay at every 5-minute step
-// (~115k barrier cycles per full campaign). The pool is built once per
-// campaign; each dispatch round sends one task per vantage point and
-// waits for as many completions, so a round is still a barrier — just
-// one whose goroutines, stacks, and scheduler state are reused.
+// workerPool is the package's one fan-out mechanism: long-lived worker
+// goroutines fed task indexes over a channel. The engine builds one per
+// campaign for its probing batches (~115k barrier cycles per full
+// campaign, which would otherwise each spawn and join goroutines), and
+// Reanalyze builds one for the analysis sweep. Each do round is a
+// barrier whose goroutines, stacks and scheduler state are reused.
 //
-// Memory model: the coordinator writes the shared batch state, then
-// sends task indexes; workers read the state after receiving. The
+// Memory model: the coordinator writes the shared state and the task
+// body, then sends task indexes; workers read them after receiving. The
 // channel send/receive pairs order those accesses, so workers never
 // observe a half-written batch, and the coordinator never reclaims
 // state a worker is still reading.
-type probePool struct {
+type workerPool struct {
 	workers int
 	tasks   chan int
 	done    chan struct{}
 	wg      sync.WaitGroup
-	// run is the task body. It must be set before the first do call
-	// and must only touch per-task state (one VP's prober, collectors).
-	run func(task int)
+	// fn is the current round's task body; it is handed the worker
+	// index (0 ≤ worker < workers) so callers can keep private
+	// per-worker state, and must only touch per-task state otherwise.
+	fn func(worker, task int)
 	// eng, when non-nil, accumulates per-worker busy time for
 	// utilization reporting. Each worker writes only its own slot, so
 	// the timing is pure accounting and never orders the work.
 	eng *telemetry.EngineStats
 }
 
-// newProbePool starts workers goroutines. workers <= 1 starts none:
+// newWorkerPool starts workers goroutines. workers <= 1 starts none:
 // the sequential engine is the pool with inline dispatch, not a
 // separate code path. eng may be nil (telemetry off).
-func newProbePool(workers int, eng *telemetry.EngineStats) *probePool {
-	p := &probePool{workers: workers, eng: eng}
+func newWorkerPool(workers int, eng *telemetry.EngineStats) *workerPool {
+	p := &workerPool{workers: max(workers, 1), eng: eng}
 	if eng != nil {
-		eng.SetWorkers(workers)
+		eng.SetWorkers(p.workers)
 	}
-	if workers <= 1 {
+	if p.workers == 1 {
 		return p
 	}
-	p.tasks = make(chan int, workers)
-	p.done = make(chan struct{}, workers)
-	p.wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	p.tasks = make(chan int, p.workers)
+	p.done = make(chan struct{}, p.workers)
+	p.wg.Add(p.workers)
+	for k := 0; k < p.workers; k++ {
 		go func(worker int) {
 			defer p.wg.Done()
 			for i := range p.tasks {
@@ -62,23 +62,20 @@ func newProbePool(workers int, eng *telemetry.EngineStats) *probePool {
 
 // exec runs one task, crediting its wall time to the worker when
 // telemetry is attached.
-func (p *probePool) exec(worker, task int) {
-	if p.eng == nil {
-		p.run(task)
-		return
-	}
+func (p *workerPool) exec(worker, task int) {
 	t0 := time.Now()
-	p.run(task)
+	p.fn(worker, task)
 	p.eng.AddWorkerBusy(worker, time.Since(t0))
 }
 
-// do runs run(0..n-1) across the pool and returns when all complete.
-// Task sends and completion receives are interleaved: with n greater
-// than the channel buffering (workers per channel), a send-all-first
-// dispatch would deadlock — every worker blocked sending done while the
-// coordinator blocks sending the next task.
-func (p *probePool) do(n int) {
-	if p.workers <= 1 {
+// do runs fn(worker, 0..n-1) across the pool and returns when all
+// complete. Task sends and completion receives are interleaved: with n
+// greater than the channel buffering (workers per channel), a
+// send-all-first dispatch would deadlock — every worker blocked
+// sending done while the coordinator blocks sending the next task.
+func (p *workerPool) do(n int, fn func(worker, task int)) {
+	p.fn = fn
+	if p.workers == 1 {
 		for i := 0; i < n; i++ {
 			p.exec(0, i)
 		}
@@ -99,7 +96,7 @@ func (p *probePool) do(n int) {
 }
 
 // close retires the workers. The pool must be idle.
-func (p *probePool) close() {
+func (p *workerPool) close() {
 	if p.tasks != nil {
 		close(p.tasks)
 		p.wg.Wait()

@@ -212,6 +212,7 @@ var waveformWindows = map[string]simclock.Interval{
 // applicable.
 func Waveforms(res *Result) []Waveform {
 	var out []Waveform
+	sw := analysis.NewSweeper()
 	for _, vr := range res.VPs {
 		for _, lr := range vr.SortedLinks() {
 			if lr.CaseName == "" {
@@ -227,8 +228,7 @@ func Waveforms(res *Result) []Waveform {
 					ls := lr.Collector.Series()
 					ls.Near = ls.Near.Slice(win.Start, win.End)
 					ls.Far = ls.Far.Slice(win.Start, win.End)
-					acfg := analysis.DefaultConfig()
-					wv := analysis.AnalyzeLink(ls, acfg)
+					wv := sw.AnalyzeLink(ls, analysis.DefaultConfig())
 					if wv.Congested {
 						// Keep the whole-campaign classification; the
 						// window refines only the waveform statistics.

@@ -36,6 +36,7 @@ func RunUpgradeWhatIf(base scenario.Options, capacities []float64) ([]WhatIfPoin
 
 	var out []WhatIfPoint
 	var statsScr timeseries.StatsScratch // one sort buffer across the sweep
+	sw := analysis.NewSweeper()
 	for _, capBps := range capacities {
 		opts := base
 		opts.NetpageUpgradeBps = capBps
@@ -56,7 +57,7 @@ func RunUpgradeWhatIf(base scenario.Options, capacities []float64) ([]WhatIfPoin
 			col.Round(t)
 		})
 		ls := col.Series()
-		v := analysis.AnalyzeLink(ls, analysis.DefaultConfig())
+		v := sw.AnalyzeLink(ls, analysis.DefaultConfig())
 		st := ls.Far.SummarizeInto(&statsScr)
 		out = append(out, WhatIfPoint{
 			UpgradeBps:     capBps,

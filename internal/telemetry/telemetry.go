@@ -155,6 +155,12 @@ type EngineStats struct {
 	// engine atomically Sets each gauge at batch barriers, so the
 	// steady-state probe step stays allocation-free.
 	shards []ShardGauges
+
+	// hookNames, hookCalls and hookNS time each barrier hook: runs
+	// and wall nanoseconds. Sized once by SetHooks before probing
+	// starts; the engine adds to one slot per hook run, allocation-free.
+	hookNames         []string
+	hookCalls, hookNS []Counter
 }
 
 // ShardGauges instruments one campaign shard: resident series bytes
@@ -175,9 +181,9 @@ func (e *EngineStats) SetWorkers(n int) {
 	e.workerBusy = make([]atomic.Int64, n)
 }
 
-// AddWorkerBusy credits busy time to worker k.
+// AddWorkerBusy credits busy time to worker k. Nil-safe.
 func (e *EngineStats) AddWorkerBusy(k int, d time.Duration) {
-	if k >= 0 && k < len(e.workerBusy) {
+	if e != nil && k >= 0 && k < len(e.workerBusy) {
 		e.workerBusy[k].Add(int64(d))
 	}
 }
@@ -200,6 +206,22 @@ func (e *EngineStats) Shard(k int) *ShardGauges {
 		return nil
 	}
 	return &e.shards[k]
+}
+
+// SetHooks sizes the per-hook timing table, one slot per name in
+// barrier order. Call before probing starts.
+func (e *EngineStats) SetHooks(names []string) {
+	e.hookNames = names
+	e.hookCalls = make([]Counter, len(names))
+	e.hookNS = make([]Counter, len(names))
+}
+
+// AddHook credits one run of hook k taking d. Nil-safe.
+func (e *EngineStats) AddHook(k int, d time.Duration) {
+	if e != nil && k >= 0 && k < len(e.hookNames) {
+		e.hookCalls[k].Inc()
+		e.hookNS[k].Add(uint64(d))
+	}
 }
 
 // ProbeStats mirrors the measurement plane's hot-path accounting:
@@ -436,6 +458,13 @@ type ShardSnapshot struct {
 	RoundsPerSec  float64 `json:"rounds_per_sec"`
 }
 
+// HookSnapshot is one barrier hook's accumulated wall time.
+type HookSnapshot struct {
+	Hook   string `json:"hook"`
+	Calls  uint64 `json:"calls"`
+	WallNS uint64 `json:"wall_ns"`
+}
+
 // SpanSnapshot is a span rendered for export.
 type SpanSnapshot struct {
 	Phase          string `json:"phase"`
@@ -464,6 +493,7 @@ type EngineSnapshot struct {
 	BatchLen         HistogramSnapshot `json:"batch_len"`
 	Workers          []WorkerSnapshot  `json:"workers"`
 	Shards           []ShardSnapshot   `json:"shards,omitempty"`
+	Hooks            []HookSnapshot    `json:"hooks,omitempty"`
 }
 
 // ProbeSnapshot freezes ProbeStats.
@@ -554,6 +584,10 @@ func (t *Telemetry) Snapshot() Snapshot {
 			Rounds:        rounds,
 			RoundsPerSec:  rps,
 		})
+	}
+	for k, name := range t.Engine.hookNames {
+		s.Engine.Hooks = append(s.Engine.Hooks, HookSnapshot{Hook: name,
+			Calls: t.Engine.hookCalls[k].Load(), WallNS: t.Engine.hookNS[k].Load()})
 	}
 
 	s.Probe = ProbeSnapshot{

@@ -87,23 +87,28 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestObservatoryCampaignMatrix' ./inter
 GOMAXPROCS=4 go test -race -count=1 ./internal/observatory/
 GOMAXPROCS=4 go test -race -count=1 -run 'TestServeMounts|TestServeScrapeWhilePublishing' ./internal/telemetry/
 
-echo "== fuzz smoke (stored bytes, input files, API query parameters) =="
+echo "== fuzz smoke (stored bytes, input files, packets, API query parameters) =="
 # A short pass over the decoders of stored bytes: the checkpoint
 # reader (arbitrary payloads framed with a valid header and CRC, so
 # they reach gob) and the chunk codec's bit-exact round-trip; over the
 # decoders of outside files: RIR delegation files, the IXP directory
 # and warts probe archives, each of which must round-trip what it
-# accepts through its own writer; and over the observatory API's
-# query parameters and link ids, which must answer with a defined
-# status and leave the service lock free. Ten seconds each on one
-# worker keeps the step cheap and memory-light; a failing input lands
-# in the package's testdata/fuzz directory.
+# accepts through its own writer; over the wire decoders of probe
+# packets (IPv4, ICMP, quoted datagrams), whose slices must stay inside
+# the input and whose builders' datagrams must decode back; and over
+# the observatory API's query parameters and link ids, which must
+# answer with a defined status and leave the service lock free. Ten
+# seconds each on one worker keeps the step cheap and memory-light; a
+# failing input lands in the package's testdata/fuzz directory.
 go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -parallel 1 ./internal/checkpoint/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 10s -parallel 1 ./internal/tschunk/
 go test -run '^$' -fuzz '^FuzzRegistryParse$' -fuzztime 10s -parallel 1 ./internal/registry/
 go test -run '^$' -fuzz '^FuzzIXPDirParse$' -fuzztime 10s -parallel 1 ./internal/ixpdir/
 go test -run '^$' -fuzz '^FuzzWartsReader$' -fuzztime 10s -parallel 1 ./internal/warts/
 go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 10s -parallel 1 ./internal/observatory/
+go test -run '^$' -fuzz '^FuzzDecodeIPv4$' -fuzztime 10s -parallel 1 ./internal/packet/
+go test -run '^$' -fuzz '^FuzzDecodeICMP$' -fuzztime 10s -parallel 1 ./internal/packet/
+go test -run '^$' -fuzz '^FuzzParseQuote$' -fuzztime 10s -parallel 1 ./internal/packet/
 
 echo "== /metrics + observatory endpoint smoke =="
 # Start a short observatory run with the live telemetry endpoint and a
