@@ -75,7 +75,7 @@ func run() error {
 		days          = flag.Int("days", 0, "campaign length in days (0 = full paper period)")
 		scale         = flag.Float64("scale", 1.0, "world scale: ≤1 scales the authored paper world's populations; >1 generates a continent-scale world (see -gen-seed)")
 		genSeed       = flag.Uint64("gen-seed", 0, "continent-scale generator seed (only with -scale > 1; 0 = default)")
-		shards        = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = private per-VP arenas; results are identical for any value)")
+		shards        = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = one arena per VP; results are identical for any value)")
 		seed          = flag.Uint64("seed", 0, "world seed")
 		noLoss        = flag.Bool("no-loss", false, "skip loss campaigns")
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "probing/analysis worker goroutines (results are identical for any value)")

@@ -98,7 +98,7 @@ func run() error {
 		startOff    = flag.Int("start-offset", 0, "days after 2016-02-22 to start the campaign")
 		scale       = flag.Float64("scale", 1.0, "world scale: ≤1 scales the authored paper world's populations; >1 generates a continent-scale world (see -gen-seed)")
 		genSeed     = flag.Uint64("gen-seed", 0, "continent-scale generator seed (only with -scale > 1; 0 = default)")
-		shards      = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = private per-VP arenas; results are identical for any value)")
+		shards      = flag.Int("shards", 0, "partition VPs into this many memory shards, one shared series arena each (0/1 = one arena per VP; results are identical for any value)")
 		doSweep     = flag.Bool("scale-sweep", false, "run the 1×/10×/100× scale sweep (throughput, bytes/link, peak RSS) and print the table")
 		seed        = flag.Uint64("seed", 0, "world seed (0 = default)")
 		csvDir      = flag.String("csvdir", "", "when set, write figure CSVs into this directory")

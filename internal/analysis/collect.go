@@ -17,8 +17,8 @@ import (
 // XOR-compressed tschunk builders — probing writes march strictly
 // forward in virtual time, so each 256-bin block compresses exactly
 // once as the frontier passes it (DESIGN.md §12). An optional
-// full-resolution window retains flat 5-minute samples for the
-// case-study figures.
+// full-resolution window retains native 5-minute samples for the
+// case-study figures in two more builders on the same arena.
 type Collector struct {
 	TSLP *prober.TSLP
 
@@ -26,10 +26,14 @@ type Collector struct {
 	aggStart    simclock.Time
 	aggStep     simclock.Duration
 	nAgg        int
-	nearS, farS *timeseries.Series // sealed views, cached by Series
-	// fullNear/fullFar retain native-resolution samples inside Window.
-	fullNear, fullFar *timeseries.Series
-	window            simclock.Interval
+	nearS, farS *timeseries.Series // sealed views, cached by seal
+	// fullNearB/fullFarB retain native-resolution samples inside
+	// window (nil when no window is configured); fullNear/fullFar are
+	// their sealed views.
+	fullNearB, fullFarB *tschunk.Builder
+	fullNear, fullFar   *timeseries.Series
+	window              simclock.Interval
+	step                simclock.Duration
 
 	// farLossRounds / farRounds track round-level far loss for the
 	// "probes unsuccessful" signal; missedRounds counts rounds that
@@ -50,11 +54,12 @@ type CollectorConfig struct {
 	// FullResWindow, when non-degenerate, retains native-resolution
 	// series over the given sub-interval (for figures).
 	FullResWindow simclock.Interval
-	// Arena, when non-nil, seals the chunked builders into the given
-	// shared slab instead of private per-builder arenas — the sharded
-	// campaign engine hands every shard one Arena so a shard's series
-	// memory is bounded and accountable in one place. The sample values
-	// are bit-identical either way; only the byte store moves.
+	// Arena, when non-nil, is the slab every builder of the collector
+	// seals into — the campaign engine hands every shard one Arena so
+	// a shard's series memory is bounded and accountable in one place.
+	// nil gives each builder an arena of its own (standalone
+	// collectors). The sample values are bit-identical either way;
+	// only the byte store moves.
 	Arena *tschunk.Arena
 }
 
@@ -73,9 +78,10 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 	return c
 }
 
-// NewCollector builds a collector for one TSLP session. The chunked
-// builders pre-reserve their compression arenas here, at campaign
-// start, so the steady-state probe step never allocates.
+// NewCollector builds a collector for one TSLP session. The builders
+// reserve their share of the arena here, at discovery, so the
+// per-sample write path never allocates; sealing a block allocates
+// only when the slab is full (tschunk.Arena.Reserve).
 func NewCollector(ts *prober.TSLP, cfg CollectorConfig) *Collector {
 	cfg = cfg.withDefaults()
 	nAgg := cfg.Campaign.NumSteps(cfg.AggStep)
@@ -85,13 +91,14 @@ func NewCollector(ts *prober.TSLP, cfg CollectorConfig) *Collector {
 		aggStep:  cfg.AggStep,
 		nAgg:     nAgg,
 		window:   cfg.FullResWindow,
+		step:     cfg.Step,
 		nearB:    tschunk.NewBuilderArena(nAgg, cfg.Arena),
 		farB:     tschunk.NewBuilderArena(nAgg, cfg.Arena),
 	}
 	if cfg.FullResWindow.Duration() > 0 {
 		n := cfg.FullResWindow.NumSteps(cfg.Step)
-		c.fullNear = timeseries.NewRegular(cfg.FullResWindow.Start, cfg.Step, n)
-		c.fullFar = timeseries.NewRegular(cfg.FullResWindow.Start, cfg.Step, n)
+		c.fullNearB = tschunk.NewBuilderArena(n, cfg.Arena)
+		c.fullFarB = tschunk.NewBuilderArena(n, cfg.Arena)
 	}
 	return c
 }
@@ -130,11 +137,11 @@ func (c *Collector) recordSample(t simclock.Time, s prober.Sample) {
 	if s.FarLost {
 		c.farLostRounds++
 	}
-	c.record(c.nearB, c.fullNear, t, s.NearLost, s.NearRTT)
-	c.record(c.farB, c.fullFar, t, s.FarLost, s.FarRTT)
+	c.record(c.nearB, c.fullNearB, t, s.NearLost, s.NearRTT)
+	c.record(c.farB, c.fullFarB, t, s.FarLost, s.FarRTT)
 }
 
-func (c *Collector) record(agg *tschunk.Builder, full *timeseries.Series, t simclock.Time, lost bool, rtt simclock.Duration) {
+func (c *Collector) record(agg, full *tschunk.Builder, t simclock.Time, lost bool, rtt simclock.Duration) {
 	if lost {
 		return
 	}
@@ -143,19 +150,35 @@ func (c *Collector) record(agg *tschunk.Builder, full *timeseries.Series, t simc
 		agg.MergeMin(i, ms) // streaming min filter
 	}
 	if full != nil && c.window.Contains(t) {
-		full.SetAt(t, ms)
+		// The slot Series.SetAt would pick; off-grid times are dropped.
+		if i := int(t.Sub(c.window.Start) / c.step); i < full.Len() {
+			full.Set(i, ms)
+		}
+	}
+}
+
+// seal compresses every builder and caches the sealed views. Sealing
+// appends to the arena, so on a shared arena it follows the arena's
+// single-writer rule; the campaign engine seals every collector
+// serially before its analysis fan-out.
+func (c *Collector) seal() {
+	if c.nearS != nil {
+		return
+	}
+	c.nearS = timeseries.FromChunk(c.aggStart, c.aggStep, c.nearB.Seal())
+	c.farS = timeseries.FromChunk(c.aggStart, c.aggStep, c.farB.Seal())
+	if c.fullNearB != nil {
+		c.fullNear = timeseries.FromChunk(c.window.Start, c.step, c.fullNearB.Seal())
+		c.fullFar = timeseries.FromChunk(c.window.Start, c.step, c.fullFarB.Seal())
 	}
 }
 
 // Series returns the aggregated link series for analysis. The first
-// call seals the builders (the campaign engine analyzes only after
-// probing ends); the sealed views are cached, so repeated calls return
-// the same series.
+// call (or FullRes) seals the builders (the campaign engine analyzes
+// only after probing ends); the sealed views are cached, so repeated
+// calls return the same series.
 func (c *Collector) Series() LinkSeries {
-	if c.nearS == nil {
-		c.nearS = timeseries.FromChunk(c.aggStart, c.aggStep, c.nearB.Seal())
-		c.farS = timeseries.FromChunk(c.aggStart, c.aggStep, c.farB.Seal())
-	}
+	c.seal()
 	return LinkSeries{Target: c.TSLP.Target, Near: c.nearS, Far: c.farS}
 }
 
@@ -186,47 +209,27 @@ func (c *Collector) FinalizedBefore(t simclock.Time) int {
 // series into caller-owned buffers (near and far must be the same
 // length). Unlike Series it never seals the builders, so it is safe
 // mid-campaign: the engine's write path continues bit-for-bit as if
-// the read never happened. Allocation-free.
+// the read never happened. Allocation-free; works after sealing too.
 func (c *Collector) CopyAgg(from int, near, far []float64) {
-	if c.nearS == nil {
-		c.nearB.CopyRange(from, near)
-		c.farB.CopyRange(from, far)
-		return
-	}
-	copySeriesRange(c.nearS, from, near)
-	copySeriesRange(c.farS, from, far)
+	c.nearB.CopyRange(from, near)
+	c.farB.CopyRange(from, far)
 }
 
-// copySeriesRange copies slots [from, from+len(dst)) of a sealed
-// series into dst. The walk decodes every block up to the range end;
-// it only runs after sealing (the mid-campaign path reads the builders
-// directly), where the cost is a one-off.
-func copySeriesRange(s *timeseries.Series, from int, dst []float64) {
-	to := from + len(dst)
-	s.Each(func(base int, vals []float64) {
-		for k, v := range vals {
-			if i := base + k; i >= from && i < to {
-				dst[i-from] = v
-			}
-		}
-	})
-}
-
-// FullRes returns the native-resolution window series (nil when not
-// configured).
+// FullRes returns the sealed native-resolution window series (nil
+// when not configured). Like Series, it seals the builders.
 func (c *Collector) FullRes() (near, far *timeseries.Series) {
+	c.seal()
 	return c.fullNear, c.fullFar
 }
 
-// MemBytes reports the collector's resident series bytes outside any
-// shared arena: the builders' state plus the full-resolution window.
-// Collectors sealing into a shared tschunk.Arena exclude the slab —
-// the engine accounts it once per shard. Allocation-free; the engine
+// MemBytes reports the collector's resident series bytes outside its
+// arena: the builders' open blocks. The arena is accounted where it is
+// owned — by the engine once per shard. Allocation-free; the engine
 // publishes per-shard memory gauges from this at every batch barrier.
 func (c *Collector) MemBytes() int {
 	n := c.nearB.MemBytes() + c.farB.MemBytes()
-	if c.fullNear != nil {
-		n += 8 * (len(c.fullNear.Values) + len(c.fullFar.Values))
+	if c.fullNearB != nil {
+		n += c.fullNearB.MemBytes() + c.fullFarB.MemBytes()
 	}
 	return n
 }
@@ -264,8 +267,8 @@ func (c *Collector) FarLossFraction() float64 {
 type CollectorState struct {
 	// The aggregated grids' builder state.
 	NearB, FarB tschunk.BuilderState
-	// Full-resolution window values, when configured.
-	FullNear, FullFar []float64
+	// The full-resolution windows' builder state, when configured.
+	FullNearB, FullFarB tschunk.BuilderState
 	// Round accounting.
 	FarRounds, FarLostRounds, MissedRounds, SkippedRounds int
 }
@@ -283,9 +286,9 @@ func (c *Collector) Checkpoint() CollectorState {
 		MissedRounds:  c.missedRounds,
 		SkippedRounds: c.skippedRounds,
 	}
-	if c.fullNear != nil {
-		st.FullNear = c.fullNear.Values
-		st.FullFar = c.fullFar.Values
+	if c.fullNearB != nil {
+		st.FullNearB = c.fullNearB.State()
+		st.FullFarB = c.fullFarB.State()
 	}
 	return st
 }
@@ -296,9 +299,9 @@ func (c *Collector) Checkpoint() CollectorState {
 func (c *Collector) RestoreCheckpoint(st CollectorState) {
 	c.nearB.RestoreState(st.NearB)
 	c.farB.RestoreState(st.FarB)
-	if c.fullNear != nil {
-		copy(c.fullNear.Values, st.FullNear)
-		copy(c.fullFar.Values, st.FullFar)
+	if c.fullNearB != nil {
+		c.fullNearB.RestoreState(st.FullNearB)
+		c.fullFarB.RestoreState(st.FullFarB)
 	}
 	c.farRounds = st.FarRounds
 	c.farLostRounds = st.FarLostRounds

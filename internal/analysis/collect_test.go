@@ -10,6 +10,7 @@ import (
 	"afrixp/internal/prober"
 	"afrixp/internal/simclock"
 	"afrixp/internal/timeseries"
+	"afrixp/internal/tschunk"
 )
 
 // collectorStream is one random probing stream: times march forward
@@ -170,5 +171,46 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedArenaBlockSealZeroAlloc pins the block seal under the
+// zero-alloc claim: collectors on one shared arena with room reserved,
+// driven across block boundaries of the aggregated grids and the
+// full-resolution windows, compress and seal those blocks into the
+// slab without touching the heap.
+func TestSharedArenaBlockSealZeroAlloc(t *testing.T) {
+	campaign := simclock.Interval{Start: 0, End: simclock.Time(30 * 24 * time.Hour)}
+	arena := tschunk.NewArena(1 << 20)
+	cols := make([]*Collector, 4)
+	for i := range cols {
+		cols[i] = NewCollector(&prober.TSLP{}, CollectorConfig{
+			Campaign: campaign, FullResWindow: campaign, Arena: arena})
+	}
+	at, k := campaign.Start, 0
+	// One run is one aggregated block: BlockLen 30-minute bins of six
+	// 5-minute rounds each, with moving RTTs so blocks encode to more
+	// than a bit per slot.
+	block := func() {
+		for i := 0; i < tschunk.BlockLen*6; i++ {
+			k++
+			s := prober.Sample{
+				NearRTT: time.Duration(1000+k%7) * time.Microsecond,
+				FarRTT:  time.Duration(20000+(k*7919)%9973) * time.Microsecond,
+				FarLost: k%11 == 0,
+			}
+			for _, c := range cols {
+				c.recordSample(at, s)
+			}
+			at = at.Add(5 * time.Minute)
+		}
+	}
+	sealed, capBefore := arena.Len(), arena.Cap()
+	if avg := testing.AllocsPerRun(3, block); avg != 0 {
+		t.Errorf("probing across block boundaries makes %v heap allocations per block; want 0", avg)
+	}
+	if arena.Len() == sealed || arena.Cap() != capBefore {
+		t.Errorf("arena went from %d/%d to %d/%d bytes used/reserved; the seal claim is vacuous or the reserve grew",
+			sealed, capBefore, arena.Len(), arena.Cap())
 	}
 }

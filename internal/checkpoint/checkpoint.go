@@ -34,9 +34,11 @@ import (
 
 // Format is the serialization format version. Bump on any
 // incompatible change to Snapshot's shape; LoadLatest refuses
-// mismatched formats with a hard error. Format 3 packs each builder's
-// open block with the tschunk block codec (tschunk.BuilderState).
-const Format = 3
+// mismatched formats with a hard error. Format 4 keeps every
+// collector's series bytes in the per-shard Arenas (one per VP when
+// unsharded): collector builder states carry no bytes of their own,
+// and the full-resolution windows are builder states too.
+const Format = 4
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"
@@ -92,7 +94,8 @@ type Snapshot struct {
 	VPs     []VPState
 	// Budget is nil when no probe-budget scheduler is installed.
 	Budget *budget.SchedulerCheckpoint
-	// Arenas holds each shard's shared tschunk slab bytes, shard order.
+	// Arenas holds each shard's tschunk slab bytes, shard order: every
+	// collector's sealed blocks.
 	Arenas [][]byte
 }
 

@@ -40,7 +40,7 @@ func snapAt(barrier simclock.Time) *Snapshot {
 			RoundsDown:      3,
 			Links: []LinkState{
 				{Collector: analysis.CollectorState{
-					FullNear: []float64{1.5, nan, 3.25}, FullFar: []float64{nan, 2.5, nan},
+					FullNearB: openBlockState(1.5, nan, 3.25), FullFarB: openBlockState(nan, 2.5, nan),
 					FarRounds: 7, SkippedRounds: 2,
 				}},
 				{Collector: analysis.CollectorState{NearB: openBlockState(nan, 4.5, nan)},
@@ -75,9 +75,10 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if got.Barrier != 1000 || got.Manifest != snap.Manifest {
 		t.Fatalf("roundtrip header mismatch: %+v", got)
 	}
-	near := got.VPs[0].Links[0].Collector.FullNear
-	if len(near) != 3 || near[0] != 1.5 || !math.IsNaN(near[1]) || near[2] != 3.25 {
-		t.Fatalf("float payload (incl. NaN) not preserved: %v", near)
+	full := tschunk.NewBuilder(3)
+	full.RestoreState(got.VPs[0].Links[0].Collector.FullNearB)
+	if c := full.Seal(); c.At(0) != 1.5 || !math.IsNaN(c.At(1)) || c.At(2) != 3.25 {
+		t.Fatalf("float payload (incl. NaN) not preserved: %+v", got.VPs[0].Links[0].Collector.FullNearB)
 	}
 	b := tschunk.NewBuilder(3)
 	b.RestoreState(got.VPs[0].Links[1].Collector.NearB)
@@ -248,6 +249,65 @@ func TestFormat2FileIsHardError(t *testing.T) {
 			t.Fatalf("want=%v: Format-2 file loaded as %+v, want a hard error", w, snap)
 		}
 		if !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "format 2") {
+			t.Fatalf("want=%v: unexpected error: %v", w, err)
+		}
+	}
+}
+
+// v3Snapshot mirrors the Format-3 snapshot shape: builder states
+// flagged Shared, and the full-resolution windows as raw float64s.
+type v3BuilderState struct {
+	N        int
+	Shared   bool
+	CurBlock []byte
+}
+
+type v3Collector struct {
+	NearB, FarB       v3BuilderState
+	FullNear, FullFar []float64
+}
+
+type v3Link struct{ Collector v3Collector }
+
+type v3VP struct{ Links []v3Link }
+
+type v3Snapshot struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []v3VP
+	Arenas   [][]byte
+}
+
+// A Format-3 file decodes into the Format-4 shape (gob skips the
+// fields that are gone), so it must reach the format check and fail
+// there with the Format-2 error, never restore a mismatched shape.
+func TestFormat3FileIsHardError(t *testing.T) {
+	nan := math.NaN()
+	old := v3Snapshot{
+		Manifest: Manifest{Format: 3, ConfigHash: "cfg", WorldFingerprint: "world"},
+		Barrier:  1000,
+		VPs: []v3VP{{Links: []v3Link{{Collector: v3Collector{
+			NearB:    v3BuilderState{N: 3, Shared: true, CurBlock: []byte{1, 2}},
+			FullNear: []float64{1.5, nan}, FullFar: []float64{nan, 2.5},
+		}}}}},
+		Arenas: [][]byte{{0xde, 0xad}},
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	file := append(frameHeader(payload.Bytes()), payload.Bytes()...)
+	if err := os.WriteFile(filepath.Join(dir, fileName(1000)), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := Manifest{Format: Format, ConfigHash: "cfg", WorldFingerprint: "world"}
+	for _, w := range []*Manifest{&want, nil} {
+		snap, err := LoadLatest(dir, w)
+		if err == nil {
+			t.Fatalf("want=%v: Format-3 file loaded as %+v, want a hard error", w, snap)
+		}
+		if !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "format 3") {
 			t.Fatalf("want=%v: unexpected error: %v", w, err)
 		}
 	}

@@ -71,19 +71,17 @@ type Config struct {
 	// any value (see DESIGN.md §9). Default 1024; 1 degenerates to the
 	// per-step protocol.
 	BatchSteps int
-	// Shards, when > 1, partitions vantage points into shards (VP i
-	// belongs to shard i mod Shards, clamped to the VP count) and
-	// makes the shard — not the VP — the engine's unit of scheduling
+	// Shards partitions vantage points into shards (VP i belongs to
+	// shard i mod Shards, clamped to the VP count); Shards ≤ 1 means
+	// one shard per VP. The shard is the engine's unit of scheduling
 	// and memory: one pool task probes a shard's VPs in ascending
 	// index order, and all the shard's collectors seal their
-	// compressed series into one shared tschunk.Arena, so per-shard
-	// resident bytes are bounded and accountable (published as
-	// telemetry shard gauges at batch barriers). Per-VP probing state
-	// is fully independent and within-shard order is fixed, so results
-	// are bit-identical for any Workers × BatchSteps × Shards setting;
-	// with sharding on, effective probing parallelism is min(Workers,
-	// Shards). Shards ≤ 1 keeps the per-VP scheduling with private
-	// collector arenas.
+	// compressed series into one tschunk.Arena, so per-shard resident
+	// bytes are bounded and accountable (published as telemetry shard
+	// gauges at batch barriers). Per-VP probing state is fully
+	// independent and within-shard order is fixed, so results are
+	// bit-identical for any Workers × BatchSteps × Shards setting;
+	// effective probing parallelism is min(Workers, shards).
 	Shards int
 	// Faults, when non-nil, injects a deterministic fault plan — VP
 	// outages, ICMP blackouts and rate-limiting at case-link routers,
@@ -273,10 +271,10 @@ type VPResult struct {
 	snapAt     []simclock.Time
 	snapIdx    int
 	registered int
-	// arena is the VP's shard arena (nil when sharding is off); outage
-	// is its injected downtime schedule (nil = always up); bview is its
-	// view of the probe-budget scheduler, indexed like records (nil =
-	// no scheduler, never skips).
+	// arena is the VP's shard arena; outage is its injected downtime
+	// schedule (nil = always up); bview is its view of the
+	// probe-budget scheduler, indexed like records (nil = no
+	// scheduler, never skips).
 	arena  *tschunk.Arena
 	outage *faults.Outage
 	bview  *budget.VPLinks
@@ -304,12 +302,6 @@ type Result struct {
 	VPs   []*VPResult
 	// Faults is the injected fault schedule; nil without Cfg.Faults.
 	Faults *faults.Schedule
-
-	// shards is the effective shard count the engine ran with (0 or 1
-	// = unsharded). Reanalyze must respect it: a shard's collectors
-	// seal into one shared arena, so sealing parallelism is per shard,
-	// not per link.
-	shards int
 }
 
 // VPYield is one vantage point's measurement-health accounting under
@@ -472,37 +464,45 @@ func Run(cfg Config) *Result {
 // rank-CUSUM detection and the diurnal fold run once per link end and
 // every threshold reuses them. Each worker threads one
 // analysis.Sweeper, so detector scratch is reused across its links too.
-// AnalyzeLinkSweep is pure and each task writes only its own records,
+// AnalyzeLinkSweep is pure and each task writes only its own record,
 // so ordering cannot affect results. Run calls this once; it is
 // exported so callers can re-derive verdicts after changing
 // Cfg.Thresholds, and it is the benchmark surface for the analysis
 // fan-out.
 func (r *Result) Reanalyze(workers int) {
 	thresholds := r.Cfg.Thresholds
-	groups := r.linkGroups()
-	pool := newWorkerPool(min(workers, len(groups)), nil)
+	// Sealing appends to the shard arenas, which take one writer at a
+	// time, so every collector seals here, serially in VP order; the
+	// fan-out below then only reads.
+	var links []*LinkRecord
+	for _, vr := range r.VPs {
+		for _, lr := range vr.records {
+			lr.Collector.Series()
+			links = append(links, lr)
+		}
+	}
+	pool := newWorkerPool(min(workers, len(links)), nil)
 	defer pool.close()
 	sweepers := make([]*analysis.Sweeper, pool.workers)
 	for w := range sweepers {
 		sweepers[w] = analysis.NewSweeper()
 	}
-	pool.do(len(groups), func(w, g int) {
-		for _, lr := range groups[g] {
-			verdicts := sweepers[w].AnalyzeLinkSweep(lr.Collector.Series(), analysis.DefaultConfig(), thresholds)
-			for k, thr := range thresholds {
-				v := verdicts[k]
-				if lr.Symmetry != nil && !lr.Symmetry.Symmetric {
-					// An asymmetric route invalidates the TSLP
-					// attribution: the far-RTT rise may come from a
-					// reverse path that does not cross this link.
-					v.Symmetric = false
-					v.Congested = false
-				}
-				lr.Verdicts[thr] = v
+	pool.do(len(links), func(w, i int) {
+		lr := links[i]
+		verdicts := sweepers[w].AnalyzeLinkSweep(lr.Collector.Series(), analysis.DefaultConfig(), thresholds)
+		for k, thr := range thresholds {
+			v := verdicts[k]
+			if lr.Symmetry != nil && !lr.Symmetry.Symmetric {
+				// An asymmetric route invalidates the TSLP
+				// attribution: the far-RTT rise may come from a
+				// reverse path that does not cross this link.
+				v.Symmetric = false
+				v.Congested = false
 			}
-			if lr.lossCol != nil {
-				lr.LossBatches = lr.lossCol.Batches()
-			}
+			lr.Verdicts[thr] = v
+		}
+		if lr.lossCol != nil {
+			lr.LossBatches = lr.lossCol.Batches()
 		}
 	})
 	if tele := r.Cfg.Telemetry; tele != nil {
@@ -516,25 +516,6 @@ func (r *Result) Reanalyze(workers int) {
 			tele.Analysis.FoldsReused.Add(st.FoldsReused)
 		}
 	}
-}
-
-// linkGroups splits the links into analysis tasks. Sharded campaigns
-// seal a shard's collectors into one shared arena (Series → Seal
-// appends to the slab), so there a group is a shard's links in VP
-// order — the single-writer rule the arena requires, and the same
-// visit order every time. Otherwise each link is its own group.
-func (r *Result) linkGroups() [][]*LinkRecord {
-	groups := make([][]*LinkRecord, r.shards)
-	for i, vr := range r.VPs {
-		if r.shards > 1 {
-			groups[i%r.shards] = append(groups[i%r.shards], vr.records...)
-			continue
-		}
-		for k := range vr.records {
-			groups = append(groups, vr.records[k:k+1])
-		}
-	}
-	return groups
 }
 
 // sameRouterOracle answers alias questions from simulator ground

@@ -45,10 +45,10 @@ type engine struct {
 	res  *Result
 	tele *telemetry.Telemetry
 	eng  *telemetry.EngineStats // nil without telemetry
-	// tasks is the pool's task count per batch: one per shard with
-	// sharding on, else one per VP. Task k probes VPs k, k+tasks, … in
-	// ascending order, so the (step, link) visit order within a task
-	// is fixed regardless of worker count.
+	// tasks is the pool's task count per batch, one per shard. Task k
+	// probes VPs k, k+tasks, … in ascending order, so the (step, link)
+	// visit order within a task is fixed regardless of worker count.
+	// arenas holds each shard's series slab.
 	tasks  int
 	arenas []*tschunk.Arena
 	sched  *budget.Scheduler
@@ -135,20 +135,20 @@ func newEngine(cfg Config) *engine {
 	}
 
 	// Shard partition: VP i → shard i mod shards, so each shard owns a
-	// stride of the VP list and one shared compression arena. The
-	// arenas exist before discovery runs — collectors are born sealing
-	// into their shard's slab.
+	// stride of the VP list and one compression arena; Shards ≤ 1 is
+	// one shard per VP. The arenas exist before discovery runs —
+	// collectors are born sealing into their shard's slab.
 	e.tasks = len(e.res.VPs)
-	if shards := min(cfg.Shards, len(e.res.VPs)); shards > 1 {
-		e.tasks, e.res.shards = shards, shards
-		for si, vr := range e.res.VPs {
-			if si < shards {
-				e.arenas = append(e.arenas, tschunk.NewArena(0))
-			}
-			vr.arena = e.arenas[si%shards]
-		}
-		e.progress("sharded engine: %d shards over %d VPs", shards, len(e.res.VPs))
+	if cfg.Shards > 1 {
+		e.tasks = min(cfg.Shards, len(e.res.VPs))
 	}
+	for si, vr := range e.res.VPs {
+		if si < e.tasks {
+			e.arenas = append(e.arenas, tschunk.NewArena(0))
+		}
+		vr.arena = e.arenas[si%e.tasks]
+	}
+	e.progress("engine: %d shards over %d VPs", e.tasks, len(e.res.VPs))
 
 	// Checkpoint manifest + resume load (DESIGN.md §15). The world
 	// fingerprint must be taken before AdvanceTo consumes the pending
@@ -368,13 +368,17 @@ func (e *engine) open(t simclock.Time) {
 }
 
 // quiescent reports whether step t needs no barrier: no hook is due.
+// Every due hook is counted as forcing the barrier; the dues are pure,
+// so asking them all changes nothing.
 func (e *engine) quiescent(t simclock.Time) bool {
-	for _, h := range e.hooks {
+	q := true
+	for k, h := range e.hooks {
 		if h.due != nil && h.due(t) {
-			return false
+			q = false
+			e.eng.AddForced(k)
 		}
 	}
-	return true
+	return q
 }
 
 // flush advances the world and queues over a batch of quiescent steps
@@ -390,6 +394,9 @@ func (e *engine) flush(first int, steps []simclock.Time) {
 		e.eng.QuiescentSteps.Add(uint64(len(steps) - 1))
 		e.eng.RoundsDispatched.Add(uint64(len(steps) * len(e.res.VPs)))
 		e.eng.BatchLen.Observe(float64(len(steps)))
+		if len(steps) == e.cfg.BatchSteps {
+			e.eng.CapClosed.Inc()
+		}
 	}
 	// In replay the world and queues advance (they are pure functions
 	// of virtual time), but no probes fire; the snapshot restores the

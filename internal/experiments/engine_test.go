@@ -99,3 +99,45 @@ func TestEngineBarrierFlushZeroAlloc(t *testing.T) {
 		t.Error("budget gate skipped no round")
 	}
 }
+
+// TestForcedBarrierCounts checks the barrier attribution in /metrics:
+// every batch after the first was opened because a hook forced it or
+// because the BatchSteps cap closed the one before, hooks that are
+// never due force nothing, and a due hook's count is live.
+func TestForcedBarrierCounts(t *testing.T) {
+	tele := telemetry.New()
+	Run(Config{
+		Opts: scenario.Options{Seed: 5, Scale: 0.1},
+		Campaign: simclock.Interval{
+			Start: simclock.Date(2016, time.July, 20),
+			End:   simclock.Date(2016, time.July, 24),
+		},
+		Workers:    1,
+		BatchSteps: 64,
+		Budget:     &budget.Config{Fraction: 0.5, Seed: 1},
+		Telemetry:  tele,
+	})
+	snap := tele.Snapshot().Engine
+	var forced uint64
+	for _, h := range snap.Hooks {
+		forced += h.Forced
+		switch h.Hook {
+		case "publish", "paths", "register":
+			if h.Forced != 0 {
+				t.Errorf("hook %s is never due but forced %d barriers", h.Hook, h.Forced)
+			}
+		case "budget":
+			if h.Forced == 0 {
+				t.Error("budget recomputes forced no barrier")
+			}
+		}
+	}
+	if snap.CapClosed == 0 || snap.CapClosed > snap.Flushes {
+		t.Errorf("%d cap-closed batches of %d flushed", snap.CapClosed, snap.Flushes)
+	}
+	if forced+snap.CapClosed < snap.BatchesOpened-1 {
+		t.Errorf("%d batches opened, but only %d forced and %d cap-closed",
+			snap.BatchesOpened, forced, snap.CapClosed)
+	}
+	t.Logf("opened %d, cap-closed %d, forced %+v", snap.BatchesOpened, snap.CapClosed, snap.Hooks)
+}

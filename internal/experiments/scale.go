@@ -151,10 +151,9 @@ func runScalePoint(scale float64, cfg ScaleSweepConfig) ScalePoint {
 	return p
 }
 
-// bytesPerLink computes resident series bytes per probed link. Sharded
-// campaigns publish the authoritative per-shard figure (shared arena
-// plus collector state) as telemetry gauges at barriers; unsharded
-// campaigns sum the private collectors directly.
+// bytesPerLink computes resident series bytes per probed link from
+// the per-shard figure (shard arena plus collector state) the engine
+// publishes as telemetry gauges at barriers.
 func bytesPerLink(res *Result, tele *telemetry.Telemetry) float64 {
 	links := 0
 	for _, vr := range res.VPs {
@@ -164,16 +163,8 @@ func bytesPerLink(res *Result, tele *telemetry.Telemetry) float64 {
 		return 0
 	}
 	var resident int64
-	if shards := tele.Snapshot().Engine.Shards; len(shards) > 0 {
-		for _, sh := range shards {
-			resident += sh.ResidentBytes
-		}
-	} else {
-		for _, vr := range res.VPs {
-			for _, lr := range vr.SortedLinks() {
-				resident += int64(lr.Collector.MemBytes())
-			}
-		}
+	for _, sh := range tele.Snapshot().Engine.Shards {
+		resident += sh.ResidentBytes
 	}
 	return float64(resident) / float64(links)
 }

@@ -9,6 +9,7 @@ import (
 	"afrixp/internal/scenario"
 	"afrixp/internal/simclock"
 	"afrixp/internal/telemetry"
+	"afrixp/internal/tschunk"
 	"afrixp/internal/worldgen"
 )
 
@@ -91,21 +92,33 @@ func TestShardedTelemetryGauges(t *testing.T) {
 		t.Errorf("telemetry report lacks shard lines:\n%s", b.String())
 	}
 
-	// An unsharded campaign publishes no shard gauges.
+	// An unsharded campaign runs one shard, so one gauge, per VP.
 	tele2 := telemetry.New()
-	runShardCampaign(4, 0, 0, tele2)
-	if n := len(tele2.Snapshot().Engine.Shards); n != 0 {
-		t.Errorf("unsharded campaign published %d shard gauges, want 0", n)
+	res2 := runShardCampaign(4, 0, 0, tele2)
+	if n := len(tele2.Snapshot().Engine.Shards); n != len(res2.VPs) {
+		t.Errorf("unsharded campaign published %d shard gauges, want one per VP (%d)", n, len(res2.VPs))
 	}
 }
 
-// residentBytesPrivate sums the private collectors' resident series
-// bytes — the unsharded memory figure.
+// privateScratchBytes is tschunk's worst-case encoded block
+// (worstBlockBytes): the encode scratch every builder held in the
+// retired private-arena layout.
+const privateScratchBytes = 2474
+
+// residentBytesPrivate is the resident series bytes the retired
+// private-arena layout held for the same links, computed from the grid
+// sizes: per link, two builders each with a 4n+16-byte arena reserve
+// for its n-slot grid, an encode scratch and a raw open block, plus
+// the flat full-resolution window on case links.
 func residentBytesPrivate(res *Result) int64 {
 	var n int64
 	for _, vr := range res.VPs {
 		for _, lr := range vr.SortedLinks() {
-			n += int64(lr.Collector.MemBytes())
+			_, _, slots := lr.Collector.AggSpan()
+			n += 2 * int64(4*slots+16+privateScratchBytes+8*tschunk.BlockLen)
+			if near, far := lr.Collector.FullRes(); near != nil {
+				n += 8 * int64(near.Len()+far.Len())
+			}
 		}
 	}
 	return n

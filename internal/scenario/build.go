@@ -173,15 +173,22 @@ func (e *LANFullError) Error() string {
 	return fmt.Sprintf("scenario: %s peering LAN %v is full at %d member ports", e.IXP, e.LAN, e.Ports)
 }
 
+// reservePort panics with a *LANFullError when the exchange's LAN has
+// no address left for one more member port beyond the attached ones
+// and the scheduled joins that have not applied yet.
+func reservePort(x *IXPInfo) {
+	if ports := len(x.PeeringLAN.Attachments) + x.pendingJoins; uint64(10+ports) >= x.Peering.NumAddrs() {
+		panic(&LANFullError{IXP: x.Name, LAN: x.Peering, Ports: ports})
+	}
+}
+
 // joinIXP attaches an AS's border router to an exchange fabric and
 // records peerings with the existing members, the directory port
 // assignment, and rDNS for the port. It panics with a *LANFullError
 // when the LAN has no address left (BuildPaper recovers it).
 func (b *builder) joinIXP(a *asInfo, x *IXPInfo, spec PortSpec) netaddr.Addr {
+	reservePort(x)
 	slot := len(x.PeeringLAN.Attachments)
-	if uint64(10+slot) >= x.Peering.NumAddrs() {
-		panic(&LANFullError{IXP: x.Name, LAN: x.Peering, Ports: slot})
-	}
 	addr := x.Peering.Nth(uint64(10 + slot))
 	name := geo.InterfaceName(fmt.Sprintf("xe0-%d", slot), "br1",
 		cityOfIXP(x), x.Country, domainOf(a.Name))
@@ -228,10 +235,16 @@ func (b *builder) leaveEvent(a *asInfo, x *IXPInfo, at simclock.Time, why string
 		}})
 }
 
-// joinEvent attaches a member at a future date.
+// joinEvent attaches a member at a future date. The port is reserved
+// now, so a join that would overflow the LAN fails the build with a
+// *LANFullError instead of panicking when it applies; the address is
+// still assigned in join order when it applies.
 func (b *builder) joinEvent(a *asInfo, x *IXPInfo, at simclock.Time, spec PortSpec, onJoin func(addr netaddr.Addr)) {
+	reservePort(x)
+	x.pendingJoins++
 	b.w.AddEvent(Event{At: at, Name: fmt.Sprintf("%s joins %s", a.Name, x.Name),
 		Apply: func(w *World) {
+			x.pendingJoins--
 			addr := b.joinIXP(a, x, spec)
 			w.Net.InvalidateRoutes()
 			if onJoin != nil {

@@ -82,6 +82,9 @@ type IXPInfo struct {
 	Management netaddr.Prefix
 	// Members maps member ASN → its border-router port address.
 	Members map[asrel.ASN]netaddr.Addr
+	// pendingJoins counts scheduled joins that have not applied yet;
+	// their ports are reserved against the LAN's capacity.
+	pendingJoins int
 }
 
 // Event is a timed world mutation (member churn, capacity upgrade,

@@ -295,3 +295,52 @@ func TestBuildPaperRejectsOverfullLAN(t *testing.T) {
 		t.Fatal("BuildPaper's world differs from Paper's")
 	}
 }
+
+// TestScheduledJoinsReserveLANPorts checks that scheduled IXP joins
+// count against the peering LAN at build time: static members plus
+// scheduled joins that overflow a /24 (246 member ports) fail with a
+// *LANFullError when the join is scheduled, never later when it
+// applies mid-campaign; a set that exactly fills the LAN builds and
+// every join applies.
+func TestScheduledJoinsReserveLANPorts(t *testing.T) {
+	const static, scheduled = 240, 6
+	build := func() (*Builder, *IXPInfo) {
+		g := NewBuilder(BuilderConfig{Seed: 1})
+		x := g.AddIXP("TIX", "tz", "east", "daressalaam", 2004, g.AllocASN(), false)
+		for i := 0; i < static; i++ {
+			g.JoinIXP(g.AddAS(g.AllocASN(), "m", "M", "tz", "daressalaam"), x, PortSpec{})
+		}
+		for i := 0; i < scheduled; i++ {
+			g.JoinEvent(g.AddAS(g.AllocASN(), "j", "J", "tz", "daressalaam"), x,
+				simclock.Time(time.Duration(i+1)*24*time.Hour), PortSpec{}, nil)
+		}
+		return g, x
+	}
+	lanFull := func(name string, overflow func()) {
+		t.Helper()
+		defer func() {
+			full, ok := recover().(*LANFullError)
+			if !ok || full.IXP != "TIX" || full.Ports != static+scheduled {
+				t.Errorf("%s: recovered %+v, want TIX's LAN full at %d ports", name, full, static+scheduled)
+			}
+		}()
+		overflow()
+	}
+
+	g, x := build()
+	lanFull("scheduled join", func() {
+		g.JoinEvent(g.AddAS(g.AllocASN(), "late", "L", "tz", "daressalaam"), x,
+			simclock.Time(30*24*time.Hour), PortSpec{}, nil)
+	})
+	g, x = build()
+	lanFull("static join", func() {
+		g.JoinIXP(g.AddAS(g.AllocASN(), "late", "L", "tz", "daressalaam"), x, PortSpec{})
+	})
+
+	g, x = build()
+	g.World().AdvanceTo(simclock.Time(10 * 24 * time.Hour))
+	if len(x.Members) != static+scheduled || len(x.PeeringLAN.Attachments) != static+scheduled {
+		t.Fatalf("%d members on %d ports after every join applied, want %d",
+			len(x.Members), len(x.PeeringLAN.Attachments), static+scheduled)
+	}
+}

@@ -142,6 +142,9 @@ type EngineStats struct {
 	// Flushes counts worker-pool dispatch rounds; RoundsDispatched
 	// counts per-VP probing rounds (batch steps × vantage points).
 	BatchesOpened, QuiescentSteps, Flushes, RoundsDispatched Counter
+	// CapClosed counts batches the BatchSteps cap closed rather than a
+	// due barrier hook (see hookForced).
+	CapClosed Counter
 	// BatchLen is the distribution of steps per flushed batch.
 	BatchLen *Histogram
 
@@ -150,17 +153,19 @@ type EngineStats struct {
 	// its own slot.
 	workerBusy []atomic.Int64
 
-	// shards holds per-shard gauges when the sharded campaign engine
-	// is active. Sized once by SetShards before probing starts; the
-	// engine atomically Sets each gauge at batch barriers, so the
-	// steady-state probe step stays allocation-free.
+	// shards holds the campaign engine's per-shard gauges. Sized once
+	// by SetShards before probing starts; the engine atomically Sets
+	// each gauge at batch barriers, so the steady-state probe step
+	// stays allocation-free.
 	shards []ShardGauges
 
 	// hookNames, hookCalls and hookNS time each barrier hook: runs
-	// and wall nanoseconds. Sized once by SetHooks before probing
-	// starts; the engine adds to one slot per hook run, allocation-free.
-	hookNames         []string
-	hookCalls, hookNS []Counter
+	// and wall nanoseconds. hookForced counts the batches each hook
+	// stopped by being due (several hooks may force one barrier).
+	// Sized once by SetHooks before probing starts; the engine adds to
+	// one slot per hook run, allocation-free.
+	hookNames                     []string
+	hookCalls, hookNS, hookForced []Counter
 }
 
 // ShardGauges instruments one campaign shard: resident series bytes
@@ -189,8 +194,8 @@ func (e *EngineStats) AddWorkerBusy(k int, d time.Duration) {
 }
 
 // SetShards sizes the per-shard gauge table. Call before probing
-// starts (it is the table's only allocation); n ≤ 0 clears it, which
-// is the unsharded engine's state — no shard lines in reports.
+// starts (it is the table's only allocation); n ≤ 0 clears it — no
+// shard lines in reports.
 func (e *EngineStats) SetShards(n int) {
 	if n <= 0 {
 		e.shards = nil
@@ -199,8 +204,8 @@ func (e *EngineStats) SetShards(n int) {
 	e.shards = make([]ShardGauges, n)
 }
 
-// Shard returns shard k's gauges, or nil when sharding is off or k is
-// out of range — callers publish through the returned pointer.
+// Shard returns shard k's gauges, or nil when no table is sized or k
+// is out of range — callers publish through the returned pointer.
 func (e *EngineStats) Shard(k int) *ShardGauges {
 	if k < 0 || k >= len(e.shards) {
 		return nil
@@ -214,6 +219,7 @@ func (e *EngineStats) SetHooks(names []string) {
 	e.hookNames = names
 	e.hookCalls = make([]Counter, len(names))
 	e.hookNS = make([]Counter, len(names))
+	e.hookForced = make([]Counter, len(names))
 }
 
 // AddHook credits one run of hook k taking d. Nil-safe.
@@ -221,6 +227,14 @@ func (e *EngineStats) AddHook(k int, d time.Duration) {
 	if e != nil && k >= 0 && k < len(e.hookNames) {
 		e.hookCalls[k].Inc()
 		e.hookNS[k].Add(uint64(d))
+	}
+}
+
+// AddForced counts one batch that hook k stopped by being due.
+// Nil-safe.
+func (e *EngineStats) AddForced(k int) {
+	if e != nil && k >= 0 && k < len(e.hookNames) {
+		e.hookForced[k].Inc()
 	}
 }
 
@@ -458,11 +472,13 @@ type ShardSnapshot struct {
 	RoundsPerSec  float64 `json:"rounds_per_sec"`
 }
 
-// HookSnapshot is one barrier hook's accumulated wall time.
+// HookSnapshot is one barrier hook's accumulated wall time and the
+// number of batches it forced closed.
 type HookSnapshot struct {
 	Hook   string `json:"hook"`
 	Calls  uint64 `json:"calls"`
 	WallNS uint64 `json:"wall_ns"`
+	Forced uint64 `json:"forced"`
 }
 
 // SpanSnapshot is a span rendered for export.
@@ -490,6 +506,7 @@ type EngineSnapshot struct {
 	QuiescentSteps   uint64            `json:"quiescent_steps"`
 	Flushes          uint64            `json:"flushes"`
 	RoundsDispatched uint64            `json:"rounds_dispatched"`
+	CapClosed        uint64            `json:"cap_closed,omitempty"`
 	BatchLen         HistogramSnapshot `json:"batch_len"`
 	Workers          []WorkerSnapshot  `json:"workers"`
 	Shards           []ShardSnapshot   `json:"shards,omitempty"`
@@ -560,6 +577,7 @@ func (t *Telemetry) Snapshot() Snapshot {
 		QuiescentSteps:   t.Engine.QuiescentSteps.Load(),
 		Flushes:          t.Engine.Flushes.Load(),
 		RoundsDispatched: t.Engine.RoundsDispatched.Load(),
+		CapClosed:        t.Engine.CapClosed.Load(),
 		BatchLen:         t.Engine.BatchLen.snapshot(),
 	}
 	for k := range t.Engine.workerBusy {
@@ -587,7 +605,8 @@ func (t *Telemetry) Snapshot() Snapshot {
 	}
 	for k, name := range t.Engine.hookNames {
 		s.Engine.Hooks = append(s.Engine.Hooks, HookSnapshot{Hook: name,
-			Calls: t.Engine.hookCalls[k].Load(), WallNS: t.Engine.hookNS[k].Load()})
+			Calls: t.Engine.hookCalls[k].Load(), WallNS: t.Engine.hookNS[k].Load(),
+			Forced: t.Engine.hookForced[k].Load()})
 	}
 
 	s.Probe = ProbeSnapshot{

@@ -11,8 +11,10 @@
 // The write path is an append-only Builder: samples land in a raw
 // in-place block (the campaign's streaming min/max filters re-touch the
 // current bin many times), and a block is compressed exactly once, when
-// the write frontier passes it. Sealing into a pre-reserved arena keeps
-// the steady-state probing step allocation-free. The read path decodes
+// the write frontier passes it, into an Arena: a byte slab the builder
+// owns, or one the campaign engine shares among a shard's builders.
+// Sealing into a pre-reserved slab keeps the steady-state probing step
+// allocation-free. The read path decodes
 // one block at a time into caller-owned buffers, so an analysis pass
 // streams a year-long series through a few kilobytes of scratch instead
 // of materializing it.
@@ -51,8 +53,7 @@ type Chunk struct {
 	arena  []byte
 	blocks []blockRef
 	// enc is the chunk's own encoded payload (shared all-missing
-	// blocks counted once). Equal to len(arena) for private-arena
-	// chunks; smaller for chunks sealed into a shared Arena slab.
+	// blocks counted once); the arena may hold other builders' blocks.
 	enc int
 }
 
@@ -146,33 +147,35 @@ func (it *Iter) Next() (v float64, ok bool) {
 // set, min-merged, and max-merged freely — the streaming filters
 // re-touch a bin once per probing round.
 //
-// A Builder pre-reserves its arena at construction, so the per-sample
-// write path never allocates; sealing allocates only if compression
-// outruns the reserve (the arena then doubles). Not safe for
-// concurrent use.
+// Sealed blocks land in the builder's Arena. Construction reserves
+// slab room for the grid, so the per-sample write path never
+// allocates; a seal allocates only when the slab is full (it then
+// grows by append). Not safe for concurrent use.
 type Builder struct {
-	n       int
-	blocks  []blockRef
-	arena   []byte
-	shared  *Arena    // non-nil: blocks land in the shared slab instead
-	cur     []float64 // raw current block, NaN-initialized
-	curBlk  int       // block index cur covers
-	scratch []byte    // per-block encode buffer (worst case sized)
-	encLen  int       // own encoded bytes (shared NaN block counted once)
-	nanRef  blockRef  // shared encoding of a full all-missing block
-	hasNaN  bool
-	dirty   bool // cur has at least one non-missing write
-	sealed  *Chunk
+	n      int
+	blocks []blockRef
+	arena  *Arena
+	// own marks an arena made for this builder alone: its bytes are
+	// part of the builder's State. An engine-owned arena is captured
+	// once by its owner (Arena.State).
+	own    bool
+	cur    []float64 // raw current block, NaN-initialized
+	curBlk int       // block index cur covers
+	encLen int       // own encoded bytes (shared NaN block counted once)
+	nanRef blockRef  // shared encoding of a full all-missing block
+	hasNaN bool
+	dirty  bool // cur has at least one non-missing write
+	sealed *Chunk
 }
 
-// Arena is a shared append-only compression slab many Builders seal
-// into — the campaign engine gives every shard one Arena so a shard's
-// resident series bytes are a single accountable (and pre-reservable)
-// allocation instead of thousands of per-link slices. Builders store
-// absolute offsets, so slab growth never invalidates sealed blocks.
-// Single-writer: all Builders on one Arena must seal from the same
-// goroutine at any instant (the shard's worker), which also lets them
-// share one worst-case encode scratch buffer.
+// Arena is an append-only compression slab Builders seal into: one
+// per standalone builder, or one per campaign shard, so a shard's
+// resident series bytes are a single accountable allocation instead of
+// thousands of per-link slices. Builders store absolute offsets, so
+// slab growth never invalidates sealed blocks. Single-writer: all
+// Builders on one Arena must seal from the same goroutine at any
+// instant (the shard's worker), which also lets them share one
+// worst-case encode scratch buffer.
 type Arena struct {
 	buf     []byte
 	scratch []byte
@@ -189,12 +192,14 @@ func NewArena(capBytes int) *Arena {
 	}
 }
 
-// Reserve grows the slab capacity so at least bytes more can be
-// appended without reallocating. Growth adds a bounded 64 KiB headroom
-// beyond the request: thousands of builders reserving a few hundred
-// bytes each at discovery time would otherwise reallocate-and-copy the
-// slab quadratically, while the fixed headroom keeps the cap-based
-// per-shard memory accounting within 64 KiB of the exact sum.
+// Reserve grows the slab capacity so at least bytes more fit beyond
+// the bytes already sealed, adding a 64 KiB headroom whenever it
+// grows: thousands of builders reserving a few hundred bytes each at
+// discovery time would otherwise reallocate-and-copy the slab
+// quadratically. The top-up is against the slab's used length, not
+// against earlier reservations, so builders made before a seal share
+// one reservation; a slab that fills up grows by append at the next
+// seal, O(log size) allocations per arena per campaign.
 func (a *Arena) Reserve(bytes int) {
 	if need := len(a.buf) + bytes; need > cap(a.buf) {
 		newCap := cap(a.buf) + 64<<10
@@ -221,32 +226,26 @@ func (a *Arena) MemBytes() int { return cap(a.buf) + cap(a.scratch) }
 // value, then ≤ 2+5+6+64 bits per value, plus byte-alignment slack.
 const worstBlockBytes = 8 + (BlockLen*77)/8 + 2
 
-// NewBuilder sizes a builder for an n-slot grid, reserving arena
-// capacity for ~4 bytes per slot — comfortably above what min-filtered
-// RTT grids encode to (long missing runs cost one bit per slot,
-// repeated floors one bit, moving values a few bytes). Use Reserve to
-// override before the first seal.
+// NewBuilder sizes a builder for an n-slot grid on an arena of its
+// own, reserving ~4 bytes per slot — comfortably above what
+// min-filtered RTT grids encode to (long missing runs cost one bit per
+// slot, repeated floors one bit, moving values a few bytes).
 func NewBuilder(n int) *Builder { return NewBuilderArena(n, nil) }
 
-// NewBuilderArena is NewBuilder sealing into a shared Arena: the
-// builder reserves its ~4 bytes/slot in the slab instead of a private
-// slice and borrows the arena's encode scratch. a == nil falls back
-// to a private arena.
+// NewBuilderArena is NewBuilder sealing into a (typically shared)
+// Arena: the builder reserves its ~4 bytes/slot in the slab and
+// borrows the arena's encode scratch. a == nil gives the builder an
+// arena of its own.
 func NewBuilderArena(n int, a *Arena) *Builder {
 	if n < 0 {
 		panic("tschunk: negative grid length")
 	}
-	b := &Builder{
-		n:      n,
-		blocks: make([]blockRef, 0, (n+BlockLen-1)/BlockLen),
-		shared: a,
+	b := &Builder{n: n, blocks: make([]blockRef, 0, (n+BlockLen-1)/BlockLen)}
+	if a == nil {
+		a, b.own = NewArena(4*n+16), true
 	}
-	if a != nil {
-		a.Reserve(4*n + 16)
-	} else {
-		b.arena = make([]byte, 0, 4*n+16)
-		b.scratch = make([]byte, 0, worstBlockBytes)
-	}
+	a.Reserve(4*n + 16)
+	b.arena = a
 	b.resetCur(0)
 	return b
 }
@@ -254,44 +253,14 @@ func NewBuilderArena(n int, a *Arena) *Builder {
 // Len returns the grid length.
 func (b *Builder) Len() int { return b.n }
 
-// Reserve grows the arena capacity to at least bytes. Call before
-// probing starts to guarantee allocation-free sealing. On a shared
-// Arena, reserves additional slab headroom instead.
-func (b *Builder) Reserve(bytes int) {
-	if b.shared != nil {
-		b.shared.Reserve(bytes)
-		return
-	}
-	if bytes > cap(b.arena) {
-		grown := make([]byte, len(b.arena), bytes)
-		copy(grown, b.arena)
-		b.arena = grown
-	}
-}
-
-// MemBytes is the builder's resident footprint beyond any shared
-// slab: the raw current block plus, for private-arena builders, the
-// arena reserve. Shared-arena builders report only the current block
-// — their encoded bytes live in (and are accounted by) the Arena.
-func (b *Builder) MemBytes() int {
-	n := 8 * cap(b.cur)
-	if b.shared == nil {
-		n += cap(b.arena) + cap(b.scratch)
-	}
-	return n
-}
+// MemBytes is the builder's resident footprint beyond its arena: the
+// raw current block. Encoded bytes live in (and are accounted by) the
+// Arena.
+func (b *Builder) MemBytes() int { return 8 * cap(b.cur) }
 
 // EncodedLen returns the builder's own encoded bytes so far (shared
 // all-missing blocks counted once).
 func (b *Builder) EncodedLen() int { return b.encLen }
-
-// arenaBytes returns the byte store sealed blocks decode from.
-func (b *Builder) arenaBytes() []byte {
-	if b.shared != nil {
-		return b.shared.buf
-	}
-	return b.arena
-}
 
 func (b *Builder) resetCur(blk int) {
 	b.curBlk = blk
@@ -348,25 +317,12 @@ func (b *Builder) sealCur() {
 	b.blocks = append(b.blocks, b.appendEncoded(b.cur))
 }
 
-// encodeScratch returns the empty worst-case encode buffer: the
-// builder's own, or the shared arena's.
-func (b *Builder) encodeScratch() []byte {
-	if b.shared != nil {
-		return b.shared.scratch[:0]
-	}
-	return b.scratch[:0]
-}
-
 func (b *Builder) appendEncoded(vals []float64) blockRef {
-	enc := encodeBlock(vals, b.encodeScratch())
+	a := b.arena
+	enc := encodeBlock(vals, a.scratch[:0])
 	b.encLen += len(enc)
-	if b.shared != nil {
-		off := len(b.shared.buf)
-		b.shared.buf = append(b.shared.buf, enc...)
-		return blockRef{off: off, size: len(enc), count: len(vals)}
-	}
-	off := len(b.arena)
-	b.arena = append(b.arena, enc...)
+	off := len(a.buf)
+	a.buf = append(a.buf, enc...)
 	return blockRef{off: off, size: len(enc), count: len(vals)}
 }
 
@@ -418,7 +374,7 @@ func (b *Builder) At(i int) float64 {
 	ref := b.blocks[blk]
 	var buf [BlockLen]float64
 	dst := buf[:ref.count]
-	decodeBlock(b.arenaBytes()[ref.off:ref.off+ref.size], dst)
+	decodeBlock(b.arena.buf[ref.off:ref.off+ref.size], dst)
 	return dst[i%BlockLen]
 }
 
@@ -462,7 +418,7 @@ func (b *Builder) CopyRange(from int, dst []float64) {
 		default:
 			ref := b.blocks[blk]
 			vals := buf[:ref.count]
-			decodeBlock(b.arenaBytes()[ref.off:ref.off+ref.size], vals)
+			decodeBlock(b.arena.buf[ref.off:ref.off+ref.size], vals)
 			copy(dst[i-from:j-from], vals[i-lo:])
 		}
 		i = j
@@ -485,7 +441,7 @@ func (b *Builder) Seal() *Chunk {
 			b.resetCur(b.curBlk + 1)
 		}
 	}
-	b.sealed = &Chunk{n: b.n, arena: b.arenaBytes(), blocks: b.blocks, enc: b.encLen}
+	b.sealed = &Chunk{n: b.n, arena: b.arena.buf, blocks: b.blocks, enc: b.encLen}
 	return b.sealed
 }
 
@@ -493,8 +449,8 @@ func (b *Builder) Seal() *Chunk {
 // Checkpoint state: the engine snapshots builders and arenas at batch
 // barriers (DESIGN.md §15). A snapshot captures exactly the mutable
 // write-side state — sealed block refs, the open current block, and
-// (for private-arena builders) the encoded bytes — so a restored
-// builder continues the stream bit-identically.
+// (for a builder that owns its arena) the encoded bytes — so a
+// restored builder continues the stream bit-identically.
 // ---------------------------------------------------------------
 
 // BlockRef is the exported mirror of blockRef for serialization.
@@ -502,24 +458,18 @@ type BlockRef struct {
 	Off, Size, Count int
 }
 
-// BuilderState is a Builder's full mutable state at a barrier.
-// Shared-arena builders set Shared and leave Arena empty — their
-// encoded bytes live in the shared slab, snapshotted separately via
-// Arena.State. (Shared is an explicit flag, not Arena == nil: a
-// private builder that hasn't compressed a block yet has no arena
-// bytes either, and gob erases the nil/empty distinction anyway.)
+// BuilderState is a Builder's full mutable state at a barrier. Arena
+// holds the encoded bytes of a builder that owns its arena; a builder
+// on an engine-owned arena leaves it empty, since the engine captures
+// that slab once (Arena.State).
 //
 // CurBlock is the open current block packed with the block codec
 // itself, which is exact on bit patterns: the mostly-missing block
 // costs a few dozen bytes instead of 2 KiB of float64s. Its value
-// count is implied by N and CurBlk. (The field was renamed from the
-// raw Cur []float64 of checkpoint format 2, so gob skips an old file's
-// raw block rather than failing on it, and the old file reaches the
-// checkpoint manifest's format check.)
+// count is implied by N and CurBlk.
 type BuilderState struct {
 	N        int
 	Blocks   []BlockRef
-	Shared   bool
 	Arena    []byte
 	EncLen   int
 	HasNaN   bool
@@ -530,12 +480,12 @@ type BuilderState struct {
 }
 
 // State captures the builder's write-side state. Arena aliases the
-// live private arena: callers must serialize (or copy) the state
-// before the next write, which barrier-synchronous checkpointing
-// guarantees. Packing the current block borrows the encode scratch,
-// so on a shared Arena State follows the slab's single-writer rule
-// like a seal does. Panics after Seal — sealed builders are immutable
-// and cheaper to rebuild than to snapshot.
+// live slab of an owned arena: callers must serialize (or copy) the
+// state before the next write, which barrier-synchronous checkpointing
+// guarantees. Packing the current block borrows the arena's encode
+// scratch, so State follows the slab's single-writer rule like a seal
+// does. Panics after Seal — sealed builders are immutable and cheaper
+// to rebuild than to snapshot.
 func (b *Builder) State() BuilderState {
 	if b.sealed != nil {
 		panic("tschunk: State after Seal")
@@ -543,27 +493,27 @@ func (b *Builder) State() BuilderState {
 	st := BuilderState{
 		N:      b.n,
 		Blocks: make([]BlockRef, len(b.blocks)),
-		Shared: b.shared != nil,
 		EncLen: b.encLen,
 		HasNaN: b.hasNaN,
 		NaNRef: BlockRef{Off: b.nanRef.off, Size: b.nanRef.size, Count: b.nanRef.count},
 		CurBlk: b.curBlk,
 		Dirty:  b.dirty,
 	}
-	st.CurBlock = append([]byte(nil), encodeBlock(b.cur, b.encodeScratch())...)
+	st.CurBlock = append([]byte(nil), encodeBlock(b.cur, b.arena.scratch[:0])...)
 	for i, ref := range b.blocks {
 		st.Blocks[i] = BlockRef{Off: ref.off, Size: ref.size, Count: ref.count}
 	}
-	if b.shared == nil {
-		st.Arena = b.arena
+	if b.own {
+		st.Arena = b.arena.State()
 	}
 	return st
 }
 
 // RestoreState overwrites the builder's write-side state from a
 // snapshot taken at the same barrier of an equivalent run. The builder
-// must have been freshly constructed with the same grid length and the
-// same shared/private arena shape as the one snapshotted.
+// must have been freshly constructed with the same grid length, and on
+// an arena of the same kind: its own, or a shared one whose bytes are
+// restored separately (Arena.RestoreState).
 func (b *Builder) RestoreState(st BuilderState) {
 	if b.sealed != nil {
 		panic("tschunk: RestoreState after Seal")
@@ -571,15 +521,12 @@ func (b *Builder) RestoreState(st BuilderState) {
 	if st.N != b.n {
 		panic(fmt.Sprintf("tschunk: RestoreState grid length %d, builder has %d", st.N, b.n))
 	}
-	if st.Shared != (b.shared != nil) {
-		panic("tschunk: RestoreState arena shape mismatch (shared vs private)")
-	}
 	b.blocks = b.blocks[:0]
 	for _, ref := range st.Blocks {
 		b.blocks = append(b.blocks, blockRef{off: ref.Off, size: ref.Size, count: ref.Count})
 	}
-	if b.shared == nil {
-		b.arena = append(b.arena[:0], st.Arena...)
+	if b.own {
+		b.arena.RestoreState(st.Arena)
 	}
 	b.encLen = st.EncLen
 	b.hasNaN = st.HasNaN
@@ -594,8 +541,8 @@ func (b *Builder) RestoreState(st BuilderState) {
 func (a *Arena) State() []byte { return a.buf }
 
 // RestoreState overwrites the slab contents from a snapshot, keeping
-// the reserved capacity (builder Reserve calls replayed before the
-// restore remain honored).
+// the reserved capacity (reservations made by builders constructed
+// before the restore remain honored).
 func (a *Arena) RestoreState(buf []byte) {
 	a.buf = append(a.buf[:0], buf...)
 }

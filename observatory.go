@@ -57,7 +57,7 @@ type CampaignConfig struct {
 	// Shards partitions the campaign's VPs into Shards groups, each
 	// with one shared compression arena bounding its resident series
 	// memory; results are bit-identical for any value (see
-	// internal/experiments). 0 or 1 keeps the per-VP private layout.
+	// internal/experiments). 0 or 1 means one arena per VP.
 	Shards int
 	// Faults enables the deterministic fault plan: VP outages, ICMP
 	// blackouts and rate-limit duty cycles on case-link routers, and

@@ -99,16 +99,18 @@ echo "== fuzz smoke (stored bytes, input files, packets, API query parameters) =
 # the observatory API's query parameters and link ids, which must
 # answer with a defined status and leave the service lock free. Ten
 # seconds each on one worker keeps the step cheap and memory-light; a
-# failing input lands in the package's testdata/fuzz directory.
-go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -parallel 1 ./internal/checkpoint/
-go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 10s -parallel 1 ./internal/tschunk/
-go test -run '^$' -fuzz '^FuzzRegistryParse$' -fuzztime 10s -parallel 1 ./internal/registry/
-go test -run '^$' -fuzz '^FuzzIXPDirParse$' -fuzztime 10s -parallel 1 ./internal/ixpdir/
-go test -run '^$' -fuzz '^FuzzWartsReader$' -fuzztime 10s -parallel 1 ./internal/warts/
-go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 10s -parallel 1 ./internal/observatory/
-go test -run '^$' -fuzz '^FuzzDecodeIPv4$' -fuzztime 10s -parallel 1 ./internal/packet/
-go test -run '^$' -fuzz '^FuzzDecodeICMP$' -fuzztime 10s -parallel 1 ./internal/packet/
-go test -run '^$' -fuzz '^FuzzParseQuote$' -fuzztime 10s -parallel 1 ./internal/packet/
+# failing input lands in the package's testdata/fuzz directory. Go
+# minimizes each new input for 60 s by default, which would eat the
+# whole budget; -fuzzminimizetime 100x bounds it so the time fuzzes.
+go test -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/checkpoint/
+go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/tschunk/
+go test -run '^$' -fuzz '^FuzzRegistryParse$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/registry/
+go test -run '^$' -fuzz '^FuzzIXPDirParse$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/ixpdir/
+go test -run '^$' -fuzz '^FuzzWartsReader$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/warts/
+go test -run '^$' -fuzz '^FuzzQueryParams$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/observatory/
+go test -run '^$' -fuzz '^FuzzDecodeIPv4$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/packet/
+go test -run '^$' -fuzz '^FuzzDecodeICMP$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/packet/
+go test -run '^$' -fuzz '^FuzzParseQuote$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/packet/
 
 echo "== /metrics + observatory endpoint smoke =="
 # Start a short observatory run with the live telemetry endpoint and a
