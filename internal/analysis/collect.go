@@ -41,6 +41,12 @@ type Collector struct {
 	// skippedRounds counts rounds the probe-budget scheduler elected
 	// not to run (a deliberate saving, not an outage).
 	farRounds, farLostRounds, missedRounds, skippedRounds int
+
+	// bin is the aggregated slot of [binStart, binEnd), the bin the
+	// last round landed in: rounds march forward in time, so most
+	// rounds reuse it instead of dividing (an empty range until then).
+	bin              int
+	binStart, binEnd simclock.Time
 }
 
 // CollectorConfig sizes a Collector.
@@ -121,39 +127,76 @@ func (c *Collector) Round(t simclock.Time) {
 	c.recordSample(t, c.TSLP.Round(t))
 }
 
+// FarSample is the far end of a recorded round, which the budget
+// scheduler's utility tap reads. It has two fields, not a
+// prober.Sample's five, because the compiler keeps a struct of at most
+// four fields in registers; a larger one is copied through the stack
+// on every round.
+type FarSample struct {
+	FarRTT  simclock.Duration
+	FarLost bool
+}
+
 // RoundFrozen probes the link once through the frozen-frontier sampler
-// (see prober.TSLP.RoundFrozen) and records the result, which is also
-// returned so the caller can feed schedulers (the budget scheduler's
-// utility tap) without a second probe. Used by the parallel campaign
-// engine after the per-step queue advance.
-func (c *Collector) RoundFrozen(t simclock.Time) prober.Sample {
-	s := c.TSLP.RoundFrozen(t)
-	c.recordSample(t, s)
-	return s
+// (see prober.TSLP.RoundFrozen) and records the result. The far end is
+// also returned so the caller can feed schedulers (the budget
+// scheduler's utility tap) without a second probe. Used by the
+// parallel campaign engine after the per-step queue advance.
+func (c *Collector) RoundFrozen(t simclock.Time) FarSample {
+	near, far, nearLost, farLost := c.TSLP.RoundFrozen(t)
+	c.record(t, near, far, nearLost, farLost)
+	return FarSample{FarRTT: far, FarLost: farLost}
 }
 
+// recordSample records a round's Sample.
 func (c *Collector) recordSample(t simclock.Time, s prober.Sample) {
-	c.farRounds++
-	if s.FarLost {
-		c.farLostRounds++
-	}
-	c.record(c.nearB, c.fullNearB, t, s.NearLost, s.NearRTT)
-	c.record(c.farB, c.fullFarB, t, s.FarLost, s.FarRTT)
+	c.record(t, s.NearRTT, s.FarRTT, s.NearLost, s.FarLost)
 }
 
-func (c *Collector) record(agg, full *tschunk.Builder, t simclock.Time, lost bool, rtt simclock.Duration) {
-	if lost {
-		return
-	}
-	ms := float64(rtt) / float64(time.Millisecond)
-	if i := c.aggIndex(t); i >= 0 {
-		agg.MergeMin(i, ms) // streaming min filter
-	}
-	if full != nil && c.window.Contains(t) {
-		// The slot Series.SetAt would pick; off-grid times are dropped.
-		if i := int(t.Sub(c.window.Start) / c.step); i < full.Len() {
-			full.Set(i, ms)
+// record banks one round: the round accounting, then each delivered
+// RTT min-merged into its aggregated bin and, inside the
+// full-resolution window, set into its native slot. Both slots are
+// computed once per round; a slot off its grid is -1.
+func (c *Collector) record(t simclock.Time, near, far simclock.Duration, nearLost, farLost bool) {
+	c.farRounds++
+	if farLost {
+		c.farLostRounds++
+		if nearLost {
+			return
 		}
+	}
+	if t < c.binStart || t >= c.binEnd {
+		c.bin = c.aggIndex(t)
+		c.binStart, c.binEnd = 0, 0
+		if c.bin >= 0 {
+			c.binStart = c.aggStart.Add(simclock.Duration(c.bin) * c.aggStep)
+			c.binEnd = c.binStart.Add(c.aggStep)
+		}
+	}
+	agg, full := c.bin, -1
+	if c.fullNearB != nil && c.window.Contains(t) {
+		// The slot Series.SetAt would pick; off-grid times are dropped.
+		if i := int(t.Sub(c.window.Start) / c.step); i < c.fullNearB.Len() {
+			full = i
+		}
+	}
+	if !nearLost {
+		bank(c.nearB, c.fullNearB, agg, full, near)
+	}
+	if !farLost {
+		bank(c.farB, c.fullFarB, agg, full, far)
+	}
+}
+
+// bank writes one delivered RTT, in milliseconds, into its aggregated
+// bin (streaming min filter) and its full-resolution slot.
+func bank(aggB, fullB *tschunk.Builder, agg, full int, rtt simclock.Duration) {
+	ms := float64(rtt) / float64(time.Millisecond)
+	if agg >= 0 {
+		aggB.MergeMin(agg, ms)
+	}
+	if full >= 0 {
+		fullB.Set(full, ms)
 	}
 }
 

@@ -31,9 +31,25 @@ func collectorStream(rng *rand.Rand, campaign simclock.Interval) []prober.Sample
 			NearLost: rng.Intn(5) == 0,
 			FarLost:  rng.Intn(4) == 0,
 		})
+		// Now and then a round lands back in time, inside the open
+		// block, so a bin the stream already left is merged again.
+		if back := t.Add(-time.Duration(1+rng.Intn(40)) * time.Minute); rng.Intn(6) == 0 &&
+			back >= campaign.Start && sameBlock(campaign.Start, back, t) {
+			out = append(out, prober.Sample{At: back, NearRTT: rtts[rng.Intn(len(rtts))],
+				FarRTT: rtts[rng.Intn(len(rtts))]})
+		}
 		t = t.Add(time.Duration(rng.Intn(41)) * time.Minute)
 	}
 	return out
+}
+
+// sameBlock reports whether a and b fall in the same tschunk block of
+// the aggregated grid starting at start.
+func sameBlock(start, a, b simclock.Time) bool {
+	block := func(t simclock.Time) int64 {
+		return int64(t.Sub(start) / DefaultAggStep / tschunk.BlockLen)
+	}
+	return a >= start && b >= start && block(a) == block(b)
 }
 
 // flatMinFilter is the oracle: the collector's binning and min filter

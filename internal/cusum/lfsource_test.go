@@ -194,3 +194,104 @@ func BenchmarkMathRandSeed(b *testing.B) {
 		r.Seed(int64(i))
 	}
 }
+
+// ringFisherYates is fisherYates as it was before it ran in wrap-free
+// stretches: every draw steps and wrap-tests both ring indices. It is
+// the oracle the stretched loop is checked against. ringRejections
+// counts the draws that took int31n's rejection branch.
+var ringRejections int
+
+func ringFisherYates[T int64 | float64](r *lfSource, xs []T, n int) {
+	tap, feed := r.tap, r.feed
+	for i := n - 1; i > 0; i-- {
+		if tap--; tap < 0 {
+			tap += rngLen
+		}
+		if feed--; feed < 0 {
+			feed += rngLen
+		}
+		x := r.vec[feed] + r.vec[tap]
+		r.vec[feed] = x
+		bound := uint32(i + 1)
+		prod := uint64(uint32(x&rngMask>>31)) * uint64(bound)
+		if uint32(prod) < bound {
+			ringRejections++
+			r.tap, r.feed = tap, feed
+			prod = r.int31nRetry(prod, bound)
+			tap, feed = r.tap, r.feed
+		}
+		if xs != nil {
+			j := int(prod >> 32)
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+	}
+	r.tap, r.feed = tap, feed
+}
+
+// TestStretchedFisherYatesMatchesRingLoop runs 100k shuffles through
+// the stretched loop and the per-draw ring loop from the same state:
+// the permutations and the generator state after each must be equal,
+// with swaps and in skip mode (xs == nil). n = 48 is the flat 48-bin
+// window; the other sizes make stretches end on either index's wrap at
+// every offset, and 1000 spans more than one full turn of the ring.
+func TestStretchedFisherYatesMatchesRingLoop(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 48, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1000}
+	var a, b lfSource
+	a.seed(pinSeeds[0])
+	b = a
+	xa, xb := make([]int64, 1000), make([]int64, 1000)
+	for k := range xa {
+		xa[k], xb[k] = int64(k), int64(k)
+	}
+	for s := 0; s < 100_000; s++ {
+		n := sizes[s%len(sizes)]
+		if s%3 == 0 {
+			n = 48
+		}
+		if s%2 == 0 {
+			fisherYates(&a, xa, n)
+			ringFisherYates(&b, xb, n)
+			if !slices.Equal(xa[:n], xb[:n]) {
+				t.Fatalf("shuffle %d (n=%d): permutations differ", s, n)
+			}
+		} else {
+			fisherYates[float64](&a, nil, n)
+			ringFisherYates[float64](&b, nil, n)
+		}
+		if a != b {
+			t.Fatalf("shuffle %d (n=%d, swaps %v): generator state differs", s, n, s%2 == 0)
+		}
+	}
+}
+
+// TestStretchedFisherYatesRejection covers int31nRetry inside a
+// stretch: shuffles of 2¹⁸ elements take the rejection branch several
+// times each, in both modes.
+func TestStretchedFisherYatesRejection(t *testing.T) {
+	const n = 1 << 18
+	ringRejections = 0
+	for _, seed := range pinSeeds[:2] {
+		var a, b lfSource
+		a.seed(seed)
+		b = a
+		xa, xb := make([]float64, n), make([]float64, n)
+		for k := range xa {
+			xa[k], xb[k] = float64(k), float64(k)
+		}
+		for round := 0; round < 2; round++ {
+			fisherYates(&a, xa, n)
+			ringFisherYates(&b, xb, n)
+			if !slices.Equal(xa, xb) || a != b {
+				t.Fatalf("seed %d round %d: stretched shuffle differs from the ring loop", seed, round)
+			}
+			fisherYates[float64](&a, nil, n)
+			ringFisherYates[float64](&b, nil, n)
+			if a != b {
+				t.Fatalf("seed %d round %d: stretched skip differs from the ring loop", seed, round)
+			}
+		}
+	}
+	if ringRejections == 0 {
+		t.Fatal("no draw took int31n's rejection branch; the retry path went untested")
+	}
+}

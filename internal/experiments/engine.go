@@ -417,6 +417,7 @@ func (e *engine) flush(first int, steps []simclock.Time) {
 func (e *engine) probeTask(_, task int) {
 	for si := task; si < len(e.res.VPs); si += e.tasks {
 		vr := e.res.VPs[si]
+		bv := vr.bview // nil without a budget: nothing is skipped or observed
 		for k, t := range e.batch {
 			step := e.firstIdx + k
 			vr.RoundsScheduled++
@@ -430,7 +431,7 @@ func (e *engine) probeTask(_, task int) {
 			for li, lr := range vr.records {
 				doLoss := lossRound && lr.lossCol != nil && lr.lossIv.Contains(t)
 				switch {
-				case vr.bview.Skip(li, step):
+				case bv != nil && bv.Skip(li, step):
 					lr.Collector.RoundSkipped()
 					if doLoss {
 						lr.lossCol.RoundSkipped()
@@ -442,7 +443,9 @@ func (e *engine) probeTask(_, task int) {
 					}
 				default:
 					s := lr.Collector.RoundFrozen(t)
-					vr.bview.Observe(li, t, float64(s.FarRTT)/float64(time.Millisecond), s.FarLost)
+					if bv != nil {
+						bv.Observe(li, t, float64(s.FarRTT)/float64(time.Millisecond), s.FarLost)
+					}
 					for i := 0; doLoss && i < loss.BatchSize; i++ {
 						at := t.Add(time.Duration(i) * time.Second)
 						_, farLost := lr.tslp.LossRoundFrozen(at)

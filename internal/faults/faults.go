@@ -279,6 +279,7 @@ func Inject(w *scenario.World, campaign simclock.Interval, cfg Config) *Schedule
 					cfg.FlapMin, cfg.FlapMax, win)
 				flap(in, ivs)
 				flap(out, ivs)
+				w.Net.PipesChanged()
 				record(LinkFlap, label, ivs)
 			}
 		}
@@ -370,7 +371,8 @@ func dutyCycle(prev func(simclock.Time) bool, seed uint64,
 // flap gates a pipe down during the given episodes, composing with
 // any existing up-schedule (membership churn uses DownAfter gates).
 // Data plane only: routes stay resolved, matching a flap shorter than
-// a BGP hold timer.
+// a BGP hold timer. Resolved probe paths compile their pipes' gates, so
+// the caller reports the change with Network.PipesChanged.
 func flap(p *netsim.Pipe, ivs []simclock.Interval) {
 	if p == nil || len(ivs) == 0 {
 		return

@@ -415,6 +415,12 @@ func (nw *Network) Version() int64 { return nw.version }
 // ProbePath.Sample.
 func (nw *Network) PacketNonces() uint64 { return nw.pktCounter }
 
+// PipesChanged must be called after changing a pipe's Up, Queue,
+// BaseLoss or Prop once probe paths may have been resolved: resolved
+// ProbePaths compile those fields, and the version bump makes them
+// invalid until their owners resolve them again.
+func (nw *Network) PipesChanged() { nw.bump() }
+
 // InvalidateRoutes must be called after mutating the AS relationship
 // graph so both the BGP cache and node FIBs are recomputed.
 func (nw *Network) InvalidateRoutes() {

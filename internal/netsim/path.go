@@ -33,6 +33,81 @@ type ProbePath struct {
 	// Expired reports whether the responder answered with a
 	// time-exceeded (TTL ran out) rather than an echo reply.
 	Expired bool
+
+	// fwd and rev are FwdPipes and RevPipes compiled for SampleCtx
+	// (compileLeg), and static reports that neither has a pipe that
+	// can drop or delay a packet beyond its Prop.
+	fwd, rev leg
+	static   bool
+}
+
+// leg is one direction of a ProbePath compiled for the frozen sampler.
+// A static pipe — no Queue, no Up gate, no BaseLoss — can neither drop
+// a packet nor delay it by more than its Prop, and traverseFrozen draws
+// exactly one nonce for it. So each run of static pipes collapses into
+// its summed Prop plus a skip of its length in the nonce stream, and
+// only the pipes between runs are walked. Duration sums are exact
+// integer adds, so the exit times are the per-pipe walk's.
+type leg struct {
+	// spans are the leg's dynamic pipes, each behind the static run
+	// that precedes it.
+	spans []span
+	// tailProp and tailSkip are the static run after the last dynamic
+	// pipe (the whole leg when spans is empty).
+	tailProp simclock.Duration
+	tailSkip uint64
+}
+
+// span is a static run (its summed Prop and pipe count) followed by
+// one dynamic pipe.
+type span struct {
+	prop simclock.Duration
+	skip uint64
+	pipe *Pipe
+}
+
+// static reports whether p cannot drop a packet: traversing it only
+// adds its Prop.
+func (p *Pipe) static() bool { return p.Queue == nil && p.Up == nil && p.BaseLoss == 0 }
+
+// compileLeg compiles a pipe sequence. A pipe's Queue, Up, BaseLoss and
+// Prop are read here, once, so code that changes them after a path is
+// resolved must bump the topology version (Network.PipesChanged or
+// InvalidateRoutes), which makes the path invalid and its owner
+// resolve — and compile — it again.
+func compileLeg(pipes []*Pipe) leg {
+	var l leg
+	for _, p := range pipes {
+		if p.static() {
+			l.tailProp += p.Prop
+			l.tailSkip++
+			continue
+		}
+		l.spans = append(l.spans, span{prop: l.tailProp, skip: l.tailSkip, pipe: p})
+		l.tailProp, l.tailSkip = 0, 0
+	}
+	return l
+}
+
+// walk traverses the compiled leg from t for one probe of ctx's
+// stream: exactly traverseFrozen over every pipe in order, stopping at
+// the first drop.
+func (l *leg) walk(ctx *ProbeCtx, t simclock.Time) (simclock.Time, bool) {
+	for i := range l.spans {
+		s := &l.spans[i]
+		ctx.count += s.skip
+		t = t.Add(s.prop)
+		if s.pipe.Queue != nil {
+			ctx.stats.QueueFrozenObs++
+		}
+		exit, ok := s.pipe.traverseFrozen(ctx, t)
+		if !ok {
+			return t, false
+		}
+		t = exit
+	}
+	ctx.count += l.tailSkip
+	return t.Add(l.tailProp), true
 }
 
 // TracePath resolves the trajectory of an echo probe with the given
@@ -79,6 +154,7 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 	cur = pp.Responder
 	for hops := 0; hops < maxWalkHops; hops++ {
 		if nw.ownsAddr(cur, back) {
+			pp.compile()
 			return pp, nil
 		}
 		h, ok := nw.resolveStep(cur, back)
@@ -89,6 +165,12 @@ func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, 
 		cur = nw.nodes[h.arrival.Node]
 	}
 	return nil, fmt.Errorf("netsim: return path toward %v never terminated", back)
+}
+
+// compile builds the path's compiled legs from its pipe sequences.
+func (pp *ProbePath) compile() {
+	pp.fwd, pp.rev = compileLeg(pp.FwdPipes), compileLeg(pp.RevPipes)
+	pp.static = len(pp.fwd.spans) == 0 && len(pp.rev.spans) == 0
 }
 
 // Valid reports whether the cached path still reflects the topology.
@@ -196,26 +278,42 @@ func (c *ProbeCtx) RestoreNonceCount(n uint64) { c.count = n }
 // current step barrier via Network.AdvanceQueues, or published the
 // containing batch via Network.AdvanceQueuesBatch and pointed the
 // context at the step being replayed with SetStep.
+//
+// It walks the path's compiled legs (leg), so a run of static pipes
+// costs one add, and a path with no dynamic pipe skips the walk; the
+// RTT, the outcome, the nonce count and every ProbeStats field are the
+// per-pipe walk's (TestQuickCompiledSampleMatchesPipeWalk). The
+// responder's hooks are read per probe, since faults and probe-rate
+// policies set them on live nodes.
 func (pp *ProbePath) SampleCtx(ctx *ProbeCtx, t simclock.Time) (simclock.Duration, bool) {
 	st := &ctx.stats
 	st.Probes++
 	start := t
-	for _, p := range pp.FwdPipes {
-		if p.Queue != nil {
-			st.QueueFrozenObs++
+	r := pp.Responder
+	if pp.static && r.ICMPDown == nil && r.ICMPRateLimit == nil {
+		// Nothing on the path can drop the probe: its RTT is the two
+		// legs' Prop around the responder's delay, and it draws one
+		// nonce per pipe.
+		ctx.count += pp.fwd.tailSkip + pp.rev.tailSkip
+		t = t.Add(pp.fwd.tailProp)
+		if r.ICMPDelay != nil {
+			t = t.Add(r.ICMPDelay(t))
 		}
-		exit, ok := p.traverseFrozen(ctx, t)
-		if !ok {
-			st.PipeDrops++
-			return 0, false
-		}
-		t = exit
+		rtt := t.Add(pp.rev.tailProp).Sub(start)
+		st.Delivered++
+		st.observeRTT(rtt)
+		return rtt, true
 	}
-	if pp.Responder.ICMPDown != nil && pp.Responder.ICMPDown(t) {
+	t, ok := pp.fwd.walk(ctx, t)
+	if !ok {
+		st.PipeDrops++
+		return 0, false
+	}
+	if r.ICMPDown != nil && r.ICMPDown(t) {
 		st.ICMPSilenced++
 		return 0, false
 	}
-	if rl := pp.Responder.ICMPRateLimit; rl != nil {
+	if rl := r.ICMPRateLimit; rl != nil {
 		pp.nw.rlMu.Lock()
 		ok := rl.Allow(t)
 		pp.nw.rlMu.Unlock()
@@ -224,19 +322,12 @@ func (pp *ProbePath) SampleCtx(ctx *ProbeCtx, t simclock.Time) (simclock.Duratio
 			return 0, false
 		}
 	}
-	if pp.Responder.ICMPDelay != nil {
-		t = t.Add(pp.Responder.ICMPDelay(t))
+	if r.ICMPDelay != nil {
+		t = t.Add(r.ICMPDelay(t))
 	}
-	for _, p := range pp.RevPipes {
-		if p.Queue != nil {
-			st.QueueFrozenObs++
-		}
-		exit, ok := p.traverseFrozen(ctx, t)
-		if !ok {
-			st.PipeDrops++
-			return 0, false
-		}
-		t = exit
+	if t, ok = pp.rev.walk(ctx, t); !ok {
+		st.PipeDrops++
+		return 0, false
 	}
 	st.Delivered++
 	rtt := t.Sub(start)

@@ -158,8 +158,7 @@ func (p *Prober) Ping(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult,
 	if p.wirePing != nil {
 		return p.wirePing(dst, ttl, t)
 	}
-	sendAt := p.bucket.NextAllowed(t)
-	p.bucket.Allow(sendAt)
+	sendAt := p.bucket.Take(t)
 	p.seq++
 	echo, ok := p.nw.Echo(p.vp, dst, ttl, sendAt)
 	if !ok {
@@ -293,8 +292,7 @@ type RRResult struct {
 
 // RRPing sends an echo probe carrying the Record Route option.
 func (p *Prober) RRPing(dst netaddr.Addr, t simclock.Time) (RRResult, error) {
-	sendAt := p.bucket.NextAllowed(t)
-	p.bucket.Allow(sendAt)
+	sendAt := p.bucket.Take(t)
 	p.seq++
 	ip := packet.IPv4{TTL: 64, Src: p.nw.SrcAddr(p.vp), Dst: dst, ID: p.seq,
 		RecordRoute: &packet.RecordRoute{Slots: packet.MaxRecordRouteSlots}}

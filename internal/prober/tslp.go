@@ -78,6 +78,10 @@ func (ts *TSLP) resolve() error {
 	return nil
 }
 
+// farDelay is how long after the near probe a round sends its far
+// probe, before pacing.
+const farDelay = 10 * time.Millisecond
+
 // Sample is one TSLP round result.
 type Sample struct {
 	At                simclock.Time
@@ -97,15 +101,13 @@ func (ts *TSLP) Round(t simclock.Time) Sample {
 		}
 	}
 	s := Sample{At: t}
-	nearAt := ts.p.bucket.NextAllowed(t)
-	ts.p.bucket.Allow(nearAt)
+	nearAt := ts.p.bucket.Take(t)
 	if rtt, ok := ts.nearPath.Sample(nearAt); ok && rtt <= ts.p.cfg.Timeout {
 		s.NearRTT = rtt
 	} else {
 		s.NearLost = true
 	}
-	farAt := ts.p.bucket.NextAllowed(nearAt.Add(10 * time.Millisecond))
-	ts.p.bucket.Allow(farAt)
+	farAt := ts.p.bucket.Take(nearAt.Add(farDelay))
 	if rtt, ok := ts.farPath.Sample(farAt); ok && rtt <= ts.p.cfg.Timeout {
 		s.FarRTT = rtt
 	} else {
@@ -152,30 +154,26 @@ func (ts *TSLP) EnsureResolved() error {
 // nonce stream and never mutates network state. Stale trajectories are
 // NOT re-resolved here — the campaign engine refreshes them at the step
 // barrier via EnsureResolved; a link that truly left the routed path
-// keeps reporting loss, exactly as Round would.
-func (ts *TSLP) RoundFrozen(t simclock.Time) Sample {
-	if !ts.nearPath.Valid() || !ts.farPath.Valid() {
-		s := Sample{At: t, NearLost: true, FarLost: true}
-		ts.logRound(t, s)
-		return s
+// keeps reporting loss, exactly as Round would. It returns the round's
+// Sample fields (At is t) as values, which stay in registers where a
+// five-field struct would be copied through the stack.
+func (ts *TSLP) RoundFrozen(t simclock.Time) (nearRTT, farRTT simclock.Duration, nearLost, farLost bool) {
+	nearLost, farLost = true, true
+	if ts.nearPath.Valid() && ts.farPath.Valid() {
+		p := ts.p
+		nearAt := p.bucket.Take(t)
+		if rtt, ok := ts.nearPath.SampleCtx(p.ctx, nearAt); ok && rtt <= p.cfg.Timeout {
+			nearRTT, nearLost = rtt, false
+		}
+		farAt := p.bucket.Take(nearAt.Add(farDelay))
+		if rtt, ok := ts.farPath.SampleCtx(p.ctx, farAt); ok && rtt <= p.cfg.Timeout {
+			farRTT, farLost = rtt, false
+		}
 	}
-	s := Sample{At: t}
-	nearAt := ts.p.bucket.NextAllowed(t)
-	ts.p.bucket.Allow(nearAt)
-	if rtt, ok := ts.nearPath.SampleCtx(ts.p.ctx, nearAt); ok && rtt <= ts.p.cfg.Timeout {
-		s.NearRTT = rtt
-	} else {
-		s.NearLost = true
+	if ts.p.cfg.Warts != nil {
+		ts.logRound(t, Sample{At: t, NearRTT: nearRTT, FarRTT: farRTT, NearLost: nearLost, FarLost: farLost})
 	}
-	farAt := ts.p.bucket.NextAllowed(nearAt.Add(10 * time.Millisecond))
-	ts.p.bucket.Allow(farAt)
-	if rtt, ok := ts.farPath.SampleCtx(ts.p.ctx, farAt); ok && rtt <= ts.p.cfg.Timeout {
-		s.FarRTT = rtt
-	} else {
-		s.FarLost = true
-	}
-	ts.logRound(t, s)
-	return s
+	return nearRTT, farRTT, nearLost, farLost
 }
 
 // LossRoundFrozen is LossRound against the frozen queue frontier, with

@@ -54,7 +54,26 @@ func referenceObserve(q *Fluid, i int, t simclock.Time) (simclock.Duration, floa
 	if t > from {
 		occ, lossFrac = referenceIntegrate(q, from, occ, t)
 	}
-	return q.delayFromOccupancy(occ, t), lossFrac
+	return referenceDelay(q, occ, t), lossFrac
+}
+
+// referenceDelay is delayFromOccupancy with the load evaluated by Bps
+// at every call, as it was before frozen reads memoized the load's day
+// and minute factors.
+func referenceDelay(q *Fluid, occ float64, t simclock.Time) simclock.Duration {
+	d := occ / q.capacityBps
+	if q.pktBits > 0 {
+		rho := q.load.Bps(t) / q.capacityBps
+		if rho >= 1 {
+			d = q.bufferBits / q.capacityBps
+		} else if rho > 0 {
+			d += rho / (1 - rho) * q.pktBits / q.capacityBps
+		}
+		if max := q.bufferBits / q.capacityBps; d > max {
+			d = max
+		}
+	}
+	return time.Duration(d * float64(time.Second))
 }
 
 // referenceFrontier mirrors a queue's frontier advanced by the

@@ -216,9 +216,10 @@ type walk struct {
 	load             float64
 }
 
-// origin starts a walk at time at with occupancy occ.
-func (q *Fluid) origin(at simclock.Time, occ float64) walk {
-	return walk{at: at, occ: occ, load: q.load.Bps(at)}
+// origin starts a walk at time at with occupancy occ, evaluating the
+// load through the reader's memo m.
+func (q *Fluid) origin(at simclock.Time, occ float64, m *trafficmodel.Memo) walk {
+	return walk{at: at, occ: occ, load: trafficmodel.BpsMemo(q.load, at, m)}
 }
 
 // integrate runs the fluid stepping from w up to t > w.at and returns
@@ -229,8 +230,8 @@ func (q *Fluid) origin(at simclock.Time, occ float64) walk {
 // the same walk again to any t' > w.at replays exactly the arithmetic
 // a fresh walk from the origin would, in the same order, and returns
 // the same bits. It reads only immutable configuration, so concurrent
-// frozen observers may call it on walks of their own.
-func (q *Fluid) integrate(w *walk, t simclock.Time) (float64, float64) {
+// frozen observers may call it on walks (and memos) of their own.
+func (q *Fluid) integrate(w *walk, t simclock.Time, m *trafficmodel.Memo) (float64, float64) {
 	at, occ, offered, dropped, load := w.at, w.occ, w.offered, w.dropped, w.load
 	stepSec := q.step.Seconds()
 	for {
@@ -240,7 +241,7 @@ func (q *Fluid) integrate(w *walk, t simclock.Time) (float64, float64) {
 		}
 		occ, offered, dropped = q.stepBy(occ, offered, dropped, load, stepSec)
 		at = at.Add(q.step)
-		load = q.load.Bps(at)
+		load = trafficmodel.BpsMemo(q.load, at, m)
 	}
 }
 
@@ -331,6 +332,10 @@ type Cursor struct {
 	gen  uint64
 	step int
 	w    walk
+	// memo carries the load's day and minute factors between the
+	// reader's load evaluations; it is checked against the load and
+	// the instant on every use, so it survives restarts.
+	memo trafficmodel.Memo
 }
 
 // Queue returns the queue the cursor last read, or nil for the zero
@@ -356,26 +361,27 @@ func (q *Fluid) ObserveFrozenCursor(c *Cursor, i int, t simclock.Time) (simclock
 	if i >= 0 {
 		from, occ, lossFrac = q.batchTime[i], q.batchOcc[i], q.batchLoss[i]
 	}
-	if t > from {
-		var own Cursor
-		if c == nil {
-			c = &own
-		}
-		if c.q != q || c.gen != q.gen || c.step != i || t <= c.w.at {
-			*c = Cursor{q: q, gen: q.gen, step: i, w: q.origin(from, occ)}
-		}
-		occ, lossFrac = q.integrate(&c.w, t)
+	var own Cursor
+	if c == nil {
+		c = &own
 	}
-	return q.delayFromOccupancy(occ, t), lossFrac
+	if t > from {
+		if c.q != q || c.gen != q.gen || c.step != i || t <= c.w.at {
+			c.q, c.gen, c.step = q, q.gen, i
+			c.w = q.origin(from, occ, &c.memo)
+		}
+		occ, lossFrac = q.integrate(&c.w, t, &c.memo)
+	}
+	return q.delayFromOccupancy(occ, t, &c.memo), lossFrac
 }
 
 // delayFromOccupancy converts a buffer occupancy into the arriving
 // packet's queueing delay, including the near-saturation stochastic
 // term when configured.
-func (q *Fluid) delayFromOccupancy(occ float64, t simclock.Time) simclock.Duration {
+func (q *Fluid) delayFromOccupancy(occ float64, t simclock.Time, m *trafficmodel.Memo) simclock.Duration {
 	d := occ / q.capacityBps
 	if q.pktBits > 0 {
-		rho := q.load.Bps(t) / q.capacityBps
+		rho := trafficmodel.BpsMemo(q.load, t, m) / q.capacityBps
 		if rho >= 1 {
 			d = q.bufferBits / q.capacityBps
 		} else if rho > 0 {
@@ -394,7 +400,8 @@ func (q *Fluid) delayFromOccupancy(occ float64, t simclock.Time) simclock.Durati
 // the buffer drain time.
 func (q *Fluid) DelayAt(t simclock.Time) simclock.Duration {
 	q.advance(t)
-	return q.delayFromOccupancy(q.occupancy, t)
+	var m trafficmodel.Memo
+	return q.delayFromOccupancy(q.occupancy, t, &m)
 }
 
 // LossAt returns the probability that a packet arriving at time t is
@@ -425,6 +432,11 @@ type TokenBucket struct {
 	burst      float64
 	tokens     float64
 	last       simclock.Time
+	// gap and gapTokens memoize refill's last increment: the tokens a
+	// gap of that length adds. A prober's far probe trails its near
+	// probe by the same gap round after round.
+	gap       simclock.Duration
+	gapTokens float64
 }
 
 // NewTokenBucket returns a bucket producing rate tokens per second
@@ -446,14 +458,19 @@ const tokenEps = 1e-9
 // it into the future).
 func (tb *TokenBucket) Allow(t simclock.Time) bool {
 	tb.refill(t)
-	if tb.tokens >= 1-tokenEps {
-		tb.tokens--
-		if tb.tokens < 0 {
-			tb.tokens = 0
-		}
-		return true
+	return tb.spend()
+}
+
+// spend consumes a token if one is available at the frontier.
+func (tb *TokenBucket) spend() bool {
+	if tb.tokens < 1-tokenEps {
+		return false
 	}
-	return false
+	tb.tokens--
+	if tb.tokens < 0 {
+		tb.tokens = 0
+	}
+	return true
 }
 
 // NextAllowed returns the earliest time at or after max(t, frontier)
@@ -463,9 +480,26 @@ func (tb *TokenBucket) NextAllowed(t simclock.Time) simclock.Time {
 	if tb.tokens >= 1-tokenEps {
 		return t
 	}
+	return t.Add(tb.wait())
+}
+
+// wait is how long a bucket short of a token takes to refill one.
+func (tb *TokenBucket) wait() simclock.Duration {
 	need := 1 - tb.tokens
-	wait := time.Duration(need / tb.ratePerSec * float64(time.Second))
-	return t.Add(wait)
+	return time.Duration(need / tb.ratePerSec * float64(time.Second))
+}
+
+// Take paces one packet: NextAllowed(t), then Allow at that time,
+// which it returns as the packet's send time. When a token is there at
+// max(t, frontier), Allow's refill would be the identity (its time is
+// the frontier), so the token is spent right after the one refill.
+func (tb *TokenBucket) Take(t simclock.Time) simclock.Time {
+	t = tb.refill(t)
+	if !tb.spend() {
+		t = t.Add(tb.wait())
+		tb.Allow(t)
+	}
+	return t
 }
 
 // State returns the bucket's mutable state (tokens, frontier) for
@@ -482,11 +516,23 @@ func (tb *TokenBucket) RestoreState(tokens float64, last simclock.Time) {
 }
 
 // refill advances the bucket to max(t, frontier) and returns that time.
+// Two cases skip the float arithmetic and leave the same bits: at or
+// before the frontier the refill adds 0·rate, and a full bucket stays
+// full, since the cap restores exactly burst.
 func (tb *TokenBucket) refill(t simclock.Time) simclock.Time {
-	if t < tb.last {
+	if t <= tb.last {
 		t = tb.last
+		if tb.tokens <= tb.burst { // not a restored over-cap state
+			return t
+		}
+	} else if tb.tokens == tb.burst {
+		tb.last = t
+		return t
 	}
-	tb.tokens += t.Sub(tb.last).Seconds() * tb.ratePerSec
+	if gap := t.Sub(tb.last); gap != tb.gap {
+		tb.gap, tb.gapTokens = gap, gap.Seconds()*tb.ratePerSec
+	}
+	tb.tokens += tb.gapTokens
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
 	}

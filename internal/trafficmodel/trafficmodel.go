@@ -254,6 +254,55 @@ func (l *diurnalLoad) Fill(start simclock.Time, step simclock.Duration, dst []fl
 	}
 }
 
+// Memo carries one reader's day amplitude and minute noise factor from
+// one BpsMemo to the next, so a reader stepping through nearby instants
+// — a frozen queue read's integration and its delay lookup — computes
+// each once per day and per minute, as Fill does. The zero Memo is
+// empty. A Memo belongs to one reader; the loads are only read, so
+// concurrent readers each keep their own.
+type Memo struct {
+	load             *diurnalLoad
+	dayStart, dayEnd simclock.Time
+	amp              float64
+	minute           int64
+	noise            float64
+	hasNoise         bool
+}
+
+// BpsMemo returns l.Bps(t), bit for bit, reusing m's factors when t is
+// in the day and minute they were computed for on the same Diurnal
+// load. Loads other than Diurnal and Schedule evaluate Bps.
+func BpsMemo(l Load, t simclock.Time, m *Memo) float64 {
+	switch l := l.(type) {
+	case *diurnalLoad:
+		return l.bpsMemo(t, m)
+	case *Schedule:
+		return BpsMemo(l.loads[l.phase(t)], t, m)
+	}
+	return l.Bps(t)
+}
+
+// bpsMemo is Bps with the factors taken from, or refreshed into, m.
+// The day is Fill's [dayStart, dayStart+24h), whose amplitude dayAmp
+// depends on alone; the minute is noise's own index.
+func (l *diurnalLoad) bpsMemo(t simclock.Time, m *Memo) float64 {
+	d := &l.d
+	if m.load != l || t < m.dayStart || t >= m.dayEnd {
+		m.load, m.hasNoise = l, false
+		m.dayStart = t.Truncate(24 * time.Hour)
+		m.dayEnd = m.dayStart.Add(24 * time.Hour)
+		m.amp = d.dayAmp(t)
+	}
+	noise := 1.0
+	if d.NoiseFrac > 0 {
+		if min := noiseMinute(t); !m.hasNoise || min != m.minute {
+			m.minute, m.noise, m.hasNoise = min, d.minuteNoise(min), true
+		}
+		noise = m.noise
+	}
+	return d.point(m.amp, l.shapeAt(t.SecondOfDay()), noise)
+}
+
 // Schedule is a piecewise load: the latest phase whose start is ≤ t
 // applies. Phases must be appended in chronological order.
 type Schedule struct {

@@ -336,6 +336,14 @@ func (b *Builder) Set(i int, v float64) {
 // MergeMin sets slot i to v if the slot is missing or v is smaller —
 // the TSLP streaming minimum filter.
 func (b *Builder) MergeMin(i int, v float64) {
+	if j := uint(i - b.curBlk*BlockLen); j < uint(len(b.cur)) && b.sealed == nil {
+		// Inside the open block: advanceTo would do nothing.
+		if slot := &b.cur[j]; math.IsNaN(*slot) || v < *slot {
+			*slot = v
+			b.dirty = true
+		}
+		return
+	}
 	b.advanceTo(i)
 	slot := &b.cur[i-b.curBlk*BlockLen]
 	if math.IsNaN(*slot) || v < *slot {

@@ -147,12 +147,25 @@ func TestBuilderSealIdempotentAndWriteAfterSealPanics(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("Seal not idempotent")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("write after Seal did not panic")
-		}
-	}()
-	b.Set(1, 2)
+	// Slot 1 sits in the block that was open at Seal, which MergeMin's
+	// open-block path must not write either.
+	for _, w := range []struct {
+		name  string
+		write func()
+	}{
+		{"Set", func() { b.Set(1, 2) }},
+		{"MergeMin", func() { b.MergeMin(1, 2) }},
+		{"MergeMax", func() { b.MergeMax(1, 2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after Seal did not panic", w.name)
+				}
+			}()
+			w.write()
+		}()
+	}
 }
 
 // TestSharedMissingBlocks checks that long pre-discovery gaps cost a

@@ -279,12 +279,14 @@ func readLedger(path string) (Ledger, error) {
 // against the baseline ledger, plus inverted parallel scaling in the
 // current run, returning the warning count. Benchmarks are matched by
 // name and procs; benchmarks present on only one side are skipped (new
-// or retired benchmarks are not regressions). A COUNT=N log and ledger
-// row hold N samples per benchmark, so each side is reduced to its
-// median, and a regression warns only when the median grew by more
-// than tol percent and by more than the baseline's own interquartile
-// spread (zero for a one-sample row). The caller always exits 0 —
-// single-shot CI smoke runs are too noisy to gate on.
+// or retired benchmarks are not regressions), and so are benchmarks
+// whose two sides ran iteration counts too far apart to compare
+// (comparableIterations), which one summary line lists. A COUNT=N log
+// and ledger row hold N samples per benchmark, so each side is reduced
+// to its median, and a regression warns only when the median grew by
+// more than tol percent and by more than the baseline's own
+// interquartile spread (zero for a one-sample row). The caller always
+// exits 0 — single-shot CI smoke runs are too noisy to gate on.
 func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 	baselineLedger, err := readLedger(prevPath)
 	if err != nil {
@@ -294,9 +296,14 @@ func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 	baseline, _ := groupSamples(baselineLedger.Benchmarks)
 	current, order := groupSamples(benches)
 	regressions := 0
+	var skipped []string
 	for _, k := range order {
 		base, ok := baseline[k]
 		if !ok {
+			continue
+		}
+		if bi, ci, ok := comparableIterations(base, current[k]); !ok {
+			skipped = append(skipped, fmt.Sprintf("%s (procs=%d, %d vs %d)", k.name, k.procs, bi, ci))
 			continue
 		}
 		// allocs/op and bytes/op are deterministic where ns/op is
@@ -322,6 +329,10 @@ func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 			}
 		}
 	}
+	if len(skipped) > 0 {
+		fmt.Printf("bench guard: %d benchmark(s) not compared, iterations per sample differ over %d× from the baseline's (baseline vs current median): %s\n",
+			len(skipped), maxIterRatio, strings.Join(skipped, ", "))
+	}
 	regressions += warnInvertedScaling(benches, baselineLedger.Cores)
 	regressions += warnBudgetSpend(benches)
 	regressions += warnScaleMemory(benches, baselineLedger, tol)
@@ -333,6 +344,30 @@ func runGuard(benches []Benchmark, prevPath string, tol float64) int {
 			regressions)
 	}
 	return regressions
+}
+
+// maxIterRatio bounds how far apart two sides' iteration counts may be
+// for the guard to compare their per-op figures. A -benchtime 1x smoke
+// sample pays first-run costs (cold caches, lazily grown scratch, one
+// GC cycle) that a sample of thousands of iterations amortizes, so its
+// per-op figures — bytes/op above all — are not comparable with it.
+const maxIterRatio = 4
+
+// comparableIterations reports the median iteration count of each
+// side's samples and whether they are within maxIterRatio of each
+// other.
+func comparableIterations(base, cur []Benchmark) (baseIters, curIters int64, ok bool) {
+	median := func(bs []Benchmark) int64 {
+		its := make([]int64, len(bs))
+		for i, b := range bs {
+			its[i] = b.Iterations
+		}
+		slices.Sort(its)
+		return its[len(its)/2]
+	}
+	bi, ci := median(base), median(cur)
+	lo, hi := min(bi, ci), max(bi, ci)
+	return bi, ci, hi <= maxIterRatio*lo
 }
 
 // benchKey identifies one benchmark across runs.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -429,5 +430,47 @@ func TestParseRawKeepsEverySample(t *testing.T) {
 	}
 	if len(benches) != 3 || benches[1].NsPerOp != 120 {
 		t.Fatalf("parsed %+v, want the three samples in order", benches)
+	}
+}
+
+// A one-iteration smoke sample is not compared with a ledger median of
+// many iterations: its first-run bytes/op and ns/op would always read
+// as regressions. The skipped benchmark is listed in one summary line,
+// and the same figures at comparable iteration counts still warn.
+func TestGuardSkipsMismatchedIterations(t *testing.T) {
+	const name = "BenchmarkChunkCompression"
+	bytes := func(iters int64, ns, b float64) Benchmark {
+		return Benchmark{Name: name, Procs: 1, Iterations: iters, NsPerOp: ns, BytesPerOp: &b}
+	}
+	base := ledgerJSON(t, []Benchmark{bytes(38, 3e7, 85), bytes(40, 3e7, 85), bytes(37, 3e7, 85)})
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	got := runGuard([]Benchmark{bytes(1, 3.3e8, 2312)}, base, 25)
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if got != 0 {
+		t.Fatalf("one-iteration smoke against a 38-iteration median warned %d times, want 0", got)
+	}
+	summary := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, "not compared") {
+			summary++
+			if !strings.Contains(line, name+" (procs=1, 38 vs 1)") {
+				t.Errorf("summary line %q does not name the skipped benchmark", line)
+			}
+		}
+	}
+	if summary != 1 {
+		t.Errorf("%d summary lines of skipped benchmarks, want 1:\n%s", summary, out)
+	}
+
+	if got := runGuard([]Benchmark{bytes(20, 3.3e8, 2312)}, base, 25); got != 2 {
+		t.Fatalf("comparable iteration counts warned %d times, want 2 (ns/op and bytes/op)", got)
 	}
 }
