@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"afrixp/internal/simclock"
 )
 
 // The public API is a thin facade over heavily-tested internal
@@ -92,6 +94,27 @@ func TestRunCampaignFacade(t *testing.T) {
 	}
 	if _, frac := Headline(c); frac < 0 || frac > 0.5 {
 		t.Fatalf("headline fraction = %v", frac)
+	}
+}
+
+// TestCampaignWindow pins the days/offset → interval rule RunCampaign
+// and the repro budget sweep share.
+func TestCampaignWindow(t *testing.T) {
+	day := simclock.Time(0).Add(24 * time.Hour)
+	at := func(days int) simclock.Time { return simclock.Time(days) * day }
+	for _, c := range []struct {
+		days, off int
+		want      Interval
+	}{
+		{0, 0, Interval{}},
+		{7, 0, Interval{Start: 0, End: at(7)}},
+		{4, 149, Interval{Start: at(149), End: at(153)}},
+		{0, 14, Interval{Start: at(14), End: simclock.LatencyEnd}},
+		{100000, 14, Interval{Start: at(14), End: simclock.LatencyEnd}},
+	} {
+		if got := CampaignWindow(c.days, c.off); got != c.want {
+			t.Errorf("CampaignWindow(%d, %d) = %+v, want %+v", c.days, c.off, got, c.want)
+		}
 	}
 }
 

@@ -78,7 +78,6 @@ import (
 	"afrixp/internal/profiling"
 	"afrixp/internal/report"
 	"afrixp/internal/scenario"
-	"afrixp/internal/simclock"
 )
 
 // main delegates to run so that every deferred flush — CPU/heap
@@ -325,18 +324,7 @@ func runBudgetTable(seed uint64, scale float64, days, startOff int,
 		BatchSteps:  batch,
 		Budget:      &budget.Config{Seed: budgetSeed},
 		Progress:    progress,
-	}
-	start := simclock.Time(0).Add(time.Duration(startOff) * 24 * time.Hour)
-	if days > 0 {
-		base.Campaign = simclock.Interval{
-			Start: start,
-			End:   start.Add(time.Duration(days) * 24 * time.Hour),
-		}
-		if base.Campaign.End > simclock.LatencyEnd {
-			base.Campaign.End = simclock.LatencyEnd
-		}
-	} else if startOff > 0 {
-		base.Campaign = simclock.Interval{Start: start, End: simclock.LatencyEnd}
+		Campaign:    afrixp.CampaignWindow(days, startOff),
 	}
 	fmt.Fprintf(os.Stderr, "budget sweep (scale %.2f): full rate + 50/25/10%% budgets...\n", scale)
 	t0 := time.Now()

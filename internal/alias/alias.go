@@ -20,67 +20,54 @@ import (
 	"afrixp/internal/simclock"
 )
 
-// Config tunes the resolver.
-type Config struct {
-	// Probes per address in one Ally test (interleaved). Default 4.
-	Probes int
-	// MaxGap is the largest believable counter advance between two
-	// consecutive responses of one router. Default 1000 (generous:
-	// busy routers answer other traffic between our probes).
-	MaxGap uint16
-	// Spacing between consecutive probes. Default 20 ms.
-	Spacing simclock.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Probes <= 0 {
-		c.Probes = 4
-	}
-	if c.MaxGap == 0 {
-		c.MaxGap = 1000
-	}
-	if c.Spacing <= 0 {
-		c.Spacing = 20 * time.Millisecond
-	}
-	return c
-}
+// The resolver's fixed tuning.
+const (
+	// probes is the number of probes per address in one Ally test
+	// (interleaved).
+	probes = 4
+	// maxGap is the largest believable counter advance between two
+	// consecutive responses of one router (generous: busy routers
+	// answer other traffic between our probes).
+	maxGap = 1000
+	// spacing is the time between consecutive probes.
+	spacing = 20 * time.Millisecond
+)
 
 // Resolver runs alias tests through a prober.
 type Resolver struct {
-	p   *prober.Prober
-	cfg Config
+	p *prober.Prober
 }
 
 // NewResolver binds a resolver to a prober.
-func NewResolver(p *prober.Prober, cfg Config) *Resolver {
-	return &Resolver{p: p, cfg: cfg.withDefaults()}
+func NewResolver(p *prober.Prober) *Resolver {
+	return &Resolver{p: p}
 }
 
 // Ally tests whether addresses a and b alias to the same router by
 // interleaving echo probes and checking that the combined IP-ID
 // sequence is a single bounded-gap monotonic counter.
 func (r *Resolver) Ally(a, b netaddr.Addr, t simclock.Time) (bool, error) {
-	ids := make([]uint16, 0, 2*r.cfg.Probes)
+	ids := make([]uint16, 0, 2*probes)
 	at := t
-	for i := 0; i < r.cfg.Probes; i++ {
+	for i := 0; i < probes; i++ {
 		for _, dst := range []netaddr.Addr{a, b} {
 			res, err := r.p.Ping(dst, 64, at)
 			if err != nil {
 				return false, fmt.Errorf("alias: probing %v: %w", dst, err)
 			}
-			at = res.SentAt.Add(r.cfg.Spacing)
+			at = res.SentAt.Add(spacing)
 			if res.Lost {
 				// One retry per slot; persistent loss aborts the test.
 				res, err = r.p.Ping(dst, 64, at)
 				if err != nil || res.Lost {
 					return false, fmt.Errorf("alias: %v unresponsive", dst)
 				}
-				at = res.SentAt.Add(r.cfg.Spacing)
+				at = res.SentAt.Add(spacing)
 			}
 			ids = append(ids, res.RespIPID)
 		}
 	}
-	return monotonic(ids, r.cfg.MaxGap), nil
+	return monotonic(ids, maxGap), nil
 }
 
 // monotonic reports whether ids advance by (0, maxGap] at every step,
@@ -118,7 +105,7 @@ func (r *Resolver) Resolve(addrs []netaddr.Addr, t simclock.Time) ([][]netaddr.A
 				continue // already grouped transitively
 			}
 			same, err := r.Ally(addrs[i], addrs[j], at)
-			at = at.Add(time.Duration(2*r.cfg.Probes) * r.cfg.Spacing)
+			at = at.Add(time.Duration(2*probes) * spacing)
 			if err != nil {
 				continue // unresponsive pair stays separate
 			}

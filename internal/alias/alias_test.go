@@ -39,7 +39,7 @@ func build(t testing.TB) (*netsim.Network, *netsim.Node) {
 
 func TestAllyDetectsAliases(t *testing.T) {
 	nw, vp := build(t)
-	r := NewResolver(prober.New(nw, vp, prober.Config{}), Config{})
+	r := NewResolver(prober.New(nw, vp, prober.Config{}))
 	// 10.20.0.2 and 10.20.0.6 are both r2.
 	same, err := r.Ally(ma("10.20.0.2"), ma("10.20.0.6"), 0)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestAllyDetectsAliases(t *testing.T) {
 
 func TestAllyRejectsDistinctRouters(t *testing.T) {
 	nw, vp := build(t)
-	r := NewResolver(prober.New(nw, vp, prober.Config{}), Config{})
+	r := NewResolver(prober.New(nw, vp, prober.Config{}))
 	// 10.20.0.2 is r2; 10.20.0.10 is r3.
 	same, err := r.Ally(ma("10.20.0.2"), ma("10.20.0.10"), 0)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestAllyRejectsDistinctRouters(t *testing.T) {
 
 func TestAllyUnresponsiveTarget(t *testing.T) {
 	nw, vp := build(t)
-	r := NewResolver(prober.New(nw, vp, prober.Config{}), Config{})
+	r := NewResolver(prober.New(nw, vp, prober.Config{}))
 	if _, err := r.Ally(ma("10.20.0.2"), ma("99.9.9.9"), 0); err == nil {
 		t.Fatal("unresponsive target must error")
 	}
@@ -73,7 +73,7 @@ func TestAllyUnresponsiveTarget(t *testing.T) {
 
 func TestResolveGroups(t *testing.T) {
 	nw, vp := build(t)
-	r := NewResolver(prober.New(nw, vp, prober.Config{}), Config{})
+	r := NewResolver(prober.New(nw, vp, prober.Config{}))
 	addrs := []netaddr.Addr{
 		ma("10.20.0.2"), ma("10.20.0.6"), // r2 aliases
 		ma("10.20.0.10"), // r3

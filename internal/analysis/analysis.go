@@ -32,19 +32,19 @@ type Config struct {
 	// the link is discarded as "congestion not at the targeted link".
 	// Default: the analysis threshold.
 	NearFlatMs float64
-	// SustainedTail: congestion whose last event ends within this
-	// span of the campaign end is sustained, otherwise transient
-	// (NETPAGE's congestion vanished after the upgrade → transient).
-	SustainedTail simclock.Duration
 }
+
+// sustainedTail: congestion whose last event ends within this span of
+// the end of observation is sustained, otherwise transient (NETPAGE's
+// congestion vanished after the upgrade → transient).
+const sustainedTail = 14 * 24 * time.Hour
 
 // DefaultConfig returns the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		ThresholdMs:   10,
-		LevelShift:    levelshift.DefaultConfig(),
-		Diurnal:       diurnal.Config{},
-		SustainedTail: 14 * 24 * time.Hour,
+		ThresholdMs: 10,
+		LevelShift:  levelshift.DefaultConfig(),
+		Diurnal:     diurnal.Config{},
 	}
 }
 
@@ -240,7 +240,7 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 			// the level shifts themselves.
 			v.AW = v.Far.ShiftAW()
 			v.DeltaTUD = r.MeanDuration()
-			v.Class = classify(events, ls.Far, cfg)
+			v.Class = classify(events, ls.Far)
 		}
 		out = append(out, v)
 	}
@@ -253,7 +253,7 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 // until the link itself disappeared (far probes unsuccessful from
 // 2016-08-06): that is sustained congestion, never mitigated, even
 // though the campaign ran seven more months.
-func classify(events []levelshift.Event, far *timeseries.Series, cfg Config) Classification {
+func classify(events []levelshift.Event, far *timeseries.Series) Classification {
 	if len(events) == 0 {
 		return NotCongested
 	}
@@ -262,11 +262,7 @@ func classify(events []levelshift.Event, far *timeseries.Series, cfg Config) Cla
 	if idx := far.LastPresentIndex(); idx >= 0 {
 		end = far.TimeAt(idx + 1)
 	}
-	tail := cfg.SustainedTail
-	if tail <= 0 {
-		tail = 14 * 24 * time.Hour
-	}
-	if last.OpenEnded || end.Sub(last.End) <= tail {
+	if last.OpenEnded || end.Sub(last.End) <= sustainedTail {
 		return Sustained
 	}
 	return Transient

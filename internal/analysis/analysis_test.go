@@ -272,7 +272,7 @@ func TestRunLossCampaign(t *testing.T) {
 }
 
 func TestClassifyEmpty(t *testing.T) {
-	if classify(nil, timeseries.NewRegular(0, time.Minute, 10), DefaultConfig()) != NotCongested {
+	if classify(nil, timeseries.NewRegular(0, time.Minute, 10)) != NotCongested {
 		t.Fatal("no events must be NotCongested")
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Collector streams one link's TSLP rounds into RTT series. To keep a
 // year-long multi-VP campaign in memory, samples land directly in
-// min-filtered bins of AggStep (default DefaultAggStep, the resolution
-// the level-shift detector runs at), and the bins live in
+// min-filtered bins of DefaultAggStep (the resolution the level-shift
+// detector runs at), and the bins live in
 // XOR-compressed tschunk builders — probing writes march strictly
 // forward in virtual time, so each 256-bin block compresses exactly
 // once as the frontier passes it (DESIGN.md §12). An optional
@@ -24,7 +24,6 @@ type Collector struct {
 
 	nearB, farB *tschunk.Builder
 	aggStart    simclock.Time
-	aggStep     simclock.Duration
 	nAgg        int
 	nearS, farS *timeseries.Series // sealed views, cached by seal
 	// fullNearB/fullFarB retain native-resolution samples inside
@@ -55,8 +54,6 @@ type CollectorConfig struct {
 	Campaign simclock.Interval
 	// Step is the probing cadence (default 5 minutes).
 	Step simclock.Duration
-	// AggStep is the stored bin width (default DefaultAggStep).
-	AggStep simclock.Duration
 	// FullResWindow, when non-degenerate, retains native-resolution
 	// series over the given sub-interval (for figures).
 	FullResWindow simclock.Interval
@@ -69,7 +66,7 @@ type CollectorConfig struct {
 	Arena *tschunk.Arena
 }
 
-// DefaultAggStep is the collector's default bin width: the 30-minute
+// DefaultAggStep is the collector's bin width: the 30-minute
 // resolution the level-shift detector runs at. Offline replay bins
 // at the same width so it reaches the live grid.
 const DefaultAggStep = 30 * time.Minute
@@ -77,9 +74,6 @@ const DefaultAggStep = 30 * time.Minute
 func (c CollectorConfig) withDefaults() CollectorConfig {
 	if c.Step <= 0 {
 		c.Step = 5 * time.Minute
-	}
-	if c.AggStep <= 0 {
-		c.AggStep = DefaultAggStep
 	}
 	return c
 }
@@ -90,11 +84,10 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 // only when the slab is full (tschunk.Arena.Reserve).
 func NewCollector(ts *prober.TSLP, cfg CollectorConfig) *Collector {
 	cfg = cfg.withDefaults()
-	nAgg := cfg.Campaign.NumSteps(cfg.AggStep)
+	nAgg := cfg.Campaign.NumSteps(DefaultAggStep)
 	c := &Collector{
 		TSLP:     ts,
 		aggStart: cfg.Campaign.Start,
-		aggStep:  cfg.AggStep,
 		nAgg:     nAgg,
 		window:   cfg.FullResWindow,
 		step:     cfg.Step,
@@ -115,7 +108,7 @@ func (c *Collector) aggIndex(t simclock.Time) int {
 	if t < c.aggStart {
 		return -1
 	}
-	i := int(t.Sub(c.aggStart) / c.aggStep)
+	i := int(t.Sub(c.aggStart) / DefaultAggStep)
 	if i >= c.nAgg {
 		return -1
 	}
@@ -169,8 +162,8 @@ func (c *Collector) record(t simclock.Time, near, far simclock.Duration, nearLos
 		c.bin = c.aggIndex(t)
 		c.binStart, c.binEnd = 0, 0
 		if c.bin >= 0 {
-			c.binStart = c.aggStart.Add(simclock.Duration(c.bin) * c.aggStep)
-			c.binEnd = c.binStart.Add(c.aggStep)
+			c.binStart = c.aggStart.Add(simclock.Duration(c.bin) * DefaultAggStep)
+			c.binEnd = c.binStart.Add(DefaultAggStep)
 		}
 	}
 	agg, full := c.bin, -1
@@ -208,8 +201,8 @@ func (c *Collector) seal() {
 	if c.nearS != nil {
 		return
 	}
-	c.nearS = timeseries.FromChunk(c.aggStart, c.aggStep, c.nearB.Seal())
-	c.farS = timeseries.FromChunk(c.aggStart, c.aggStep, c.farB.Seal())
+	c.nearS = timeseries.FromChunk(c.aggStart, DefaultAggStep, c.nearB.Seal())
+	c.farS = timeseries.FromChunk(c.aggStart, DefaultAggStep, c.farB.Seal())
 	if c.fullNearB != nil {
 		c.fullNear = timeseries.FromChunk(c.window.Start, c.step, c.fullNearB.Seal())
 		c.fullFar = timeseries.FromChunk(c.window.Start, c.step, c.fullFarB.Seal())
@@ -228,7 +221,7 @@ func (c *Collector) Series() LinkSeries {
 // AggSpan returns the aggregated grid geometry: the grid origin, the
 // bin width, and the slot count.
 func (c *Collector) AggSpan() (start simclock.Time, step simclock.Duration, n int) {
-	return c.aggStart, c.aggStep, c.nAgg
+	return c.aggStart, DefaultAggStep, c.nAgg
 }
 
 // FinalizedBefore returns how many leading aggregated slots can no
@@ -241,7 +234,7 @@ func (c *Collector) FinalizedBefore(t simclock.Time) int {
 	if t <= c.aggStart {
 		return 0
 	}
-	n := int(t.Sub(c.aggStart) / c.aggStep)
+	n := int(t.Sub(c.aggStart) / DefaultAggStep)
 	if n > c.nAgg {
 		n = c.nAgg
 	}

@@ -50,65 +50,34 @@ type StreamTransition struct {
 	Evidence float64
 }
 
-// StreamConfig tunes a StreamDetector.
-type StreamConfig struct {
-	// ThresholdMs is the level-shift magnitude threshold, as in the
-	// batch Config. Default 10 (the paper's operating point).
-	ThresholdMs float64
-	// EvidenceOn is the far-end rank-CUSUM evidence needed to promote
-	// Clear → Suspected. Default 8 rank-sigma.
-	EvidenceOn float64
-	// EvidenceOff is the evidence floor below which (together with a
-	// collapsed magnitude) a link demotes back to Clear. It also gates
-	// the pre-shift baseline freeze. Default 2.
-	EvidenceOff float64
-	// NearFlatMs bounds the near end's own magnitude estimate: a link
-	// only promotes while the near shift stays under it, mirroring the
-	// batch pipeline's NearFlat gate. Default: the analysis threshold.
-	NearFlatMs float64
-	// HoldSlots is how many consecutive qualifying slots the demotion
-	// condition must hold before a non-clear link demotes — diurnal
-	// congestion relaxes every off-peak night, and the batch pipeline
-	// treats the whole epoch as one event, so demotion must survive a
-	// full day of quiet. Default 48 slots (one day at 30-minute bins).
-	HoldSlots int
-	// Rank tunes the far-end rank-CUSUM tap.
-	Rank cusum.RankStreamConfig
-	// Near tunes the near-end rank-CUSUM tap (the "is the shift really
-	// at this link" guard). A rank tap, not an EWMA one, for the same
-	// reason as the far end: a diurnal ramp is slow enough for an EWMA
-	// baseline to absorb, while a ~3-day rank window still sees it.
-	Near cusum.RankStreamConfig
-	// Diurnal gates Suspected → Congested. Defaults follow the online
-	// monitor: MinDays 3 (an operator wants confirmation in days, not
-	// the batch detector's 5) and MinAmplitudeMs ThresholdMs·0.8.
-	Diurnal diurnal.Config
-}
+// A StreamDetector's fixed tuning: the paper's operating point.
+const (
+	// streamThresholdMs is the level-shift magnitude threshold, as in
+	// the batch Config.
+	streamThresholdMs = 10.0
+	// streamEvidenceOn is the far-end rank-CUSUM evidence, in
+	// rank-sigma, needed to promote Clear → Suspected.
+	streamEvidenceOn = 8
+	// streamEvidenceOff is the evidence floor below which (together
+	// with a collapsed magnitude) a link demotes back to Clear. It
+	// also gates the pre-shift baseline freeze.
+	streamEvidenceOff = 2
+	// streamNearFlatMs bounds the near end's own magnitude estimate: a
+	// link only promotes while the near shift stays under it,
+	// mirroring the batch pipeline's NearFlat gate.
+	streamNearFlatMs = streamThresholdMs
+	// streamHoldSlots is how many consecutive qualifying slots the
+	// demotion condition must hold before a non-clear link demotes —
+	// diurnal congestion relaxes every off-peak night, and the batch
+	// pipeline treats the whole epoch as one event, so demotion must
+	// survive a full day of quiet (48 slots at 30-minute bins).
+	streamHoldSlots = 48
+)
 
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.ThresholdMs <= 0 {
-		c.ThresholdMs = 10
-	}
-	if c.EvidenceOn <= 0 {
-		c.EvidenceOn = 8
-	}
-	if c.EvidenceOff <= 0 {
-		c.EvidenceOff = 2
-	}
-	if c.NearFlatMs <= 0 {
-		c.NearFlatMs = c.ThresholdMs
-	}
-	if c.HoldSlots <= 0 {
-		c.HoldSlots = 48
-	}
-	if c.Diurnal.MinDays <= 0 {
-		c.Diurnal.MinDays = 3
-	}
-	if c.Diurnal.MinAmplitudeMs <= 0 {
-		c.Diurnal.MinAmplitudeMs = c.ThresholdMs * 0.8
-	}
-	return c
-}
+// streamDiurnal gates Suspected → Congested. It follows the online
+// monitor: MinDays 3 (an operator wants confirmation in days, not the
+// batch detector's 5) and an amplitude floor of 0.8 × the threshold.
+var streamDiurnal = diurnal.Config{MinDays: 3, MinAmplitudeMs: streamThresholdMs * 0.8}
 
 // StreamDetector is the incremental per-link counterpart of
 // AnalyzeLink: fed one finalized aggregated slot at a time it keeps
@@ -126,7 +95,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // (time, near, far) sequence, so the alert log itself is also
 // deterministic. Allocation-free after New.
 type StreamDetector struct {
-	cfg  StreamConfig
 	far  *cusum.RankStream
 	near *cusum.RankStream
 	fold *diurnal.StreamFold
@@ -171,13 +139,11 @@ func (l *levelTrack) magnitude() float64 {
 func (l *levelTrack) reset() { l.slow, l.fast, l.primed = 0, 0, false }
 
 // NewStreamDetector builds a per-link detector.
-func NewStreamDetector(cfg StreamConfig) *StreamDetector {
-	cfg = cfg.withDefaults()
+func NewStreamDetector() *StreamDetector {
 	return &StreamDetector{
-		cfg:  cfg,
-		far:  cusum.NewRankStream(cfg.Rank),
-		near: cusum.NewRankStream(cfg.Near),
-		fold: diurnal.NewStreamFold(cfg.Diurnal),
+		far:  cusum.NewRankStream(),
+		near: cusum.NewRankStream(),
+		fold: diurnal.NewStreamFold(streamDiurnal),
 	}
 }
 
@@ -195,7 +161,7 @@ func (d *StreamDetector) Observe(t simclock.Time, nearMs, farMs float64) (Stream
 	d.fold.Observe(t, farMs)
 	if !timeseries.IsMissing(nearMs) {
 		d.near.Observe(nearMs)
-		d.nearLvl.observe(nearMs, d.near.Evidence() >= d.cfg.EvidenceOff)
+		d.nearLvl.observe(nearMs, d.near.Evidence() >= streamEvidenceOff)
 	}
 	if timeseries.IsMissing(farMs) {
 		return StreamTransition{}, false
@@ -203,7 +169,7 @@ func (d *StreamDetector) Observe(t simclock.Time, nearMs, farMs float64) (Stream
 	d.far.Observe(farMs)
 	// Freeze the pre-shift baseline while any meaningful evidence is
 	// accumulating so the shifted regime cannot absorb into it.
-	d.farLvl.observe(farMs, d.far.Evidence() >= d.cfg.EvidenceOff)
+	d.farLvl.observe(farMs, d.far.Evidence() >= streamEvidenceOff)
 	return d.step(t)
 }
 
@@ -211,7 +177,7 @@ func (d *StreamDetector) Observe(t simclock.Time, nearMs, farMs float64) (Stream
 func (d *StreamDetector) step(t simclock.Time) (StreamTransition, bool) {
 	ev := d.far.Evidence()
 	mag := d.MagnitudeMs()
-	quiet := ev < d.cfg.EvidenceOff && mag < d.cfg.ThresholdMs/2
+	quiet := ev < streamEvidenceOff && mag < streamThresholdMs/2
 	if quiet {
 		d.holdDown++
 	} else {
@@ -220,18 +186,18 @@ func (d *StreamDetector) step(t simclock.Time) (StreamTransition, bool) {
 	from := d.state
 	switch d.state {
 	case StreamClear:
-		if ev >= d.cfg.EvidenceOn && d.far.Upward() && mag >= d.cfg.ThresholdMs &&
-			d.nearLvl.magnitude() < d.cfg.NearFlatMs {
+		if ev >= streamEvidenceOn && d.far.Upward() && mag >= streamThresholdMs &&
+			d.nearLvl.magnitude() < streamNearFlatMs {
 			d.state = StreamSuspected
 		}
 	case StreamSuspected:
-		if d.fold.Snapshot().Decide(d.cfg.Diurnal).Diurnal {
+		if d.fold.Snapshot().Decide(streamDiurnal).Diurnal {
 			d.state = StreamCongested
-		} else if d.holdDown >= d.cfg.HoldSlots {
+		} else if d.holdDown >= streamHoldSlots {
 			d.state = StreamClear
 		}
 	case StreamCongested:
-		if d.holdDown >= d.cfg.HoldSlots {
+		if d.holdDown >= streamHoldSlots {
 			d.state = StreamClear
 		}
 	}
@@ -243,7 +209,7 @@ func (d *StreamDetector) step(t simclock.Time) (StreamTransition, bool) {
 		At:          t,
 		From:        from,
 		To:          d.state,
-		ThresholdMs: d.cfg.ThresholdMs,
+		ThresholdMs: streamThresholdMs,
 		MagnitudeMs: mag,
 		Evidence:    ev,
 	}, true
@@ -262,7 +228,7 @@ func (d *StreamDetector) MagnitudeMs() float64 { return d.farLvl.magnitude() }
 // Snapshot is the incremental diurnal fold's verdict so far, gated by
 // the detector's diurnal config.
 func (d *StreamDetector) Snapshot() diurnal.Verdict {
-	return d.fold.Snapshot().Decide(d.cfg.Diurnal)
+	return d.fold.Snapshot().Decide(streamDiurnal)
 }
 
 // Profile appends the current day-folded far-end profile to dst — the

@@ -48,7 +48,7 @@ func feed(d *StreamDetector, slots []streamSlot) []StreamTransition {
 
 func TestStreamDetectorWalksTheLadder(t *testing.T) {
 	slots := buildOnsetTrace(4, 6, 30)
-	d := NewStreamDetector(StreamConfig{})
+	d := NewStreamDetector()
 	trs := feed(d, slots)
 	if len(trs) < 2 {
 		t.Fatalf("got %d transitions, want ≥ 2 (suspected then congested): %+v", len(trs), trs)
@@ -86,7 +86,7 @@ func TestStreamDetectorWalksTheLadder(t *testing.T) {
 
 func TestStreamDetectorQuietLinkStaysClear(t *testing.T) {
 	slots := buildOnsetTrace(10, 0, 0)
-	d := NewStreamDetector(StreamConfig{})
+	d := NewStreamDetector()
 	if trs := feed(d, slots); len(trs) != 0 {
 		t.Fatalf("flat link produced transitions: %+v", trs)
 	}
@@ -105,7 +105,7 @@ func TestStreamDetectorNearShiftSuppressed(t *testing.T) {
 			slots[i].near += 15 * (1 - math.Cos(hod))
 		}
 	}
-	d := NewStreamDetector(StreamConfig{})
+	d := NewStreamDetector()
 	for _, tr := range feed(d, slots) {
 		if tr.To == StreamSuspected && tr.From == StreamClear {
 			t.Fatalf("promoted despite shifted near end: %+v", tr)
@@ -123,7 +123,7 @@ func TestStreamDetectorMissingSlotsTolerated(t *testing.T) {
 			slots[i].near = timeseries.Missing
 		}
 	}
-	d := NewStreamDetector(StreamConfig{})
+	d := NewStreamDetector()
 	trs := feed(d, slots)
 	if d.State() != StreamCongested {
 		t.Fatalf("20%% loss ended %v (transitions %+v); want congested", d.State(), trs)
@@ -132,11 +132,11 @@ func TestStreamDetectorMissingSlotsTolerated(t *testing.T) {
 
 func TestStreamDetectorDeterministicReplay(t *testing.T) {
 	slots := buildOnsetTrace(4, 6, 30)
-	a := NewStreamDetector(StreamConfig{})
+	a := NewStreamDetector()
 	trsA := feed(a, slots)
 
 	// Fresh detector: identical alert log, bit for bit.
-	b := NewStreamDetector(StreamConfig{})
+	b := NewStreamDetector()
 	trsB := feed(b, slots)
 	compareTransitions(t, "fresh", trsA, trsB)
 
@@ -170,7 +170,7 @@ func compareTransitions(t *testing.T, label string, a, b []StreamTransition) {
 
 func TestStreamDetectorObserveZeroAlloc(t *testing.T) {
 	slots := buildOnsetTrace(2, 2, 30)
-	d := NewStreamDetector(StreamConfig{})
+	d := NewStreamDetector()
 	feed(d, slots)
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
@@ -179,5 +179,27 @@ func TestStreamDetectorObserveZeroAlloc(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Fatalf("Observe allocates %.1f/op; want 0", n)
+	}
+}
+
+// The detector's derived constants must carry the bits the run-time
+// defaults computed from a 10 ms threshold: the near-flat bound and
+// the diurnal amplitude floor (threshold × 0.8, which Go folds exactly
+// at compile time).
+func TestStreamConstantsMatchRuntimeDefaults(t *testing.T) {
+	thr, frac := 10.0, 0.8
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"threshold", streamThresholdMs, thr},
+		{"near-flat bound", streamNearFlatMs, thr},
+		{"demotion magnitude", streamThresholdMs / 2, thr / 2},
+		{"diurnal amplitude", streamDiurnal.MinAmplitudeMs, thr * frac},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s: %v (%#x), run-time default %v (%#x)", c.name, c.got,
+				math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+		}
 	}
 }

@@ -47,24 +47,16 @@ type Config struct {
 	// Siblings lists ASes belonging to the VP's organization; hops in
 	// their space count as inside the VP network.
 	Siblings []asrel.ASN
-	// MaxTTL bounds each traceroute. Default 16.
-	MaxTTL uint8
-	// MaxConsecutiveLoss stops a trace after this many silent hops.
-	// Default 3.
-	MaxConsecutiveLoss int
 	// ResolveAliases enables the Ally pass over border addresses.
 	ResolveAliases bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxTTL == 0 {
-		c.MaxTTL = 16
-	}
-	if c.MaxConsecutiveLoss == 0 {
-		c.MaxConsecutiveLoss = 3
-	}
-	return c
-}
+const (
+	// maxTTL bounds each traceroute.
+	maxTTL = 16
+	// maxConsecutiveLoss stops a trace after this many silent hops.
+	maxConsecutiveLoss = 3
+)
 
 // Link is one inferred interdomain IP link.
 type Link struct {
@@ -129,7 +121,6 @@ func (r *Result) HasNeighbor(as asrel.ASN) bool {
 // Run executes the border mapping process from the prober's VP at
 // virtual time t. The VP's AS is taken from the prober's node.
 func Run(p *prober.Prober, cfg Config, t simclock.Time) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if cfg.BGP == nil {
 		return nil, fmt.Errorf("bdrmap: BGP dataset required")
 	}
@@ -146,20 +137,20 @@ func Run(p *prober.Prober, cfg Config, t simclock.Time) (*Result, error) {
 	at := t
 	// trace is one buffer for every traceroute: nothing below keeps
 	// hops past the iteration that traced them.
-	trace := make([]prober.Hop, 0, cfg.MaxTTL)
+	trace := make([]prober.Hop, 0, maxTTL)
 	for _, po := range cfg.BGP.RoutedPrefixes() {
 		if inside[po.Origin] {
 			continue // no border crossing toward our own prefixes
 		}
 		target := traceTarget(po.Prefix)
 		var err error
-		trace, err = p.AppendTraceroute(trace[:0], target, cfg.MaxTTL, at)
+		trace, err = p.AppendTraceroute(trace[:0], target, maxTTL, at)
 		if err != nil {
 			return nil, fmt.Errorf("bdrmap: tracing %v: %w", po.Prefix, err)
 		}
 		res.TracesRun++
 		at = at.Add(200 * time.Millisecond)
-		hops := trimTrailingLoss(trace, cfg.MaxConsecutiveLoss)
+		hops := trimTrailingLoss(trace, maxConsecutiveLoss)
 
 		near, far, ok := findBorder(hops, inside, cfg)
 		if !ok {
@@ -214,7 +205,7 @@ func Run(p *prober.Prober, cfg Config, t simclock.Time) (*Result, error) {
 			addrs = append(addrs, a)
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		groups, err := alias.NewResolver(p, alias.Config{}).Resolve(addrs, at)
+		groups, err := alias.NewResolver(p).Resolve(addrs, at)
 		if err == nil {
 			res.BorderGroups = groups
 		}

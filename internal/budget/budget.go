@@ -45,30 +45,31 @@ type Config struct {
 	// are re-ranked and rates reassigned; every recompute instant is a
 	// batch barrier. Default 6 h.
 	RecomputeEvery simclock.Duration
-	// MaxBackoff caps the exponential back-off ladder: a flat link's
-	// period doubles per recompute up to 1<<MaxBackoff rounds (the
-	// heartbeat floor). Default 4 (floor = every 16th round). The
-	// floor deepens automatically if Fraction cannot be met at the
-	// configured floor.
-	MaxBackoff int
 	// PlateauAfter is the number of consecutive recomputes a link's
 	// detector verdict must stay unchanged (and flat) before the link
 	// is retired to the floor and leaves the ranking pool. Default 8
 	// (two days at the default cadence).
 	PlateauAfter int
-	// DensifyEvidence is the CUSUM evidence level at which a link is
-	// considered "suspect" and densified to full rate. Default 4.
-	DensifyEvidence float64
-	// WakeEvidence re-activates a retired link when its heartbeat
-	// samples accumulate this much evidence. Default 6.
-	WakeEvidence float64
-	// LossWeight scales the loss-rate-variance utility term.
-	// Default 4.
-	LossWeight float64
-	// DiurnalWeight scales the diurnal-window-proximity utility term.
-	// Default 1.
-	DiurnalWeight float64
 }
+
+// The scheduler's fixed tuning.
+const (
+	// maxBackoff caps the exponential back-off ladder: a flat link's
+	// period doubles per recompute up to 1<<maxBackoff rounds (the
+	// heartbeat floor, every 16th round). New deepens the floor when
+	// Fraction cannot be met at it.
+	maxBackoff = 4
+	// densifyEvidence is the CUSUM evidence level at which a link is
+	// considered "suspect" and densified to full rate.
+	densifyEvidence = 4
+	// wakeEvidence re-activates a retired link when its heartbeat
+	// samples accumulate this much evidence.
+	wakeEvidence = 6
+	// lossWeight scales the loss-rate-variance utility term.
+	lossWeight = 4
+	// diurnalWeight scales the diurnal-window-proximity utility term.
+	diurnalWeight = 1
+)
 
 // Enabled reports whether the configuration runs the scheduler. Any
 // positive Fraction does — including full budget (Fraction ≥ 1), which
@@ -82,26 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.RecomputeEvery <= 0 {
 		c.RecomputeEvery = 6 * time.Hour
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 4
-	}
-	if c.MaxBackoff > 12 {
-		c.MaxBackoff = 12
-	}
 	if c.PlateauAfter <= 0 {
 		c.PlateauAfter = 8
-	}
-	if c.DensifyEvidence <= 0 {
-		c.DensifyEvidence = 4
-	}
-	if c.WakeEvidence <= 0 {
-		c.WakeEvidence = 6
-	}
-	if c.LossWeight <= 0 {
-		c.LossWeight = 4
-	}
-	if c.DiurnalWeight <= 0 {
-		c.DiurnalWeight = 1
 	}
 	return c
 }
@@ -136,7 +119,7 @@ type linkState struct {
 	mask      uint32 // period - 1, read by the hot-path Skip gate
 	phase     uint32 // phaseHash & mask
 	stable    int32  // consecutive recomputes with an unchanged verdict
-	active    bool   // current verdict: evidence above DensifyEvidence
+	active    bool   // current verdict: evidence above densifyEvidence
 	retired   bool   // plateau-stopped: floor heartbeat only
 }
 
@@ -178,7 +161,7 @@ type rankEntry struct {
 func New(cfg Config, campaign simclock.Interval) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg, next: campaign.Start.Add(cfg.RecomputeEvery)}
-	s.floor = 1 << uint(cfg.MaxBackoff)
+	s.floor = 1 << maxBackoff
 	// A floor heartbeat of 1/floor per link is spent unconditionally;
 	// deepen the floor until the heartbeat alone fits the budget.
 	for cfg.Enabled() && 1/float64(s.floor) > cfg.Fraction && s.floor < 1<<12 {
@@ -283,9 +266,6 @@ const diurnalDecay = 0.997
 func (s *Scheduler) Due(t simclock.Time) bool {
 	return s != nil && t >= s.next
 }
-
-// NextRecompute is the next barrier instant.
-func (s *Scheduler) NextRecompute() simclock.Time { return s.next }
 
 // RecomputeAt runs the barrier work at time t: fold the per-link
 // windows, update verdicts and plateau state, re-rank by utility, and
@@ -392,10 +372,10 @@ func (s *Scheduler) foldWindow(st *linkState) {
 
 // updateVerdict applies the plateau rule: verdicts that stay
 // unchanged for PlateauAfter recomputes retire flat links to the
-// heartbeat floor; WakeEvidence on the heartbeat un-retires them.
+// heartbeat floor; wakeEvidence on the heartbeat un-retires them.
 func (s *Scheduler) updateVerdict(st *linkState) {
 	ev := st.tap.Evidence()
-	active := ev >= s.cfg.DensifyEvidence
+	active := ev >= densifyEvidence
 	if active == st.active {
 		if st.stable < math.MaxInt32 {
 			st.stable++
@@ -405,7 +385,7 @@ func (s *Scheduler) updateVerdict(st *linkState) {
 		st.stable = 0
 	}
 	if st.retired {
-		if ev >= s.cfg.WakeEvidence {
+		if ev >= wakeEvidence {
 			st.retired = false
 			st.stable = 0
 		}
@@ -419,7 +399,7 @@ func (s *Scheduler) updateVerdict(st *linkState) {
 // utility scores a link's expected marginal information.
 func (s *Scheduler) utility(st *linkState, hMid float64) float64 {
 	u := st.tap.Evidence()
-	u += s.cfg.LossWeight * math.Sqrt(st.lossVar)
+	u += lossWeight * math.Sqrt(st.lossVar)
 	if st.wSum > 1e-9 {
 		// Proximity of the upcoming window to the link's inferred
 		// diurnal congestion peak, weighted by how concentrated the
@@ -428,7 +408,7 @@ func (s *Scheduler) utility(st *linkState, hMid float64) float64 {
 		conc := math.Hypot(st.sinSum, st.cosSum) / st.wSum
 		prox := math.Cos(hMid*(2*math.Pi/24) - peak)
 		if prox > 0 {
-			u += s.cfg.DiurnalWeight * conc * prox
+			u += diurnalWeight * conc * prox
 		}
 	}
 	return u
@@ -480,7 +460,7 @@ type Stats struct {
 	// SpendFrac is the probes-per-round spend fraction assigned at
 	// the last recompute (≤ the configured Fraction).
 	SpendFrac float64
-	// Floor is the heartbeat period (1<<MaxBackoff, possibly
+	// Floor is the heartbeat period (1<<maxBackoff, possibly
 	// deepened to fit Fraction).
 	Floor int
 }

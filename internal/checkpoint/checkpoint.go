@@ -34,11 +34,13 @@ import (
 
 // Format is the serialization format version. Bump on any
 // incompatible change to Snapshot's shape; LoadLatest refuses
-// mismatched formats with a hard error. Format 4 keeps every
+// mismatched formats with a hard error. Format 4 kept every
 // collector's series bytes in the per-shard Arenas (one per VP when
 // unsharded): collector builder states carry no bytes of their own,
-// and the full-resolution windows are builder states too.
-const Format = 4
+// and the full-resolution windows are builder states too. Format 5
+// drops the loss collectors' streamed rate grid (the batch list is the
+// one loss store) and the tuning copy in each budget tap's state.
+const Format = 5
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"

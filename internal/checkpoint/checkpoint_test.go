@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -278,37 +279,93 @@ type v3Snapshot struct {
 	Arenas   [][]byte
 }
 
-// A Format-3 file decodes into the Format-4 shape (gob skips the
-// fields that are gone), so it must reach the format check and fail
-// there with the Format-2 error, never restore a mismatched shape.
+// v4Snapshot mirrors the Format-4 snapshot shape: loss collectors
+// carried a streamed rate grid, and budget taps a copy of their tuning.
+type v4Loss struct {
+	Batches []loss.Batch
+	HasGrid bool
+	Grid    tschunk.BuilderState
+}
+
+type v4Tap struct {
+	BaselineAlpha, DevAlpha, Slack, Decay float64
+	N                                     uint64
+}
+
+type v4BudgetLink struct {
+	Tap    v4Tap
+	Period uint32
+}
+
+type v4Budget struct {
+	Next simclock.Time
+	VPs  [][]v4BudgetLink
+}
+
+type v4Link struct{ Loss *v4Loss }
+
+type v4VP struct{ Links []v4Link }
+
+type v4Snapshot struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []v4VP
+	Budget   *v4Budget
+	Arenas   [][]byte
+}
+
+// Files of the older formats decode into the current shape (gob skips
+// the fields that are gone), so each must reach the format check and
+// fail there with the Format-2 error, never restore a mismatched shape.
 func TestFormat3FileIsHardError(t *testing.T) {
 	nan := math.NaN()
-	old := v3Snapshot{
-		Manifest: Manifest{Format: 3, ConfigHash: "cfg", WorldFingerprint: "world"},
-		Barrier:  1000,
-		VPs: []v3VP{{Links: []v3Link{{Collector: v3Collector{
-			NearB:    v3BuilderState{N: 3, Shared: true, CurBlock: []byte{1, 2}},
-			FullNear: []float64{1.5, nan}, FullFar: []float64{nan, 2.5},
-		}}}}},
-		Arenas: [][]byte{{0xde, 0xad}},
+	olds := []struct {
+		format int
+		snap   any
+	}{
+		{3, &v3Snapshot{
+			Manifest: Manifest{Format: 3, ConfigHash: "cfg", WorldFingerprint: "world"},
+			Barrier:  1000,
+			VPs: []v3VP{{Links: []v3Link{{Collector: v3Collector{
+				NearB:    v3BuilderState{N: 3, Shared: true, CurBlock: []byte{1, 2}},
+				FullNear: []float64{1.5, nan}, FullFar: []float64{nan, 2.5},
+			}}}}},
+			Arenas: [][]byte{{0xde, 0xad}},
+		}},
+		{4, &v4Snapshot{
+			Manifest: Manifest{Format: 4, ConfigHash: "cfg", WorldFingerprint: "world"},
+			Barrier:  1000,
+			VPs: []v4VP{{Links: []v4Link{{Loss: &v4Loss{
+				Batches: []loss.Batch{{Start: 1000, Sent: 100, Lost: 4}},
+				HasGrid: true, Grid: openBlockState(nan, 4),
+			}}}}},
+			Budget: &v4Budget{Next: 2000, VPs: [][]v4BudgetLink{{{
+				Tap:    v4Tap{BaselineAlpha: 0.02, DevAlpha: 0.05, Slack: 0.9, Decay: 0.99, N: 9},
+				Period: 4,
+			}}}},
+			Arenas: [][]byte{{0xde, 0xad}},
+		}},
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	file := append(frameHeader(payload.Bytes()), payload.Bytes()...)
-	if err := os.WriteFile(filepath.Join(dir, fileName(1000)), file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	want := Manifest{Format: Format, ConfigHash: "cfg", WorldFingerprint: "world"}
-	for _, w := range []*Manifest{&want, nil} {
-		snap, err := LoadLatest(dir, w)
-		if err == nil {
-			t.Fatalf("want=%v: Format-3 file loaded as %+v, want a hard error", w, snap)
+	for _, old := range olds {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(old.snap); err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "format 3") {
-			t.Fatalf("want=%v: unexpected error: %v", w, err)
+		dir := t.TempDir()
+		file := append(frameHeader(payload.Bytes()), payload.Bytes()...)
+		if err := os.WriteFile(filepath.Join(dir, fileName(1000)), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := Manifest{Format: Format, ConfigHash: "cfg", WorldFingerprint: "world"}
+		for _, w := range []*Manifest{&want, nil} {
+			snap, err := LoadLatest(dir, w)
+			if err == nil {
+				t.Fatalf("want=%v: Format-%d file loaded as %+v, want a hard error", w, old.format, snap)
+			}
+			if !strings.Contains(err.Error(), "different run") ||
+				!strings.Contains(err.Error(), fmt.Sprintf("format %d", old.format)) {
+				t.Fatalf("want=%v: Format-%d file: unexpected error: %v", w, old.format, err)
+			}
 		}
 	}
 }

@@ -2,35 +2,22 @@ package cusum
 
 import "math"
 
-// RankStreamConfig tunes a RankStream tap.
-type RankStreamConfig struct {
-	// Window is how many recent samples each new observation is ranked
-	// against. Default 128 — at the collector's 30-minute bins that is
-	// just under three days, long enough to hold the pre-shift level
-	// while a diurnal congestion pattern develops on top of it.
-	Window int
-	// Slack is the CUSUM allowance k, in rank-sigma units, subtracted
-	// from each standardized rank residual before it accumulates.
-	// Default 0.6.
-	Slack float64
-	// Decay leaks the one-sided sums each observation. Default 0.995 —
-	// slower than Stream's 0.99 because the tap runs on 30-minute bins,
-	// not 5-minute samples.
-	Decay float64
-}
-
-func (c RankStreamConfig) withDefaults() RankStreamConfig {
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.Slack <= 0 {
-		c.Slack = 0.6
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.995
-	}
-	return c
-}
+// A RankStream tap's fixed tuning.
+const (
+	// rankWindow is how many recent samples each new observation is
+	// ranked against — at the collector's 30-minute bins just under
+	// three days, long enough to hold the pre-shift level while a
+	// diurnal congestion pattern develops on top of it.
+	rankWindow = 128
+	// rankSlack is the CUSUM allowance k, in rank-sigma units,
+	// subtracted from each standardized rank residual before it
+	// accumulates.
+	rankSlack = 0.6
+	// rankDecay leaks the one-sided sums each observation — slower
+	// than Stream's 0.99 because the tap runs on 30-minute bins, not
+	// 5-minute samples.
+	rankDecay = 0.995
+)
 
 // rankWarmup is the number of window samples required before the
 // evidence sums start accumulating — ranks over a near-empty window
@@ -49,15 +36,15 @@ var sqrt12 = math.Sqrt(12)
 // sliding window of recent values, the normalized rank is centered and
 // scaled to unit variance, and the leaky CUSUM accumulates it — so a
 // sustained level shift shows up as evidence growing by roughly
-// (√12·(u−½) − Slack) per sample while heavy-tailed RTT spikes, which
-// wreck mean/deviation estimates, move a rank by at most one position.
+// (√12·(u−½) − rankSlack) per sample while heavy-tailed RTT spikes,
+// which wreck mean/deviation estimates, move a rank by at most one
+// position.
 // Everything is pure float arithmetic on the sample sequence: two
 // RankStreams fed the same values in the same order hold bit-identical
 // state, which is what lets the streaming observatory alert live
 // without touching campaign determinism. Allocation-free after New.
 type RankStream struct {
-	cfg  RankStreamConfig
-	ring []float64 // last min(n, Window) samples, insertion-ordered
+	ring []float64 // last min(n, rankWindow) samples, insertion-ordered
 	next int       // ring slot the next sample overwrites
 	n    uint64    // total samples observed
 	sPos float64
@@ -65,9 +52,8 @@ type RankStream struct {
 }
 
 // NewRankStream builds a tap, allocating its window ring once.
-func NewRankStream(cfg RankStreamConfig) *RankStream {
-	cfg = cfg.withDefaults()
-	return &RankStream{cfg: cfg, ring: make([]float64, 0, cfg.Window)}
+func NewRankStream() *RankStream {
+	return &RankStream{ring: make([]float64, 0, rankWindow)}
 }
 
 // Observe feeds one sample. NaNs must be filtered by the caller (the
@@ -88,11 +74,11 @@ func (s *RankStream) Observe(x float64) {
 		}
 		u := (float64(less) + 0.5*float64(equal) + 0.5) / float64(n+1)
 		z := (u - 0.5) * sqrt12
-		s.sPos = s.sPos*s.cfg.Decay + z - s.cfg.Slack
+		s.sPos = s.sPos*rankDecay + z - rankSlack
 		if s.sPos < 0 {
 			s.sPos = 0
 		}
-		s.sNeg = s.sNeg*s.cfg.Decay - z - s.cfg.Slack
+		s.sNeg = s.sNeg*rankDecay - z - rankSlack
 		if s.sNeg < 0 {
 			s.sNeg = 0
 		}
@@ -112,7 +98,7 @@ func (s *RankStream) Observe(x float64) {
 // Evidence is the current level-shift evidence: the larger one-sided
 // sum, in rank-sigma units. A flat exchangeable series hovers near
 // zero; a sustained upward shift past the window's old level grows
-// evidence by up to (√12/2 − Slack) per sample until the shifted
+// evidence by up to (√12/2 − rankSlack) per sample until the shifted
 // regime fills the window.
 func (s *RankStream) Evidence() float64 {
 	if s.sPos > s.sNeg {
@@ -128,8 +114,7 @@ func (s *RankStream) Upward() bool { return s.sPos >= s.sNeg }
 // Samples is the number of observations fed so far.
 func (s *RankStream) Samples() uint64 { return s.n }
 
-// Reset clears the window and sums but keeps the tuning (and the ring
-// allocation).
+// Reset clears the window and sums but keeps the ring allocation.
 func (s *RankStream) Reset() {
 	s.ring = s.ring[:0]
 	s.next = 0

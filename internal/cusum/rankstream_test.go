@@ -24,7 +24,7 @@ func (l *lcg) gauss() float64 {
 }
 
 func TestRankStreamFlatSeriesStaysQuiet(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(1)
 	maxEv := 0.0
 	for i := 0; i < 2000; i++ {
@@ -39,7 +39,7 @@ func TestRankStreamFlatSeriesStaysQuiet(t *testing.T) {
 }
 
 func TestRankStreamDetectsLevelShift(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(2)
 	for i := 0; i < 500; i++ {
 		s.Observe(20 + r.gauss())
@@ -67,7 +67,7 @@ func TestRankStreamDetectsLevelShift(t *testing.T) {
 }
 
 func TestRankStreamRobustToSpikes(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(3)
 	maxEv := 0.0
 	for i := 0; i < 2000; i++ {
@@ -86,8 +86,8 @@ func TestRankStreamRobustToSpikes(t *testing.T) {
 }
 
 func TestRankStreamDeterministicAndResettable(t *testing.T) {
-	a := NewRankStream(RankStreamConfig{})
-	b := NewRankStream(RankStreamConfig{})
+	a := NewRankStream()
+	b := NewRankStream()
 	r1, r2 := lcg(4), lcg(4)
 	for i := 0; i < 700; i++ {
 		a.Observe(20 + 10*r1.next())
@@ -112,7 +112,7 @@ func TestRankStreamDeterministicAndResettable(t *testing.T) {
 }
 
 func TestRankStreamObserveZeroAlloc(t *testing.T) {
-	s := NewRankStream(RankStreamConfig{})
+	s := NewRankStream()
 	r := lcg(5)
 	for i := 0; i < 300; i++ {
 		s.Observe(20 + r.gauss())

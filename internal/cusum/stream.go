@@ -2,40 +2,24 @@ package cusum
 
 import "math"
 
-// StreamConfig tunes a Stream tap.
-type StreamConfig struct {
-	// BaselineAlpha is the EWMA adaptation rate of the level estimate.
-	// Small values keep the baseline slow so genuine level shifts show
-	// up as sustained drift before being absorbed. Default 0.02.
-	BaselineAlpha float64
-	// DevAlpha is the EWMA rate of the absolute-deviation (noise
-	// scale) estimate. Default 0.05.
-	DevAlpha float64
-	// Slack is the dead band, in deviation units, subtracted from each
-	// standardized residual before it accumulates — the classic CUSUM
-	// allowance k that keeps pure noise from drifting the sums.
-	// Default 0.9.
-	Slack float64
-	// Decay leaks the one-sided sums each observation so evidence
-	// relaxes after the baseline absorbs a shift. Default 0.99.
-	Decay float64
-}
-
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.BaselineAlpha <= 0 {
-		c.BaselineAlpha = 0.02
-	}
-	if c.DevAlpha <= 0 {
-		c.DevAlpha = 0.05
-	}
-	if c.Slack <= 0 {
-		c.Slack = 0.9
-	}
-	if c.Decay <= 0 {
-		c.Decay = 0.99
-	}
-	return c
-}
+// A Stream tap's fixed tuning.
+const (
+	// streamBaselineAlpha is the EWMA adaptation rate of the level
+	// estimate. Small values keep the baseline slow so genuine level
+	// shifts show up as sustained drift before being absorbed.
+	streamBaselineAlpha = 0.02
+	// streamDevAlpha is the EWMA rate of the absolute-deviation (noise
+	// scale) estimate.
+	streamDevAlpha = 0.05
+	// streamSlack is the dead band, in deviation units, subtracted
+	// from each standardized residual before it accumulates — the
+	// classic CUSUM allowance k that keeps pure noise from drifting
+	// the sums.
+	streamSlack = 0.9
+	// streamDecay leaks the one-sided sums each observation so
+	// evidence relaxes after the baseline absorbs a shift.
+	streamDecay = 0.99
+)
 
 // Stream is a constant-memory, one-pass CUSUM tap: a cheap streaming
 // counterpart to the offline bootstrap Detector, meant to be fed every
@@ -48,7 +32,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // state, which is what lets the budget scheduler rank links without
 // breaking campaign determinism.
 type Stream struct {
-	cfg      StreamConfig
 	n        uint64
 	baseline float64
 	dev      float64
@@ -56,18 +39,12 @@ type Stream struct {
 	sNeg     float64
 }
 
-// NewStream builds a tap. The zero Stream is also usable with default
-// tuning.
-func NewStream(cfg StreamConfig) Stream {
-	return Stream{cfg: cfg.withDefaults()}
-}
+// NewStream builds a tap. The zero Stream is the same empty tap.
+func NewStream() Stream { return Stream{} }
 
 // Observe feeds one sample. Allocation-free.
 func (s *Stream) Observe(x float64) {
 	if s.n == 0 {
-		if s.cfg.BaselineAlpha == 0 {
-			s.cfg = s.cfg.withDefaults()
-		}
 		s.baseline = x
 		s.n = 1
 		return
@@ -77,7 +54,7 @@ func (s *Stream) Observe(x float64) {
 	if s.n == 1 {
 		s.dev = ad
 	} else {
-		s.dev += s.cfg.DevAlpha * (ad - s.dev)
+		s.dev += streamDevAlpha * (ad - s.dev)
 	}
 	// The noise-scale estimate needs a few samples before standardized
 	// residuals mean anything; accumulating sums earlier would turn
@@ -88,16 +65,16 @@ func (s *Stream) Observe(x float64) {
 			scale = 1e-9
 		}
 		z := d / scale
-		s.sPos = s.sPos*s.cfg.Decay + z - s.cfg.Slack
+		s.sPos = s.sPos*streamDecay + z - streamSlack
 		if s.sPos < 0 {
 			s.sPos = 0
 		}
-		s.sNeg = s.sNeg*s.cfg.Decay - z - s.cfg.Slack
+		s.sNeg = s.sNeg*streamDecay - z - streamSlack
 		if s.sNeg < 0 {
 			s.sNeg = 0
 		}
 	}
-	s.baseline += s.cfg.BaselineAlpha * d
+	s.baseline += streamBaselineAlpha * d
 	s.n++
 }
 
@@ -108,7 +85,7 @@ const streamWarmup = 8
 // Evidence is the current level-shift evidence: the larger of the two
 // one-sided sums, in noise-scale units. Flat series hover near zero;
 // a sustained shift of m deviations grows evidence by roughly
-// (m - Slack) per sample until the baseline catches up.
+// (m - streamSlack) per sample until the baseline catches up.
 func (s *Stream) Evidence() float64 {
 	if s.sPos > s.sNeg {
 		return s.sPos
@@ -125,47 +102,24 @@ func (s *Stream) Dev() float64 { return s.dev }
 // Samples is the number of observations fed so far.
 func (s *Stream) Samples() uint64 { return s.n }
 
-// Reset clears the accumulated state but keeps the tuning.
+// Reset clears the accumulated state.
 func (s *Stream) Reset() {
 	s.n, s.baseline, s.dev, s.sPos, s.sNeg = 0, 0, 0, 0, 0
 }
 
 // StreamState is a Stream's full serializable state for engine
-// checkpoints. The resolved config rides along: Observe lazily
-// defaults the tuning only on the very first sample, so a restored
-// mid-stream tap must carry the exact tuning it was running with.
+// checkpoints. The tuning is package constants, so none rides along.
 type StreamState struct {
-	BaselineAlpha, DevAlpha, Slack, Decay float64
-	N                                     uint64
-	Baseline, Dev, SPos, SNeg             float64
+	N                         uint64
+	Baseline, Dev, SPos, SNeg float64
 }
 
 // State captures the tap for a checkpoint.
 func (s *Stream) State() StreamState {
-	return StreamState{
-		BaselineAlpha: s.cfg.BaselineAlpha,
-		DevAlpha:      s.cfg.DevAlpha,
-		Slack:         s.cfg.Slack,
-		Decay:         s.cfg.Decay,
-		N:             s.n,
-		Baseline:      s.baseline,
-		Dev:           s.dev,
-		SPos:          s.sPos,
-		SNeg:          s.sNeg,
-	}
+	return StreamState{N: s.n, Baseline: s.baseline, Dev: s.dev, SPos: s.sPos, SNeg: s.sNeg}
 }
 
 // RestoreState overwrites the tap from a checkpoint.
 func (s *Stream) RestoreState(st StreamState) {
-	s.cfg = StreamConfig{
-		BaselineAlpha: st.BaselineAlpha,
-		DevAlpha:      st.DevAlpha,
-		Slack:         st.Slack,
-		Decay:         st.Decay,
-	}
-	s.n = st.N
-	s.baseline = st.Baseline
-	s.dev = st.Dev
-	s.sPos = st.SPos
-	s.sNeg = st.SNeg
+	s.n, s.baseline, s.dev, s.sPos, s.sNeg = st.N, st.Baseline, st.Dev, st.SPos, st.SNeg
 }

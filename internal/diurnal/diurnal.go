@@ -30,12 +30,13 @@ type Config struct {
 	// folded profile. Default 8 ms (just under the paper's 10 ms
 	// level-shift threshold, since min-filtering shaves peaks).
 	MinAmplitudeMs float64
-	// MinConsistency is the required mean correlation between per-day
-	// profiles and the overall profile. Default 0.5.
-	MinConsistency float64
 	// MinDays is the minimum number of evaluable days. Default 5.
 	MinDays int
 }
+
+// minConsistency is the required mean correlation between per-day
+// profiles and the overall profile.
+const minConsistency = 0.5
 
 func (c Config) withDefaults() Config {
 	if c.BinWidth <= 0 {
@@ -43,9 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinAmplitudeMs <= 0 {
 		c.MinAmplitudeMs = 8
-	}
-	if c.MinConsistency <= 0 {
-		c.MinConsistency = 0.5
 	}
 	if c.MinDays <= 0 {
 		c.MinDays = 5
@@ -225,7 +223,7 @@ func zeroed[T float64 | int](p *[]T, n int) []T {
 func (v Verdict) Decide(cfg Config) Verdict {
 	cfg = cfg.withDefaults()
 	v.Diurnal = v.AmplitudeMs >= cfg.MinAmplitudeMs &&
-		v.Consistency >= cfg.MinConsistency &&
+		v.Consistency >= minConsistency &&
 		v.DaysEvaluated >= cfg.MinDays
 	return v
 }

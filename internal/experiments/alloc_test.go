@@ -95,10 +95,6 @@ func TestSteadyStateProbeStepZeroAlloc(t *testing.T) {
 
 	var lossCol loss.Collector
 	lossCol.Reserve(64)
-	// Bind the compressed loss grid too: the streaming MergeMax into
-	// the tschunk builder is part of the per-step loss bill and must
-	// stay off the heap like everything else.
-	lossCol.BindGrid(loss.GridFor(campaign))
 
 	// Telemetry enabled, at the worst-case cadence: BatchSteps=1 makes
 	// every step a barrier, so each round pays the full telemetry bill
@@ -232,15 +228,15 @@ func TestSteadyStateProbeStepZeroAlloc(t *testing.T) {
 		t.Errorf("shard gauges unpublished (%+v); the sharded-telemetry zero-alloc claim is vacuous", sh)
 	}
 	// The chunked backings must actually have been fed: every collector
-	// a chunk-backed series with samples, and the loss grid populated.
+	// a chunk-backed series with samples, and the loss batches filled.
 	for _, c := range collectors {
 		ls := c.Series()
 		if !ls.Far.Chunked() || ls.Far.PresentCount() == 0 {
 			t.Error("collector series not chunk-backed or empty; the chunked zero-alloc claim is vacuous")
 		}
 	}
-	if g := lossCol.GridSeries(); g == nil || g.PresentCount() == 0 {
-		t.Error("loss grid empty; the chunked loss-append zero-alloc claim is vacuous")
+	if len(lossCol.Batches()) == 0 {
+		t.Error("no loss batches; the loss-append zero-alloc claim is vacuous")
 	}
 	// The budget-scheduler-on claim must not be vacuous either: the
 	// measured window must have crossed recompute barriers and the

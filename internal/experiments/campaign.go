@@ -28,7 +28,6 @@ import (
 	"afrixp/internal/scenario"
 	"afrixp/internal/simclock"
 	"afrixp/internal/telemetry"
-	"afrixp/internal/timeseries"
 	"afrixp/internal/tschunk"
 )
 
@@ -51,10 +50,6 @@ type Config struct {
 	RefreshEvery simclock.Duration
 	// Thresholds for the Table 1 sweep (default 5/10/15/20 ms).
 	Thresholds []float64
-	// LossBatchEvery spaces the 100-probe loss batches on case links
-	// (default 10 min; the paper probed continuously at 1 pps —
-	// batch subsampling preserves the per-batch loss statistics).
-	LossBatchEvery simclock.Duration
 	// DisableLoss skips the loss campaigns.
 	DisableLoss bool
 	// Workers fans the probing loop out across per-VP goroutines and
@@ -158,6 +153,11 @@ type Config struct {
 	ResumeFrom string
 }
 
+// lossBatchEvery spaces the 100-probe loss batches on case links: the
+// paper probed continuously at 1 pps, and batch subsampling preserves
+// the per-batch loss statistics.
+const lossBatchEvery = 10 * time.Minute
+
 func (c Config) withDefaults() Config {
 	if c.Campaign.Duration() <= 0 {
 		c.Campaign = simclock.Interval{Start: 0, End: simclock.LatencyEnd}
@@ -170,9 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.Thresholds) == 0 {
 		c.Thresholds = []float64{5, 10, 15, 20}
-	}
-	if c.LossBatchEvery <= 0 {
-		c.LossBatchEvery = 10 * time.Minute
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -195,9 +192,9 @@ func (c Config) withDefaults() Config {
 // same resolved values.
 func (c Config) configHash() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "opts=%+v campaign=%d..%d step=%d refresh=%d thr=%v lossEvery=%d noloss=%t shards=%d",
+	fmt.Fprintf(h, "opts=%+v campaign=%d..%d step=%d refresh=%d thr=%v noloss=%t shards=%d",
 		c.Opts, c.Campaign.Start, c.Campaign.End, c.Step, c.RefreshEvery,
-		c.Thresholds, c.LossBatchEvery, c.DisableLoss, c.Shards)
+		c.Thresholds, c.DisableLoss, c.Shards)
 	if c.Faults != nil {
 		fmt.Fprintf(h, " faults=%+v", *c.Faults)
 	}
@@ -239,18 +236,6 @@ type LinkRecord struct {
 	tslp    *prober.TSLP
 	lossCol *loss.Collector
 	lossIv  simclock.Interval
-}
-
-// LossGrid returns the streamed, XOR-compressed loss-rate grid for a
-// case link — bit-identical to gridding LossBatches with loss.ToSeries
-// over loss.GridFor(the link's loss window), but built incrementally
-// during probing so the rate series never exists flat. Nil for links
-// without a loss campaign. The first call seals the grid.
-func (lr *LinkRecord) LossGrid() *timeseries.Series {
-	if lr.lossCol == nil {
-		return nil
-	}
-	return lr.lossCol.GridSeries()
 }
 
 // VPResult is one vantage point's campaign output.

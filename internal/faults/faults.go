@@ -67,8 +67,8 @@ type Fault struct {
 	Window simclock.Interval
 }
 
-// Config tunes the fault plan. The zero value enables every class at
-// its default intensity; Inject fills the blanks.
+// Config seeds and confines the fault plan. The zero value runs the
+// full plan over the campaign interval handed to Inject.
 type Config struct {
 	// Seed perturbs the fault schedule independently of the world;
 	// the effective stream is world.Seed ^ Seed ^ a package constant.
@@ -77,70 +77,31 @@ type Config struct {
 	// the campaign interval handed to Inject. Tests park faults in a
 	// window disjoint from the probed interval to check dormancy.
 	Window simclock.Interval
+}
 
-	// VPOutages is the number of outage episodes per vantage point.
-	VPOutages            int
-	OutageMin, OutageMax simclock.Duration
+// The fault plan's intensity: episodes per target and the range each
+// episode's length is drawn from.
+const (
+	// vpOutages is the number of outage episodes per vantage point.
+	vpOutages            = 2
+	outageMin, outageMax = 6 * time.Hour, 36 * time.Hour
 
-	// Blackouts is the number of far-end ICMP blackout episodes per
+	// blackouts is the number of far-end ICMP blackout episodes per
 	// case link.
-	Blackouts                int
-	BlackoutMin, BlackoutMax simclock.Duration
+	blackouts                = 1
+	blackoutMin, blackoutMax = 2 * time.Hour, 12 * time.Hour
 
-	// RateLimits is the number of near-end duty-cycle rate-limiting
-	// episodes per case link; RateLimitDuty is the fraction of
-	// minutes answered inside an episode.
-	RateLimits                 int
-	RateLimitMin, RateLimitMax simclock.Duration
-	RateLimitDuty              float64
+	// rateLimits is the number of near-end duty-cycle rate-limiting
+	// episodes per case link; rateLimitDuty is the fraction of minutes
+	// answered inside an episode.
+	rateLimits                 = 1
+	rateLimitMin, rateLimitMax = 4 * time.Hour, 12 * time.Hour
+	rateLimitDuty              = 0.75
 
-	// LinkFlaps is the number of far-port flap episodes per case link.
-	LinkFlaps        int
-	FlapMin, FlapMax simclock.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.VPOutages <= 0 {
-		c.VPOutages = 2
-	}
-	if c.OutageMin <= 0 {
-		c.OutageMin = 6 * time.Hour
-	}
-	if c.OutageMax <= 0 {
-		c.OutageMax = 36 * time.Hour
-	}
-	if c.Blackouts <= 0 {
-		c.Blackouts = 1
-	}
-	if c.BlackoutMin <= 0 {
-		c.BlackoutMin = 2 * time.Hour
-	}
-	if c.BlackoutMax <= 0 {
-		c.BlackoutMax = 12 * time.Hour
-	}
-	if c.RateLimits <= 0 {
-		c.RateLimits = 1
-	}
-	if c.RateLimitMin <= 0 {
-		c.RateLimitMin = 4 * time.Hour
-	}
-	if c.RateLimitMax <= 0 {
-		c.RateLimitMax = 12 * time.Hour
-	}
-	if c.RateLimitDuty <= 0 || c.RateLimitDuty >= 1 {
-		c.RateLimitDuty = 0.75
-	}
-	if c.LinkFlaps <= 0 {
-		c.LinkFlaps = 2
-	}
-	if c.FlapMin <= 0 {
-		c.FlapMin = 5 * time.Minute
-	}
-	if c.FlapMax <= 0 {
-		c.FlapMax = 45 * time.Minute
-	}
-	return c
-}
+	// linkFlaps is the number of far-port flap episodes per case link.
+	linkFlaps        = 2
+	flapMin, flapMax = 5 * time.Minute, 45 * time.Minute
+)
 
 // Outage answers "is this vantage point down at t". The campaign hot
 // loop consults it every probing step, so Down is nil-safe and
@@ -221,7 +182,6 @@ func (s *Schedule) ByKind(k Kind) []Fault {
 // starts advancing the world; the world clock must not have passed
 // the fault window.
 func Inject(w *scenario.World, campaign simclock.Interval, cfg Config) *Schedule {
-	cfg = cfg.withDefaults()
 	win := cfg.Window
 	if win.Duration() <= 0 {
 		win = campaign
@@ -247,8 +207,8 @@ func Inject(w *scenario.World, campaign simclock.Interval, cfg Config) *Schedule
 	for vi, vp := range w.VPs {
 		stream := uint64(vi+1) << 16
 
-		ivs := episodes(seed, stream|uint64(VPOutage), cfg.VPOutages,
-			cfg.OutageMin, cfg.OutageMax, win)
+		ivs := episodes(seed, stream|uint64(VPOutage), vpOutages,
+			outageMin, outageMax, win)
 		if len(ivs) > 0 {
 			s.vpOut[vp.ID] = &Outage{ivs: ivs}
 			record(VPOutage, vp.ID, ivs)
@@ -263,20 +223,20 @@ func Inject(w *scenario.World, campaign simclock.Interval, cfg Config) *Schedule
 			cstream := stream | uint64(ci+1)<<8
 
 			if far, _, ok := w.Net.OwnerOfAddr(target.Far); ok {
-				ivs := episodes(seed, cstream|uint64(ICMPBlackout), cfg.Blackouts,
-					cfg.BlackoutMin, cfg.BlackoutMax, win)
+				ivs := episodes(seed, cstream|uint64(ICMPBlackout), blackouts,
+					blackoutMin, blackoutMax, win)
 				far.ICMPDown = silentDuring(far.ICMPDown, ivs)
 				record(ICMPBlackout, label, ivs)
 			}
 			if near, _, ok := w.Net.OwnerOfAddr(target.Near); ok {
-				ivs := episodes(seed, cstream|uint64(ICMPRateLimit), cfg.RateLimits,
-					cfg.RateLimitMin, cfg.RateLimitMax, win)
-				near.ICMPDown = dutyCycle(near.ICMPDown, seed^cstream, ivs, cfg.RateLimitDuty)
+				ivs := episodes(seed, cstream|uint64(ICMPRateLimit), rateLimits,
+					rateLimitMin, rateLimitMax, win)
+				near.ICMPDown = dutyCycle(near.ICMPDown, seed^cstream, ivs, rateLimitDuty)
 				record(ICMPRateLimit, label, ivs)
 			}
 			if in, out, ok := w.Net.PipesAt(target.Far); ok {
-				ivs := episodes(seed, cstream|uint64(LinkFlap), cfg.LinkFlaps,
-					cfg.FlapMin, cfg.FlapMax, win)
+				ivs := episodes(seed, cstream|uint64(LinkFlap), linkFlaps,
+					flapMin, flapMax, win)
 				flap(in, ivs)
 				flap(out, ivs)
 				w.Net.PipesChanged()

@@ -10,7 +10,6 @@ import (
 
 	"afrixp/internal/simclock"
 	"afrixp/internal/timeseries"
-	"afrixp/internal/tschunk"
 )
 
 // BatchSize is the paper's batch: 100 probes.
@@ -32,69 +31,18 @@ func (b Batch) Rate() float64 {
 	return 100 * float64(b.Lost) / float64(b.Sent)
 }
 
-// Collector accumulates per-probe outcomes into batches. With BindGrid
-// it additionally streams completed batch rates into a compressed
-// tschunk grid — the same columnar backing the RTT collectors use — so
-// a long loss campaign's rate series never exists as a flat slice.
+// Collector accumulates per-probe outcomes into batches. Figures and
+// the result digest grid the batches with ToSeries.
 type Collector struct {
 	batches []Batch
 	cur     Batch
 	open    bool
-
-	grid      *tschunk.Builder
-	gridStart simclock.Time
-	gridStep  simclock.Duration
-	gridS     *timeseries.Series // sealed view, cached by GridSeries
 
 	// skippedRounds counts scheduled loss rounds the probe-budget
 	// scheduler elected not to run; missedRounds counts rounds that
 	// never ran because the vantage point was down. Kept separate so
 	// yield reporting never conflates budget back-off with outages.
 	skippedRounds, missedRounds int
-}
-
-// BindGrid attaches a compressed rate grid covering n slots of step
-// width from start (use GridFor's layout). Every batch completed after
-// the bind max-merges its rate into the covering slot — the same
-// merge ToSeries applies — so GridSeries matches ToSeries over the
-// same grid bit for bit. Call before recording begins.
-func (c *Collector) BindGrid(start simclock.Time, step simclock.Duration, n int) {
-	if step <= 0 {
-		panic("loss: non-positive grid step")
-	}
-	c.grid = tschunk.NewBuilder(n)
-	c.gridStart = start
-	c.gridStep = step
-	c.gridS = nil
-}
-
-// mergeGrid folds one completed batch into the bound grid.
-func (c *Collector) mergeGrid(b Batch) {
-	if c.grid == nil || b.Start < c.gridStart {
-		return
-	}
-	i := int(b.Start.Sub(c.gridStart) / c.gridStep)
-	if i >= c.grid.Len() {
-		return
-	}
-	c.grid.MergeMax(i, b.Rate())
-}
-
-// GridSeries seals and returns the bound rate grid as a chunk-backed
-// series, folding in the trailing partial batch exactly when Batches
-// would keep it. Nil when no grid is bound. The first call finalizes
-// the grid; recording after it panics.
-func (c *Collector) GridSeries() *timeseries.Series {
-	if c.grid == nil {
-		return nil
-	}
-	if c.gridS == nil {
-		if c.open && c.cur.Sent >= BatchSize/2 {
-			c.mergeGrid(c.cur)
-		}
-		c.gridS = timeseries.FromChunk(c.gridStart, c.gridStep, c.grid.Seal())
-	}
-	return c.gridS
 }
 
 // Reserve pre-sizes the batch store for n completed batches, so a
@@ -120,7 +68,6 @@ func (c *Collector) Record(t simclock.Time, lost bool) {
 	}
 	if c.cur.Sent >= BatchSize {
 		c.batches = append(c.batches, c.cur)
-		c.mergeGrid(c.cur)
 		c.open = false
 	}
 }
@@ -145,44 +92,29 @@ type CollectorState struct {
 	Batches []Batch
 	Cur     Batch
 	Open    bool
-	HasGrid bool
-	Grid    tschunk.BuilderState
 	Skipped int
 	Missed  int
 }
 
 // Checkpoint captures the collector's state. Must run at a batch
-// barrier before any further recording: the grid builder state aliases
-// live buffers until serialized. Panics if GridSeries has already
-// sealed the grid.
+// barrier before any further recording: the batch list aliases the
+// live slice until serialized.
 func (c *Collector) Checkpoint() CollectorState {
-	st := CollectorState{
+	return CollectorState{
 		Batches: c.batches,
 		Cur:     c.cur,
 		Open:    c.open,
 		Skipped: c.skippedRounds,
 		Missed:  c.missedRounds,
 	}
-	if c.grid != nil {
-		st.HasGrid = true
-		st.Grid = c.grid.State()
-	}
-	return st
 }
 
 // RestoreCheckpoint overwrites the collector's state from a snapshot
-// taken at the same barrier of an equivalent run. A bound grid must
-// have been rebound (BindGrid with the same layout) first.
+// taken at the same barrier of an equivalent run.
 func (c *Collector) RestoreCheckpoint(st CollectorState) {
-	if st.HasGrid != (c.grid != nil) {
-		panic("loss: RestoreCheckpoint grid binding mismatch")
-	}
 	c.batches = append(c.batches[:0], st.Batches...)
 	c.cur = st.Cur
 	c.open = st.Open
-	if c.grid != nil {
-		c.grid.RestoreState(st.Grid)
-	}
 	c.skippedRounds = st.Skipped
 	c.missedRounds = st.Missed
 }

@@ -146,54 +146,3 @@ func TestToSeriesTrailingPartialBatch(t *testing.T) {
 		t.Fatalf("short grid: dropped = %d, want 1", dropped)
 	}
 }
-
-// TestGridSeriesMatchesToSeries pins the streaming compressed rate
-// grid against the post-hoc ToSeries gridding, bit for bit — including
-// the trailing half-full batch both paths must keep.
-func TestGridSeriesMatchesToSeries(t *testing.T) {
-	iv := simclock.Interval{Start: 0, End: simclock.Time(6 * time.Hour)}
-	start, step, n := GridFor(iv)
-
-	var col Collector
-	col.BindGrid(start, step, n)
-	rng := uint64(1)
-	for ts := iv.Start; ts < iv.End; ts += simclock.Time(2 * time.Second) {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		col.Record(ts, rng>>60 < 3) // ~19% loss
-	}
-	// Leave a >= half-size trailing partial batch open.
-	probes := 0
-	for ts := iv.End; probes < BatchSize/2+7; probes++ {
-		col.Record(ts, probes%5 == 0)
-		ts += simclock.Time(time.Second)
-	}
-
-	want, dropped := ToSeries(col.Batches(), start, step, n)
-	if dropped != 0 {
-		t.Fatalf("reference grid dropped %d batches", dropped)
-	}
-	got := col.GridSeries()
-	if got == nil || !got.Chunked() {
-		t.Fatal("GridSeries must return a chunk-backed series")
-	}
-	if got.Len() != want.Len() || got.Start != want.Start || got.Step != want.Step {
-		t.Fatalf("grid layout mismatch: got (%v,%v,%d) want (%v,%v,%d)",
-			got.Start, got.Step, got.Len(), want.Start, want.Step, want.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if math.Float64bits(got.ValueAt(i)) != math.Float64bits(want.ValueAt(i)) {
-			t.Fatalf("slot %d: got %v, want %v", i, got.ValueAt(i), want.ValueAt(i))
-		}
-	}
-	if s2 := col.GridSeries(); s2 != got {
-		t.Fatal("GridSeries must be cached")
-	}
-}
-
-func TestGridSeriesNilWithoutBind(t *testing.T) {
-	var col Collector
-	col.Record(0, false)
-	if col.GridSeries() != nil {
-		t.Fatal("unbound collector must return nil grid")
-	}
-}

@@ -335,22 +335,6 @@ func (pp *ProbePath) SampleCtx(ctx *ProbeCtx, t simclock.Time) (simclock.Duratio
 	return rtt, true
 }
 
-// SampleDelayOnly returns the RTT at t ignoring loss — used by
-// analyses that need the latency surface itself.
-func (pp *ProbePath) SampleDelayOnly(t simclock.Time) simclock.Duration {
-	start := t
-	for _, p := range pp.FwdPipes {
-		t = t.Add(p.DelayAt(t))
-	}
-	if pp.Responder.ICMPDelay != nil {
-		t = t.Add(pp.Responder.ICMPDelay(t))
-	}
-	for _, p := range pp.RevPipes {
-		t = t.Add(p.DelayAt(t))
-	}
-	return t.Sub(start)
-}
-
 // Up reports whether every pipe on the path passes traffic at t.
 func (pp *ProbePath) Up(t simclock.Time) bool {
 	for _, p := range pp.FwdPipes {

@@ -85,16 +85,6 @@ func (p *Pipe) traverseFrozen(ctx *ProbeCtx, t simclock.Time) (simclock.Time, bo
 	return t.Add(d), true
 }
 
-// DelayAt returns the pipe's one-way delay at t without a loss draw,
-// used by the fast-path sampler's delay accounting.
-func (p *Pipe) DelayAt(t simclock.Time) simclock.Duration {
-	d := p.Prop
-	if p.Queue != nil {
-		d += p.Queue.DelayAt(t)
-	}
-	return d
-}
-
 // LossAt returns the pipe's total loss probability at t.
 func (p *Pipe) LossAt(t simclock.Time) float64 {
 	loss := p.BaseLoss

@@ -33,8 +33,6 @@ import (
 
 // Config tunes a Service.
 type Config struct {
-	// Detector tunes the per-link streaming detectors.
-	Detector analysis.StreamConfig
 	// AlertCap bounds the global alert ring (older alerts are dropped;
 	// /alerts reports the truncation point). Default 65536.
 	AlertCap int
@@ -45,9 +43,6 @@ type Config struct {
 	// slower than the barrier cadence loses batches (counted per
 	// subscriber), never blocks the engine. Default 64.
 	SubscriberBuf int
-	// Thresholds is the sweep used by Finalize. Default the engine's
-	// (5/10/15/20 ms).
-	Thresholds []float64
 }
 
 func (c Config) withDefaults() Config {
@@ -59,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SubscriberBuf <= 0 {
 		c.SubscriberBuf = 64
-	}
-	if len(c.Thresholds) == 0 {
-		c.Thresholds = []float64{5, 10, 15, 20}
 	}
 	return c
 }
@@ -162,7 +154,7 @@ func (s *Service) Watch(vp string, target prober.LinkTarget, col *analysis.Colle
 		target:   target,
 		asym:     asymmetric,
 		col:      col,
-		det:      analysis.NewStreamDetector(s.cfg.Detector),
+		det:      analysis.NewStreamDetector(),
 		recent:   make([]Alert, 0, s.cfg.LinkAlertCap),
 	}
 	s.links[id] = ls
@@ -336,9 +328,6 @@ func covers(verdicts map[float64]analysis.Verdict, thresholds []float64) bool {
 // installed under one short write lock, so API reads never stall
 // behind it. Call it once collectors are done being written.
 func (s *Service) Finalize(thresholds []float64) {
-	if len(thresholds) == 0 {
-		thresholds = s.cfg.Thresholds
-	}
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
 	s.mu.RLock()

@@ -48,7 +48,7 @@ func (p *Prober) oraclePing(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingR
 		res.RespType = icmp.Type
 		res.RespIPID = rip.ID
 		res.RTT = resp.At.Sub(sendAt)
-		if res.RTT > p.cfg.Timeout {
+		if res.RTT > timeout {
 			res = PingResult{SentAt: sendAt, Lost: true}
 		}
 	}

@@ -28,10 +28,11 @@ type Config struct {
 	RatePPS float64
 	// Warts, when non-nil, receives every probe result.
 	Warts *warts.Writer
-	// Timeout is how long the prober waits before declaring a probe
-	// lost. It only affects the virtual time consumed. Default 2 s.
-	Timeout simclock.Duration
 }
+
+// timeout is how long a prober waits before declaring a probe lost.
+// It only affects the virtual time consumed.
+const timeout = 2 * time.Second
 
 // Prober is a scamper-like measurement process on one VP.
 //
@@ -64,9 +65,6 @@ type Prober struct {
 func New(nw *netsim.Network, vp *netsim.Node, cfg Config) *Prober {
 	if cfg.RatePPS <= 0 {
 		cfg.RatePPS = 100
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
 	}
 	if cfg.Name == "" {
 		cfg.Name = vp.Name
@@ -175,7 +173,7 @@ func (p *Prober) Ping(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult,
 		res.RespType = echo.Type
 		res.RespIPID = echo.IPID
 		res.RTT = echo.At.Sub(sendAt)
-		if res.RTT > p.cfg.Timeout {
+		if res.RTT > timeout {
 			// Response slower than the timeout counts as loss, as it
 			// would for scamper.
 			res = PingResult{SentAt: sendAt, Lost: true}

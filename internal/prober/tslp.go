@@ -102,13 +102,13 @@ func (ts *TSLP) Round(t simclock.Time) Sample {
 	}
 	s := Sample{At: t}
 	nearAt := ts.p.bucket.Take(t)
-	if rtt, ok := ts.nearPath.Sample(nearAt); ok && rtt <= ts.p.cfg.Timeout {
+	if rtt, ok := ts.nearPath.Sample(nearAt); ok && rtt <= timeout {
 		s.NearRTT = rtt
 	} else {
 		s.NearLost = true
 	}
 	farAt := ts.p.bucket.Take(nearAt.Add(farDelay))
-	if rtt, ok := ts.farPath.Sample(farAt); ok && rtt <= ts.p.cfg.Timeout {
+	if rtt, ok := ts.farPath.Sample(farAt); ok && rtt <= timeout {
 		s.FarRTT = rtt
 	} else {
 		s.FarLost = true
@@ -162,11 +162,11 @@ func (ts *TSLP) RoundFrozen(t simclock.Time) (nearRTT, farRTT simclock.Duration,
 	if ts.nearPath.Valid() && ts.farPath.Valid() {
 		p := ts.p
 		nearAt := p.bucket.Take(t)
-		if rtt, ok := ts.nearPath.SampleCtx(p.ctx, nearAt); ok && rtt <= p.cfg.Timeout {
+		if rtt, ok := ts.nearPath.SampleCtx(p.ctx, nearAt); ok && rtt <= timeout {
 			nearRTT, nearLost = rtt, false
 		}
 		farAt := p.bucket.Take(nearAt.Add(farDelay))
-		if rtt, ok := ts.farPath.SampleCtx(p.ctx, farAt); ok && rtt <= p.cfg.Timeout {
+		if rtt, ok := ts.farPath.SampleCtx(p.ctx, farAt); ok && rtt <= timeout {
 			farRTT, farLost = rtt, false
 		}
 	}

@@ -29,10 +29,6 @@ type builder struct {
 	ixpPool *netaddr.Allocator
 
 	nextASN asrel.ASN
-	// asBits is the prefix length allocated per AS (default /16). The
-	// continent-scale generator widens the pool and keeps /16s; tests
-	// may narrow it.
-	asBits int
 	// icRef is an intercontinental carrier used when events add
 	// late-joining transit providers.
 	icRef *asInfo
@@ -72,9 +68,12 @@ func newBuilder(seed uint64) *builder {
 		asPool:  netaddr.NewAllocator(netaddr.MustParsePrefix("40.0.0.0/6")),
 		ixpPool: netaddr.NewAllocator(netaddr.MustParsePrefix("196.60.0.0/14")),
 		nextASN: 328000,
-		asBits:  16,
 	}
 }
+
+// asBits is the prefix length allocated per AS. The continent-scale
+// generator widens the pool and keeps /16s.
+const asBits = 16
 
 // allocASN hands out synthetic member ASNs.
 func (b *builder) allocASN() asrel.ASN {
@@ -87,7 +86,7 @@ func (b *builder) allocASN() asrel.ASN {
 // traces into the AS reveal the border's ingress interface), RIR
 // delegation, geolocation, and reverse DNS.
 func (b *builder) addAS(asn asrel.ASN, name, org, cc, city string) *asInfo {
-	prefix := b.asPool.MustAlloc(b.asBits)
+	prefix := b.asPool.MustAlloc(asBits)
 	b.w.Graph.AddAS(asn, name, asrel.Org(org))
 	b.w.BGP.Announce(asn, prefix)
 
@@ -99,7 +98,7 @@ func (b *builder) addAS(asn asrel.ASN, name, org, cc, city string) *asInfo {
 	// that x.x.0.1 — the address trace campaigns aim at — is the
 	// service loopback behind the border, not the border's own
 	// internal interface.
-	p2p := netaddr.NewAllocator(netaddr.PrefixFrom(prefix.Addr, b.asBits+4))
+	p2p := netaddr.NewAllocator(netaddr.PrefixFrom(prefix.Addr, asBits+4))
 	p2p.MustAlloc(30) // reserve x.x.0.0/30
 	link := p2p.MustAlloc(30)
 	b.w.Net.ConnectLink(border, host, netsim.LinkSpec{Subnet: link,

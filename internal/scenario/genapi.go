@@ -18,12 +18,8 @@ import (
 type BuilderConfig struct {
 	// Seed drives every deterministic noise process of the world.
 	Seed uint64
-	// ASPool is carved into one /ASBits block per AS.
+	// ASPool is carved into one /16 block per AS.
 	ASPool netaddr.Prefix
-	// IXPPool is carved into /24 peering (and management) LANs.
-	IXPPool netaddr.Prefix
-	// ASBits is the prefix length allocated per AS (default 16).
-	ASBits int
 	// FirstASN seeds the synthetic-ASN allocator (default 328000).
 	FirstASN asrel.ASN
 }
@@ -49,10 +45,6 @@ func (a *AS) ASN() asrel.ASN { return a.info.ASN }
 // Name returns the AS name.
 func (a *AS) Name() string { return a.info.Name }
 
-// ServiceAddr returns the in-network service loopback (x.x.0.1) that
-// traceroute campaigns aim at.
-func (a *AS) ServiceAddr() netaddr.Addr { return a.info.Service }
-
 // Prefix returns the AS's announced block.
 func (a *AS) Prefix() netaddr.Prefix { return a.info.Prefix }
 
@@ -65,12 +57,6 @@ func NewBuilder(cfg BuilderConfig) *Builder {
 	b := newBuilder(cfg.Seed)
 	if cfg.ASPool.Bits > 0 {
 		b.asPool = netaddr.NewAllocator(cfg.ASPool)
-	}
-	if cfg.IXPPool.Bits > 0 {
-		b.ixpPool = netaddr.NewAllocator(cfg.IXPPool)
-	}
-	if cfg.ASBits > 0 {
-		b.asBits = cfg.ASBits
 	}
 	if cfg.FirstASN > 0 {
 		b.nextASN = cfg.FirstASN
@@ -121,13 +107,6 @@ func (g *Builder) Transit(customer, provider *AS, pipeDown, pipeUp *netsim.Pipe)
 	return g.b.transit(customer.info, provider.info, pipeDown, pipeUp)
 }
 
-// TransitFromCustomerSpace is Transit with the /30 carved from the
-// customer's block — the addressing that makes bdrmap's border
-// placement interesting.
-func (g *Builder) TransitFromCustomerSpace(customer, provider *AS) (custAddr, provAddr netaddr.Addr) {
-	return g.b.transitFromCustomerSpace(customer.info, provider.info)
-}
-
 // Interconnect wires a plain data-plane link mirroring an existing
 // graph edge (IC-core peerings).
 func (g *Builder) Interconnect(a, c *AS) {
@@ -150,22 +129,10 @@ func (g *Builder) AddVP(id, monitor string, a *AS, ixp string) *VP {
 	return vp
 }
 
-// CongestedPort builds a fabric→member (or transit) pipe with a fluid
-// queue — the congestion-authoring primitive behind every case study.
-func CongestedPort(capBps float64, drain simclock.Duration, load trafficmodel.Load) *netsim.Pipe {
-	return congestedPort(capBps, drain, load)
-}
-
 // QueueWithPackets builds the standard congested-link queue: fluid
 // buffer plus the near-saturation stochastic term.
 func QueueWithPackets(capBps float64, drain simclock.Duration, load trafficmodel.Load) *queue.Fluid {
 	return queueWithPackets(capBps, drain, load)
-}
-
-// SlowICMP builds a regime-switching control-plane delay profile
-// (~level ms in ~30% of 5-hour blocks) for Border().ICMPDelay.
-func SlowICMP(seed uint64, levelMs float64) func(simclock.Time) simclock.Duration {
-	return slowICMP(seed, levelMs)
 }
 
 // HashUnit is the SplitMix64 unit hash shared by the deterministic

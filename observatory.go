@@ -43,8 +43,6 @@ type CampaignConfig struct {
 	// StartOffsetDays delays the campaign start from the epoch (used
 	// to center short campaigns on specific case-study phases).
 	StartOffsetDays int
-	// Thresholds for the Table 1 sweep (default 5/10/15/20 ms).
-	Thresholds []float64
 	// DisableLoss skips the 1 pps loss campaigns.
 	DisableLoss bool
 	// Workers fans probing and analysis across goroutines; results are
@@ -172,7 +170,6 @@ type Table = report.Table
 func RunCampaign(cfg CampaignConfig) *Campaign {
 	ecfg := experiments.Config{
 		Opts:        scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale},
-		Thresholds:  cfg.Thresholds,
 		DisableLoss: cfg.DisableLoss,
 		Workers:     cfg.Workers,
 		BatchSteps:  cfg.BatchSteps,
@@ -200,19 +197,23 @@ func RunCampaign(cfg CampaignConfig) *Campaign {
 	if cfg.Budget > 0 {
 		ecfg.Budget = &budget.Config{Fraction: cfg.Budget, Seed: cfg.BudgetSeed}
 	}
-	start := simclock.Time(0).Add(time.Duration(cfg.StartOffsetDays) * 24 * time.Hour)
-	if cfg.Days > 0 {
-		ecfg.Campaign = simclock.Interval{
-			Start: start,
-			End:   start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
-		}
-		if ecfg.Campaign.End > simclock.LatencyEnd {
-			ecfg.Campaign.End = simclock.LatencyEnd
-		}
-	} else if cfg.StartOffsetDays > 0 {
-		ecfg.Campaign = simclock.Interval{Start: start, End: simclock.LatencyEnd}
-	}
+	ecfg.Campaign = CampaignWindow(cfg.Days, cfg.StartOffsetDays)
 	return experiments.Run(ecfg)
+}
+
+// CampaignWindow turns a campaign length and start offset, in days from
+// the epoch, into the probed interval, cut at the end of the paper's
+// latency campaign. days ≤ 0 runs to that end; with no offset either it
+// is the zero interval, which the engine reads as the paper's period.
+func CampaignWindow(days, startOffsetDays int) Interval {
+	start := simclock.Time(0).Add(time.Duration(startOffsetDays) * 24 * time.Hour)
+	switch {
+	case days > 0:
+		return Interval{Start: start, End: min(start.Add(time.Duration(days)*24*time.Hour), simclock.LatencyEnd)}
+	case startOffsetDays > 0:
+		return Interval{Start: start, End: simclock.LatencyEnd}
+	}
+	return Interval{}
 }
 
 // Table1 computes the paper's threshold-sensitivity rows.

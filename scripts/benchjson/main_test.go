@@ -474,3 +474,57 @@ func TestGuardSkipsMismatchedIterations(t *testing.T) {
 		t.Fatalf("comparable iteration counts warned %d times, want 2 (ns/op and bytes/op)", got)
 	}
 }
+
+// A lone current ns/op sample above the baseline median by more than
+// the tolerance, but within the tolerance of the baseline's slowest
+// sample, is unresolved: one summary line, no warning. Beyond that it
+// warns, and bytes/op keeps warning on a lone sample as before.
+func TestGuardLoneSampleUnresolved(t *testing.T) {
+	const name = "BenchmarkAnalysisSweep/independent"
+	sample := func(ns, b float64) Benchmark {
+		return Benchmark{Name: name, Procs: 2, Iterations: 1, NsPerOp: ns, BytesPerOp: &b}
+	}
+	base := ledgerJSON(t, []Benchmark{
+		sample(3.09e9, 9e8), sample(3.38e9, 9e8), sample(2.99e9, 9e8), sample(3.03e9, 9e8), sample(3.09e9, 9e8),
+	})
+	guard := func(cur Benchmark) (int, string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = w
+		got := runGuard([]Benchmark{cur}, base, 25)
+		os.Stdout = stdout
+		w.Close()
+		out, _ := io.ReadAll(r)
+		return got, string(out)
+	}
+
+	// +35% over the median, +23% over the slowest baseline sample.
+	got, out := guard(sample(4.17e9, 9e8))
+	if got != 0 {
+		t.Fatalf("lone sample inside the widened baseline range warned %d times, want 0:\n%s", got, out)
+	}
+	summary := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "unresolved") {
+			summary++
+			if !strings.Contains(line, name+" (procs=2, +35%)") {
+				t.Errorf("summary line %q does not name the unresolved benchmark", line)
+			}
+		}
+	}
+	if summary != 1 {
+		t.Errorf("%d summary lines of unresolved comparisons, want 1:\n%s", summary, out)
+	}
+
+	// +30% over the slowest baseline sample: a warning, not unresolved.
+	if got, out := guard(sample(4.4e9, 9e8)); got != 1 || strings.Contains(out, "unresolved") {
+		t.Errorf("lone sample beyond the widened range: %d warnings, want 1, none unresolved:\n%s", got, out)
+	}
+	// bytes/op on a lone sample warns as before, ns/op unresolved.
+	if got, out := guard(sample(4.17e9, 1.5e9)); got != 1 || !strings.Contains(out, "bytes/op regressed") {
+		t.Errorf("lone-sample bytes/op regression: %d warnings, want 1:\n%s", got, out)
+	}
+}

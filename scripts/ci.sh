@@ -4,6 +4,7 @@
 #   gofmt      every Go file is gofmt-clean
 #   vet        static checks
 #   build      every package compiles
+#   perfbench  the nested benchmark module vets against this checkout
 #   test -race full suite under the race detector — the parallel
 #              campaign engine's determinism tests double as its race
 #              exerciser (8 workers over shared world state)
@@ -28,6 +29,12 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== go vet, perfbench module =="
+# perfbench is a nested module (its own go.mod), so ./... above never
+# compiles it; vet it here so a changed internal API fails in CI, not
+# only when the benchmark runs.
+(cd perfbench && go vet ./...)
 
 echo "== go test -race =="
 go test -race ./...
@@ -60,8 +67,7 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestBudgetCampaignBitIdentical|TestBud
 echo "== chunked-backing determinism smoke (workers x batch size under race) =="
 # The collector's one storage backing, the columnar tschunk store, must
 # be invisible to the numbers: the workers x batch-size matrix runs
-# raced at real parallelism so block sealing and the streamed loss
-# grid race too.
+# raced at real parallelism so block sealing races too.
 GOMAXPROCS=4 go test -race -count=1 -run 'TestChunkedCampaign' ./internal/experiments/
 
 echo "== continent-scale smoke (10x generated world, raced) =="
