@@ -57,9 +57,10 @@ type CollectorConfig struct {
 	// FullResWindow, when non-degenerate, retains native-resolution
 	// series over the given sub-interval (for figures).
 	FullResWindow simclock.Interval
-	// Arena, when non-nil, is the slab every builder of the collector
-	// seals into — the campaign engine hands every shard one Arena so
-	// a shard's series memory is bounded and accountable in one place.
+	// Arena, when non-nil, is the page arena every builder of the
+	// collector seals into — the campaign engine hands every shard one
+	// Arena so a shard's series memory is bounded and accountable in
+	// one place.
 	// nil gives each builder an arena of its own (standalone
 	// collectors). The sample values are bit-identical either way;
 	// only the byte store moves.
@@ -81,7 +82,8 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 // NewCollector builds a collector for one TSLP session. The builders
 // reserve their share of the arena here, at discovery, so the
 // per-sample write path never allocates; sealing a block allocates
-// only when the slab is full (tschunk.Arena.Reserve).
+// only when the reserved pages are full, and then one fixed page,
+// never a copy of the sealed bytes (tschunk.Arena.Reserve).
 func NewCollector(ts *prober.TSLP, cfg CollectorConfig) *Collector {
 	cfg = cfg.withDefaults()
 	nAgg := cfg.Campaign.NumSteps(DefaultAggStep)

@@ -5,8 +5,10 @@
 // killed and resumed bit-identically (DESIGN.md §15).
 //
 // A checkpoint file is a small framed container: an 8-byte magic, the
-// gob payload length, and an IEEE CRC32 of the payload, then the gob
-// bytes. gob carries float64s by bit pattern, so a round-tripped
+// payload length, and an IEEE CRC32 of the payload, then the payload:
+// one gob message holding everything but the shard arenas' page bytes
+// (their lengths only), followed by those pages raw, as they stand in
+// the arenas. gob carries float64s by bit pattern, so a round-tripped
 // snapshot is exactly the state that was captured — the bit-identity
 // invariant survives serialization. Files are written atomically
 // (temp + rename) and named by their barrier instant; LoadLatest walks
@@ -20,6 +22,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,6 +33,7 @@ import (
 	"afrixp/internal/loss"
 	"afrixp/internal/prober"
 	"afrixp/internal/simclock"
+	"afrixp/internal/tschunk"
 )
 
 // Format is the serialization format version. Bump on any
@@ -40,7 +44,9 @@ import (
 // and the full-resolution windows are builder states too. Format 5
 // drops the loss collectors' streamed rate grid (the batch list is the
 // one loss store) and the tuning copy in each budget tap's state.
-const Format = 5
+// Format 6 stores the arenas as fixed pages written raw after the gob
+// message, which carries only their lengths.
+const Format = 6
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"
@@ -96,10 +102,27 @@ type Snapshot struct {
 	VPs     []VPState
 	// Budget is nil when no probe-budget scheduler is installed.
 	Budget *budget.SchedulerCheckpoint
-	// Arenas holds each shard's tschunk slab bytes, shard order: every
-	// collector's sealed blocks.
-	Arenas [][]byte
+	// Arenas holds each shard's tschunk pages (tschunk.Arena.State),
+	// shard order: every collector's sealed blocks. They are not part
+	// of the gob message; Write appends the page bytes raw after it.
+	Arenas [][][]byte
 }
+
+// message is the gob part of a checkpoint payload: the snapshot with
+// each arena page replaced by its length. It has no field named
+// Arenas, so older files, whose Arenas were single slabs, still decode
+// as far as the format check.
+type message struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []VPState
+	Budget   *budget.SchedulerCheckpoint
+	PageLens [][]int
+}
+
+// sliceHeaderBytes is the size of one []byte header: what each page of
+// a decoded snapshot costs beyond its bytes.
+const sliceHeaderBytes = 24
 
 // fileName names a snapshot by its barrier instant; zero-padding keeps
 // lexicographic order equal to barrier order.
@@ -108,17 +131,23 @@ func fileName(t simclock.Time) string {
 }
 
 // Write serializes snap into dir atomically (temp file + rename), then
-// prunes all but the newest keepNewest snapshots. It returns the gob
-// payload size in bytes — the figure the checkpoint benchmark reports.
+// prunes all but the newest keepNewest snapshots. The payload streams
+// to the file: the gob message straight from gob's own buffer, then
+// the arena pages as they stand, never concatenated or re-encoded. It
+// returns the payload size in bytes — the figure the checkpoint
+// benchmark reports.
 func Write(dir string, snap *Snapshot) (int, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
-		return 0, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
+	msg := message{Manifest: snap.Manifest, Barrier: snap.Barrier, VPs: snap.VPs, Budget: snap.Budget,
+		PageLens: make([][]int, len(snap.Arenas))}
+	for i, pages := range snap.Arenas {
+		msg.PageLens[i] = make([]int, len(pages))
+		for j, p := range pages {
+			msg.PageLens[i][j] = len(p)
+		}
 	}
-	header := frameHeader(payload.Bytes())
 
 	final := filepath.Join(dir, fileName(snap.Barrier))
 	tmp := final + ".tmp"
@@ -126,9 +155,7 @@ func Write(dir string, snap *Snapshot) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := f.Write(header); err == nil {
-		_, err = f.Write(payload.Bytes())
-	}
+	size, err := writePayload(f, &msg, snap.Arenas)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -144,16 +171,51 @@ func Write(dir string, snap *Snapshot) (int, error) {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	prune(dir)
-	return payload.Len(), nil
+	return size, nil
 }
 
-// frameHeader returns the file header framing payload: magic, payload
+// writePayload writes the payload after a header-sized gap, then fills
+// the header in, and returns the payload length.
+func writePayload(f *os.File, msg *message, arenas [][][]byte) (int, error) {
+	if _, err := f.Seek(int64(headerLen), io.SeekStart); err != nil {
+		return 0, err
+	}
+	fr := &frame{w: f}
+	if err := gob.NewEncoder(fr).Encode(msg); err != nil {
+		return 0, fmt.Errorf("encoding snapshot: %w", err)
+	}
+	for _, pages := range arenas {
+		for _, p := range pages {
+			if _, err := fr.Write(p); err != nil {
+				return 0, err
+			}
+		}
+	}
+	_, err := f.WriteAt(fr.header(), 0)
+	return fr.n, err
+}
+
+// frame is a writer that tallies the length and CRC32 of the payload
+// passing through it.
+type frame struct {
+	w   io.Writer
+	n   int
+	crc uint32
+}
+
+func (fr *frame) Write(p []byte) (int, error) {
+	fr.n += len(p)
+	fr.crc = crc32.Update(fr.crc, crc32.IEEETable, p)
+	return fr.w.Write(p)
+}
+
+// header returns the file header framing the payload: magic, payload
 // length, CRC32.
-func frameHeader(payload []byte) []byte {
+func (fr *frame) header() []byte {
 	header := make([]byte, headerLen)
 	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint64(header[len(magic):], uint64(fr.n))
+	binary.BigEndian.PutUint32(header[len(magic)+8:], fr.crc)
 	return header
 }
 
@@ -219,7 +281,9 @@ func LoadLatest(dir string, want *Manifest) (*Snapshot, error) {
 }
 
 // decodeSnapshot parses one file's bytes. ok=false flags recoverable
-// damage: truncation, a bad CRC, or a payload gob cannot decode.
+// damage: truncation, a bad CRC, a payload gob cannot decode, or page
+// lengths that do not split the bytes after the gob message. The
+// decoded pages alias data.
 func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
 		return nil, false
@@ -233,11 +297,51 @@ func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return nil, false
 	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+	// A bytes.Reader is an io.ByteReader, so gob reads exactly the
+	// message and leaves the pages unread.
+	r := bytes.NewReader(payload)
+	var msg message
+	if err := gob.NewDecoder(r).Decode(&msg); err != nil {
 		return nil, false // CRC race with format drift: treat as damage
 	}
-	return &snap, true
+	arenas, ok := splitPages(msg.PageLens, payload, len(payload)-r.Len())
+	if !ok {
+		return nil, false
+	}
+	return &Snapshot{Manifest: msg.Manifest, Barrier: msg.Barrier, VPs: msg.VPs, Budget: msg.Budget,
+		Arenas: arenas}, true
+}
+
+// splitPages cuts the payload after its msgLen-byte gob message into
+// the arena pages lens describes. The lengths must be at most a page
+// each and add up to exactly the bytes left, and the page count is
+// bounded before any page list is allocated: the pages' slice headers
+// may not outweigh the payload, so no crafted count allocates beyond
+// it.
+func splitPages(lens [][]int, payload []byte, msgLen int) ([][][]byte, bool) {
+	rest := payload[msgLen:]
+	npages, total := 0, 0
+	for _, arena := range lens {
+		for _, n := range arena {
+			if n < 0 || n > tschunk.PageSize {
+				return nil, false
+			}
+			total += n
+		}
+		npages += len(arena)
+	}
+	if total != len(rest) || npages*sliceHeaderBytes > len(payload) {
+		return nil, false
+	}
+	arenas := make([][][]byte, len(lens))
+	all := make([][]byte, npages)
+	for i, arena := range lens {
+		arenas[i], all = all[:len(arena):len(arena)], all[len(arena):]
+		for j, n := range arena {
+			arenas[i][j], rest = rest[:n:n], rest[n:]
+		}
+	}
+	return arenas, true
 }
 
 func max(a, b int) int {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,10 +30,30 @@ func openBlockState(vals ...float64) tschunk.BuilderState {
 	return b.State()
 }
 
+// frameHeader returns the file header framing payload.
+func frameHeader(payload []byte) []byte {
+	fr := frame{w: io.Discard}
+	fr.Write(payload)
+	return fr.header()
+}
+
+// arenaPages returns the pages of a shard arena holding one builder's
+// sealed n-slot full-entropy grid, about 7 bytes a slot.
+func arenaPages(n int) [][]byte {
+	a := tschunk.NewArena(0)
+	rng := rand.New(rand.NewSource(int64(n)))
+	b := tschunk.NewBuilderArena(n, a)
+	for i := 0; i < n; i++ {
+		b.Set(i, 1+rng.Float64())
+	}
+	b.Seal()
+	return a.State()
+}
+
 // snapAt builds a small but fully-populated snapshot: NaN-holed float
 // payloads (the bit pattern gob must preserve), an encoded open
 // builder block, an optional loss collector, a budget checkpoint, and
-// shard arena bytes.
+// three shard arenas: two of one short page each and an empty one.
 func snapAt(barrier simclock.Time) *Snapshot {
 	nan := math.NaN()
 	return &Snapshot{
@@ -52,13 +75,17 @@ func snapAt(barrier simclock.Time) *Snapshot {
 			},
 		}},
 		Budget: &budget.SchedulerCheckpoint{Next: barrier.Add(1), Recomputes: 5, SpendFrac: 0.5},
-		Arenas: [][]byte{{0xde, 0xad}, {}},
+		Arenas: [][][]byte{arenaPages(300), arenaPages(20), nil},
 	}
 }
+
+// threePages is a shard arena spanning three pages.
+var threePages = arenaPages(3 * tschunk.PageSize / 8)
 
 func TestWriteLoadRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	snap := snapAt(1000)
+	snap.Arenas[0] = threePages
 	n, err := Write(dir, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +120,12 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if got.Budget == nil || got.Budget.Recomputes != 5 || got.Budget.SpendFrac != 0.5 {
 		t.Fatalf("budget state not preserved: %+v", got.Budget)
 	}
-	if len(got.Arenas) != 2 || string(got.Arenas[0]) != "\xde\xad" || len(got.Arenas[1]) != 0 {
-		t.Fatalf("arena bytes not preserved: %v", got.Arenas)
+	if !reflect.DeepEqual(got.Arenas[:2], snap.Arenas[:2]) || len(got.Arenas) != 3 || len(got.Arenas[2]) != 0 {
+		t.Fatalf("arena pages not preserved: %d arenas, %d pages in the first",
+			len(got.Arenas), len(got.Arenas[0]))
+	}
+	if len(got.Arenas[0]) < 3 {
+		t.Fatalf("test arena spans %d pages, want at least 3", len(got.Arenas[0]))
 	}
 }
 
@@ -314,9 +345,32 @@ type v4Snapshot struct {
 	Arenas   [][]byte
 }
 
+// v5Snapshot mirrors the Format-5 snapshot shape: each shard arena one
+// slab, and a builder that owned its arena carried that slab too.
+type v5BuilderState struct {
+	N        int
+	Arena    []byte
+	CurBlock []byte
+}
+
+type v5Collector struct{ NearB, FarB v5BuilderState }
+
+type v5Link struct{ Collector v5Collector }
+
+type v5VP struct{ Links []v5Link }
+
+type v5Snapshot struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []v5VP
+	Arenas   [][]byte
+}
+
 // Files of the older formats decode into the current shape (gob skips
 // the fields that are gone), so each must reach the format check and
 // fail there with the Format-2 error, never restore a mismatched shape.
+// A Format-5 file has no page lengths and no bytes after its gob
+// message, so it splits into no pages and reaches the check as well.
 func TestFormat3FileIsHardError(t *testing.T) {
 	nan := math.NaN()
 	olds := []struct {
@@ -345,6 +399,14 @@ func TestFormat3FileIsHardError(t *testing.T) {
 			}}}},
 			Arenas: [][]byte{{0xde, 0xad}},
 		}},
+		{5, &v5Snapshot{
+			Manifest: Manifest{Format: 5, ConfigHash: "cfg", WorldFingerprint: "world"},
+			Barrier:  1000,
+			VPs: []v5VP{{Links: []v5Link{{Collector: v5Collector{
+				NearB: v5BuilderState{N: 3, Arena: []byte{7, 8, 9}, CurBlock: []byte{1, 2}},
+			}}}}},
+			Arenas: [][]byte{{0xde, 0xad}, {}},
+		}},
 	}
 	for _, old := range olds {
 		var payload bytes.Buffer
@@ -370,17 +432,83 @@ func TestFormat3FileIsHardError(t *testing.T) {
 	}
 }
 
+// TestSplitPagesBounds: the page lengths after the gob message must
+// be at most a page each and split the bytes left exactly, and no
+// page count allocates beyond the payload, whatever the lengths say.
+func TestSplitPagesBounds(t *testing.T) {
+	payload := make([]byte, 1000)
+	const msgLen = 100
+	cases := []struct {
+		name string
+		lens [][]int
+		ok   bool
+	}{
+		{"exact", [][]int{{600, 300}, nil}, true},
+		{"short", [][]int{{600, 299}}, false},
+		{"long", [][]int{{600, 301}}, false},
+		{"negative", [][]int{{-1, 901}}, false},
+		{"over-a-page", [][]int{{tschunk.PageSize + 1, 900 - tschunk.PageSize - 1}}, false},
+		{"many-empty-pages", [][]int{append(make([]int, 1000), 900)}, false},
+	}
+	for _, c := range cases {
+		arenas, ok := splitPages(c.lens, payload, msgLen)
+		if ok != c.ok {
+			t.Fatalf("%s: ok=%v, want %v", c.name, ok, c.ok)
+		}
+		if ok && (len(arenas) != len(c.lens) || len(arenas[0][1]) != 300 || &arenas[0][1][0] != &payload[700]) {
+			t.Fatalf("%s: pages not cut in place from the payload", c.name)
+		}
+	}
+}
+
+// TestWriteFramesPagesRaw: the file is the header, one gob message and
+// then every arena page byte for byte, in order.
+func TestWriteFramesPagesRaw(t *testing.T) {
+	dir := t.TempDir()
+	snap := snapAt(1000)
+	snap.Arenas[0] = threePages
+	n, err := Write(dir, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, fileName(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != headerLen+n {
+		t.Fatalf("file holds %d bytes, want header + %d payload", len(data), n)
+	}
+	var pages []byte
+	for _, arena := range snap.Arenas {
+		for _, p := range arena {
+			pages = append(pages, p...)
+		}
+	}
+	if !bytes.HasSuffix(data, pages) {
+		t.Fatal("the payload does not end with the arena pages as they stand")
+	}
+}
+
 // FuzzReadSnapshot wraps arbitrary bytes in a valid header and CRC so
-// they reach the gob decoder, which must reject or accept them without
-// panicking. A crafted slice length cannot allocate without bound:
-// gob caps each up-front slice allocation (internal/saferio, 10 MiB)
-// and grows it only as elements actually decode from the input.
+// they reach the gob decoder and the page splitter, which must reject
+// or accept them without panicking. A crafted slice length cannot
+// allocate without bound: gob caps each up-front slice allocation
+// (internal/saferio, 10 MiB) and grows it only as elements actually
+// decode from the input, and splitPages bounds the page count by the
+// payload. The seed is a real Format-6 payload whose two short pages
+// follow its gob message; a seed of full pages would spend each exec
+// copying and checksumming 64 KiB pages instead of reaching the
+// decoder.
 func FuzzReadSnapshot(f *testing.F) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snapAt(1000)); err != nil {
+	dir := f.TempDir()
+	if _, err := Write(dir, snapAt(1000)); err != nil {
 		f.Fatal(err)
 	}
-	seed := payload.Bytes()
+	file, err := os.ReadFile(filepath.Join(dir, fileName(1000)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed := file[headerLen:]
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})

@@ -163,10 +163,12 @@ type Detection struct {
 
 // Scratch is the reusable working memory behind a Detection: the
 // NaN-compacted samples, the per-window candidate arena, and the
-// buffers AtThreshold churns through per magnitude threshold. A sweep
-// worker threads one Scratch per series role across every link it
-// analyzes; nothing retained by Result aliases it. A Detection is only
-// valid until its Scratch is reused by a later DetectScratch call.
+// buffers AtThreshold churns through per magnitude threshold, among
+// them the shifts and events it builds before handing each Result an
+// exact-size copy. A sweep worker threads one Scratch per series role
+// across every link it analyzes; nothing retained by Result aliases
+// it. A Detection is only valid until its Scratch is reused by a later
+// DetectScratch call.
 type Scratch struct {
 	vals      []float64 // present samples, NaNs compacted away
 	slots     []int     // vals[i] came from the analyzed series' grid slot slots[i]
@@ -177,6 +179,8 @@ type Scratch struct {
 	sortBuf   []float64
 	cpBuf     []cusum.ChangePoint
 	keptBuf   []int
+	shifts    []cusum.ChangePoint
+	events    []Event
 }
 
 // window is one detection window's screen bound and candidates.
@@ -275,6 +279,9 @@ func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *S
 	// samples and keep the index mapping back to grid slots. Each
 	// streams chunk-backed series one decoded block at a time — the
 	// analysis never materializes the full grid.
+	if n := work.Len(); cap(scr.vals) < n {
+		scr.vals, scr.slots = make([]float64, 0, n), make([]int, 0, n)
+	}
 	scr.vals = scr.vals[:0]
 	scr.slots = scr.slots[:0]
 	work.Each(func(base int, vs []float64) {
@@ -351,6 +358,7 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 	for i := range elevation {
 		elevation[i] = 0
 	}
+	shifts := scr.shifts[:0]
 	for w, lo := 0, 0; lo < len(vals); w, lo = w+1, lo+d.win {
 		hi := lo + d.win
 		if hi > len(vals) {
@@ -367,7 +375,7 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 		}
 		for _, cp := range cps {
 			cp.Index += lo
-			res.Shifts = append(res.Shifts, cp)
+			shifts = append(shifts, cp)
 		}
 		bounds := append(scr.bounds[:0], 0)
 		for _, cp := range cps {
@@ -422,7 +430,7 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 	}
 
 	// Events: maximal elevated runs over the compacted samples.
-	var events []Event
+	events := scr.events[:0]
 	i := 0
 	for i < len(elevation) {
 		if elevation[i] <= 0 {
@@ -443,8 +451,18 @@ func (d *Detection) AtThreshold(thresholdMs float64) Result {
 		})
 		i = j
 	}
-	res.Events = filterShort(events, d.cfg.MinDuration)
+	scr.shifts, scr.events = shifts, events
+	res.Shifts = exact(shifts)
+	res.Events = exact(filterShort(events, d.cfg.MinDuration))
 	return res
+}
+
+// exact returns an exact-size copy of s, nil when s is empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // offsetShifts rebases change-point indices from window space into the

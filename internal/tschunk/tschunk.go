@@ -11,10 +11,13 @@
 // The write path is an append-only Builder: samples land in a raw
 // in-place block (the campaign's streaming min/max filters re-touch the
 // current bin many times), and a block is compressed exactly once, when
-// the write frontier passes it, into an Arena: a byte slab the builder
-// owns, or one the campaign engine shares among a shard's builders.
-// Sealing into a pre-reserved slab keeps the steady-state probing step
-// allocation-free. The read path decodes
+// the write frontier passes it, into an Arena: a list of fixed 64 KiB
+// pages the builder owns, or one the campaign engine shares among a
+// shard's builders. A sealed block never moves — a full page is
+// followed by a fresh one, never grown or copied — so sealing into
+// pre-reserved pages keeps the steady-state probing step
+// allocation-free, and a checkpoint writes the pages as they stand.
+// The read path decodes
 // one block at a time into caller-owned buffers, so an analysis pass
 // streams a year-long series through a few kilobytes of scratch instead
 // of materializing it.
@@ -38,19 +41,35 @@ const BlockLen = 256
 // canonical one the grid is initialized with.
 var Missing = math.NaN()
 
+// PageSize is the size of an arena page. A block ref addresses its
+// page and offset in one int (page<<pageBits | offset), so the page
+// size is fixed: it is a constant, not an option.
+const PageSize = 1 << pageBits
+
+const pageBits = 16
+
 // blockRef locates one sealed block inside the arena. Blocks can share
 // arena ranges: every all-missing block of full length points at the
 // same few bytes.
 type blockRef struct {
-	off, size int // arena byte range
+	off, size int // page<<pageBits | offset in the page, and byte length
 	count     int // values encoded (BlockLen except the tail)
 }
 
+// blockBytes returns the encoded bytes ref names in pages.
+func blockBytes(pages [][]byte, ref blockRef) []byte {
+	o := ref.off & (PageSize - 1)
+	return pages[ref.off>>pageBits][o : o+ref.size]
+}
+
 // Chunk is a sealed, immutable compressed series: every block
-// XOR-packed into one arena. Chunks are safe for concurrent readers.
+// XOR-packed into its arena's pages. The page list is the arena's as
+// of the seal; later pages never hold the chunk's blocks, and earlier
+// pages never move, so the chunk and the still-growing arena share
+// them safely. Chunks are safe for concurrent readers.
 type Chunk struct {
 	n      int
-	arena  []byte
+	pages  [][]byte
 	blocks []blockRef
 	// enc is the chunk's own encoded payload (shared all-missing
 	// blocks counted once); the arena may hold other builders' blocks.
@@ -79,7 +98,7 @@ func (c *Chunk) RawSize() int { return 8 * c.n }
 func (c *Chunk) DecodeBlock(b int, dst []float64) []float64 {
 	ref := c.blocks[b]
 	dst = dst[:ref.count]
-	decodeBlock(c.arena[ref.off:ref.off+ref.size], dst)
+	decodeBlock(blockBytes(c.pages, ref), dst)
 	return dst
 }
 
@@ -148,9 +167,9 @@ func (it *Iter) Next() (v float64, ok bool) {
 // re-touch a bin once per probing round.
 //
 // Sealed blocks land in the builder's Arena. Construction reserves
-// slab room for the grid, so the per-sample write path never
-// allocates; a seal allocates only when the slab is full (it then
-// grows by append). Not safe for concurrent use.
+// arena room for the grid, so the per-sample write path never
+// allocates; a seal allocates only when the reserved pages are full
+// (it then adds one page). Not safe for concurrent use.
 type Builder struct {
 	n      int
 	blocks []blockRef
@@ -168,63 +187,100 @@ type Builder struct {
 	sealed *Chunk
 }
 
-// Arena is an append-only compression slab Builders seal into: one
-// per standalone builder, or one per campaign shard, so a shard's
-// resident series bytes are a single accountable allocation instead of
-// thousands of per-link slices. Builders store absolute offsets, so
-// slab growth never invalidates sealed blocks. Single-writer: all
-// Builders on one Arena must seal from the same goroutine at any
-// instant (the shard's worker), which also lets them share one
-// worst-case encode scratch buffer.
+// Arena is an append-only list of fixed-size pages Builders seal
+// into: one per standalone builder, or one per campaign shard, so a
+// shard's resident series bytes are a few accountable allocations
+// instead of thousands of per-link slices. A sealed block goes into
+// the current page, or into the next page when it does not fit, so
+// block placement depends only on the order of seals, and a block's
+// bytes never move once sealed. Single-writer: all Builders on one
+// Arena must seal from the same goroutine at any instant (the shard's
+// worker), which also lets them share one worst-case encode scratch
+// buffer.
 type Arena struct {
-	buf     []byte
-	scratch []byte
+	// pages are allocated at full length and never resized; those past
+	// cur are reserved but empty.
+	pages [][]byte
+	fill  []int // bytes sealed into each page
+	cur   int   // the page seals go into
+	// behind is the capacity of the pages before cur, capacity that of
+	// them all, and sealed the bytes sealed in them all.
+	behind, capacity, sealed int
+	scratch                  []byte
 }
 
-// NewArena pre-reserves capBytes of slab.
+// NewArena pre-reserves capBytes as whole pages.
 func NewArena(capBytes int) *Arena {
-	if capBytes < 0 {
-		capBytes = 0
-	}
-	return &Arena{
-		buf:     make([]byte, 0, capBytes),
-		scratch: make([]byte, 0, worstBlockBytes),
-	}
+	a := &Arena{scratch: make([]byte, 0, MaxBlockBytes)}
+	a.Reserve(capBytes)
+	return a
 }
 
-// Reserve grows the slab capacity so at least bytes more fit beyond
-// the bytes already sealed, adding a 64 KiB headroom whenever it
-// grows: thousands of builders reserving a few hundred bytes each at
-// discovery time would otherwise reallocate-and-copy the slab
-// quadratically. The top-up is against the slab's used length, not
-// against earlier reservations, so builders made before a seal share
-// one reservation; a slab that fills up grows by append at the next
-// seal, O(log size) allocations per arena per campaign.
+// newOwnedArena is the arena of one standalone builder. Its first page
+// is sized to the builder's reservation when that is under a page, so
+// a short series costs no more than its reserve.
+func newOwnedArena(capBytes int) *Arena {
+	if capBytes >= PageSize {
+		return NewArena(capBytes)
+	}
+	a := NewArena(0)
+	a.addPage(capBytes)
+	return a
+}
+
+// addPage appends one empty page of size bytes.
+func (a *Arena) addPage(size int) {
+	a.pages = append(a.pages, make([]byte, size))
+	a.fill = append(a.fill, 0)
+	a.capacity += size
+}
+
+// Reserve pre-allocates whole pages until at least bytes more fit
+// beyond the bytes already sealed. The top-up is against the used
+// length, not against earlier reservations, so builders made before a
+// seal share one reservation; once the reserved pages fill up, a seal
+// adds one page at a time.
 func (a *Arena) Reserve(bytes int) {
-	if need := len(a.buf) + bytes; need > cap(a.buf) {
-		newCap := cap(a.buf) + 64<<10
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([]byte, len(a.buf), newCap)
-		copy(grown, a.buf)
-		a.buf = grown
+	used := a.behind
+	if a.cur < len(a.pages) {
+		used += a.fill[a.cur]
+	}
+	for a.capacity-used < bytes {
+		a.addPage(PageSize)
 	}
 }
 
-// Len returns the encoded bytes resident in the slab.
-func (a *Arena) Len() int { return len(a.buf) }
+// put copies one encoded block into the arena and returns its ref
+// offset.
+func (a *Arena) put(enc []byte) int {
+	if a.cur < len(a.pages) && a.fill[a.cur]+len(enc) > len(a.pages[a.cur]) {
+		a.behind += len(a.pages[a.cur])
+		a.cur++
+	}
+	if a.cur == len(a.pages) {
+		a.addPage(PageSize)
+	}
+	off := a.fill[a.cur]
+	copy(a.pages[a.cur][off:], enc)
+	a.fill[a.cur] += len(enc)
+	a.sealed += len(enc)
+	return a.cur<<pageBits | off
+}
 
-// Cap returns the reserved slab capacity.
-func (a *Arena) Cap() int { return cap(a.buf) }
+// Len returns the encoded bytes resident in the pages.
+func (a *Arena) Len() int { return a.sealed }
 
-// MemBytes is the arena's resident footprint: slab reserve plus the
+// Cap returns the allocated page capacity.
+func (a *Arena) Cap() int { return a.capacity }
+
+// MemBytes is the arena's resident footprint: page capacity plus the
 // shared encode scratch.
-func (a *Arena) MemBytes() int { return cap(a.buf) + cap(a.scratch) }
+func (a *Arena) MemBytes() int { return a.capacity + cap(a.scratch) }
 
-// worstBlockBytes bounds one encoded block: 8 raw bytes for the first
+// MaxBlockBytes bounds one encoded block: 8 raw bytes for the first
 // value, then ≤ 2+5+6+64 bits per value, plus byte-alignment slack.
-const worstBlockBytes = 8 + (BlockLen*77)/8 + 2
+// Any block fits an empty full page.
+const MaxBlockBytes = 8 + (BlockLen*77)/8 + 2
 
 // NewBuilder sizes a builder for an n-slot grid on an arena of its
 // own, reserving ~4 bytes per slot — comfortably above what
@@ -233,7 +289,7 @@ const worstBlockBytes = 8 + (BlockLen*77)/8 + 2
 func NewBuilder(n int) *Builder { return NewBuilderArena(n, nil) }
 
 // NewBuilderArena is NewBuilder sealing into a (typically shared)
-// Arena: the builder reserves its ~4 bytes/slot in the slab and
+// Arena: the builder reserves its ~4 bytes/slot in the pages and
 // borrows the arena's encode scratch. a == nil gives the builder an
 // arena of its own.
 func NewBuilderArena(n int, a *Arena) *Builder {
@@ -242,7 +298,7 @@ func NewBuilderArena(n int, a *Arena) *Builder {
 	}
 	b := &Builder{n: n, blocks: make([]blockRef, 0, (n+BlockLen-1)/BlockLen)}
 	if a == nil {
-		a, b.own = NewArena(4*n+16), true
+		a, b.own = newOwnedArena(4*n+16), true
 	}
 	a.Reserve(4*n + 16)
 	b.arena = a
@@ -318,12 +374,9 @@ func (b *Builder) sealCur() {
 }
 
 func (b *Builder) appendEncoded(vals []float64) blockRef {
-	a := b.arena
-	enc := encodeBlock(vals, a.scratch[:0])
+	enc := encodeBlock(vals, b.arena.scratch[:0])
 	b.encLen += len(enc)
-	off := len(a.buf)
-	a.buf = append(a.buf, enc...)
-	return blockRef{off: off, size: len(enc), count: len(vals)}
+	return blockRef{off: b.arena.put(enc), size: len(enc), count: len(vals)}
 }
 
 // Set overwrites slot i.
@@ -382,7 +435,7 @@ func (b *Builder) At(i int) float64 {
 	ref := b.blocks[blk]
 	var buf [BlockLen]float64
 	dst := buf[:ref.count]
-	decodeBlock(b.arena.buf[ref.off:ref.off+ref.size], dst)
+	decodeBlock(blockBytes(b.arena.pages, ref), dst)
 	return dst[i%BlockLen]
 }
 
@@ -426,7 +479,7 @@ func (b *Builder) CopyRange(from int, dst []float64) {
 		default:
 			ref := b.blocks[blk]
 			vals := buf[:ref.count]
-			decodeBlock(b.arena.buf[ref.off:ref.off+ref.size], vals)
+			decodeBlock(blockBytes(b.arena.pages, ref), vals)
 			copy(dst[i-from:j-from], vals[i-lo:])
 		}
 		i = j
@@ -449,7 +502,7 @@ func (b *Builder) Seal() *Chunk {
 			b.resetCur(b.curBlk + 1)
 		}
 	}
-	b.sealed = &Chunk{n: b.n, arena: b.arena.buf, blocks: b.blocks, enc: b.encLen}
+	b.sealed = &Chunk{n: b.n, pages: b.arena.pages, blocks: b.blocks, enc: b.encLen}
 	return b.sealed
 }
 
@@ -457,8 +510,8 @@ func (b *Builder) Seal() *Chunk {
 // Checkpoint state: the engine snapshots builders and arenas at batch
 // barriers (DESIGN.md §15). A snapshot captures exactly the mutable
 // write-side state — sealed block refs, the open current block, and
-// (for a builder that owns its arena) the encoded bytes — so a
-// restored builder continues the stream bit-identically.
+// (for a builder that owns its arena) the arena pages — so a restored
+// builder continues the stream bit-identically.
 // ---------------------------------------------------------------
 
 // BlockRef is the exported mirror of blockRef for serialization.
@@ -466,10 +519,10 @@ type BlockRef struct {
 	Off, Size, Count int
 }
 
-// BuilderState is a Builder's full mutable state at a barrier. Arena
-// holds the encoded bytes of a builder that owns its arena; a builder
-// on an engine-owned arena leaves it empty, since the engine captures
-// that slab once (Arena.State).
+// BuilderState is a Builder's full mutable state at a barrier. Pages
+// holds the arena pages of a builder that owns its arena; a builder on
+// an engine-owned arena leaves it empty, since the engine captures
+// those pages once (Arena.State).
 //
 // CurBlock is the open current block packed with the block codec
 // itself, which is exact on bit patterns: the mostly-missing block
@@ -478,7 +531,7 @@ type BlockRef struct {
 type BuilderState struct {
 	N        int
 	Blocks   []BlockRef
-	Arena    []byte
+	Pages    [][]byte
 	EncLen   int
 	HasNaN   bool
 	NaNRef   BlockRef
@@ -487,11 +540,11 @@ type BuilderState struct {
 	Dirty    bool
 }
 
-// State captures the builder's write-side state. Arena aliases the
-// live slab of an owned arena: callers must serialize (or copy) the
-// state before the next write, which barrier-synchronous checkpointing
+// State captures the builder's write-side state. Pages alias the live
+// pages of an owned arena: callers must serialize (or copy) the state
+// before the next write, which barrier-synchronous checkpointing
 // guarantees. Packing the current block borrows the arena's encode
-// scratch, so State follows the slab's single-writer rule like a seal
+// scratch, so State follows the arena's single-writer rule like a seal
 // does. Panics after Seal — sealed builders are immutable and cheaper
 // to rebuild than to snapshot.
 func (b *Builder) State() BuilderState {
@@ -512,7 +565,7 @@ func (b *Builder) State() BuilderState {
 		st.Blocks[i] = BlockRef{Off: ref.off, Size: ref.size, Count: ref.count}
 	}
 	if b.own {
-		st.Arena = b.arena.State()
+		st.Pages = b.arena.State()
 	}
 	return st
 }
@@ -520,7 +573,7 @@ func (b *Builder) State() BuilderState {
 // RestoreState overwrites the builder's write-side state from a
 // snapshot taken at the same barrier of an equivalent run. The builder
 // must have been freshly constructed with the same grid length, and on
-// an arena of the same kind: its own, or a shared one whose bytes are
+// an arena of the same kind: its own, or a shared one whose pages are
 // restored separately (Arena.RestoreState).
 func (b *Builder) RestoreState(st BuilderState) {
 	if b.sealed != nil {
@@ -534,7 +587,7 @@ func (b *Builder) RestoreState(st BuilderState) {
 		b.blocks = append(b.blocks, blockRef{off: ref.Off, size: ref.Size, count: ref.Count})
 	}
 	if b.own {
-		b.arena.RestoreState(st.Arena)
+		b.arena.RestoreState(st.Pages)
 	}
 	b.encLen = st.EncLen
 	b.hasNaN = st.HasNaN
@@ -544,15 +597,49 @@ func (b *Builder) RestoreState(st BuilderState) {
 	b.dirty = st.Dirty
 }
 
-// State returns the arena's encoded bytes. The slice aliases the live
-// slab; serialize before the next seal into it.
-func (a *Arena) State() []byte { return a.buf }
+// State returns the arena's pages as they stand: every page up to the
+// current one, each sliced to its sealed bytes, and nil before the
+// first seal. The pages alias the live arena; serialize them before
+// the next seal into it.
+func (a *Arena) State() [][]byte {
+	if a.sealed == 0 {
+		return nil
+	}
+	pages := make([][]byte, a.cur+1)
+	for i := range pages {
+		pages[i] = a.pages[i][:a.fill[i]:a.fill[i]]
+	}
+	return pages
+}
 
-// RestoreState overwrites the slab contents from a snapshot, keeping
-// the reserved capacity (reservations made by builders constructed
-// before the restore remain honored).
-func (a *Arena) RestoreState(buf []byte) {
-	a.buf = append(a.buf[:0], buf...)
+// RestoreState overwrites the arena's contents from a snapshot of an
+// equivalent arena (State). Each page is copied into the arena's own
+// page of that index when it has one — so reservations made by builders
+// constructed before the restore remain honored, and an owned arena
+// keeps its first page's size — or else into a fresh full page, so
+// seals after the restore land on the refs they would have had.
+func (a *Arena) RestoreState(pages [][]byte) {
+	for len(a.pages) < len(pages) {
+		a.addPage(PageSize)
+	}
+	for i := range a.fill {
+		a.fill[i] = 0
+	}
+	a.cur, a.behind, a.sealed = 0, 0, 0
+	for i, p := range pages {
+		if len(p) > len(a.pages[i]) {
+			panic(fmt.Sprintf("tschunk: RestoreState page %d holds %d bytes, arena page has %d",
+				i, len(p), len(a.pages[i])))
+		}
+		a.fill[i] = copy(a.pages[i], p)
+		a.sealed += len(p)
+	}
+	if len(pages) > 0 {
+		a.cur = len(pages) - 1
+	}
+	for _, p := range a.pages[:a.cur] {
+		a.behind += len(p)
+	}
 }
 
 // ---------------------------------------------------------------
