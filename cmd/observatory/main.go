@@ -260,9 +260,7 @@ func run() error {
 	for _, vr := range c.VPs {
 		for _, lr := range vr.SortedLinks() {
 			ls := lr.Collector.Series()
-			// Each streams block-wise through the chunked backing
-			// (collector series are XOR-compressed by default) and
-			// degrades to one whole-slice visit on flat series.
+			// Each streams the XOR-compressed series block by block.
 			emit := func(s *timeseries.Series, at func(int) simclock.Time,
 				responder netaddr.Addr, respType uint8) error {
 				var werr error

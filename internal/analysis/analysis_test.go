@@ -24,15 +24,25 @@ func mp(s string) netaddr.Prefix { return netaddr.MustParsePrefix(s) }
 
 // synth builds LinkSeries synthetically (30-min grid, `days` days).
 func synth(days int, far func(t simclock.Time) float64, near func(t simclock.Time) float64) LinkSeries {
+	return sealLink(synthVals(days, far, near))
+}
+
+// synthVals samples far and near on synth's grid, for callers that
+// punch gaps before sealing.
+func synthVals(days int, far func(t simclock.Time) float64, near func(t simclock.Time) float64) (fs, ns []float64) {
 	n := days * 48
-	fs := timeseries.NewRegular(0, 30*time.Minute, n)
-	ns := timeseries.NewRegular(0, 30*time.Minute, n)
-	for i := 0; i < n; i++ {
-		t := fs.TimeAt(i)
-		fs.Set(i, far(t))
-		ns.Set(i, near(t))
+	fs, ns = make([]float64, n), make([]float64, n)
+	for i := range fs {
+		t := simclock.Time(time.Duration(i) * 30 * time.Minute)
+		fs[i] = far(t)
+		ns[i] = near(t)
 	}
-	return LinkSeries{Near: ns, Far: fs}
+	return fs, ns
+}
+
+// sealLink seals synthVals grids as a link's series.
+func sealLink(fs, ns []float64) LinkSeries {
+	return LinkSeries{Near: timeseries.FromValues(0, 30*time.Minute, ns), Far: timeseries.FromValues(0, 30*time.Minute, fs)}
 }
 
 func diurnalFn(base, mag float64, from, to float64, noise float64, seed int64) func(simclock.Time) float64 {
@@ -272,7 +282,7 @@ func TestRunLossCampaign(t *testing.T) {
 }
 
 func TestClassifyEmpty(t *testing.T) {
-	if classify(nil, timeseries.NewRegular(0, time.Minute, 10)) != NotCongested {
+	if classify(nil, timeseries.FromValues(0, time.Minute, make([]float64, 10))) != NotCongested {
 		t.Fatal("no events must be NotCongested")
 	}
 }

@@ -53,25 +53,29 @@ func sameBlock(start, a, b simclock.Time) bool {
 }
 
 // flatMinFilter is the oracle: the collector's binning and min filter
-// written out over flat series, placing samples with Series.Index.
-type flatMinFilter struct{ near, far *timeseries.Series }
+// written out over flat grids.
+type flatMinFilter struct {
+	start     simclock.Time
+	near, far []float64
+}
 
 func newFlatMinFilter(campaign simclock.Interval) *flatMinFilter {
 	n := campaign.NumSteps(DefaultAggStep)
-	return &flatMinFilter{
-		near: timeseries.NewRegular(campaign.Start, DefaultAggStep, n),
-		far:  timeseries.NewRegular(campaign.Start, DefaultAggStep, n),
+	f := &flatMinFilter{start: campaign.Start, near: make([]float64, n), far: make([]float64, n)}
+	for i := range f.near {
+		f.near[i], f.far[i] = timeseries.Missing, timeseries.Missing
 	}
+	return f
 }
 
 func (f *flatMinFilter) record(s prober.Sample) {
-	merge := func(dst *timeseries.Series, lost bool, rtt simclock.Duration) {
-		if lost {
+	merge := func(dst []float64, lost bool, rtt simclock.Duration) {
+		if lost || s.At < f.start {
 			return
 		}
 		ms := float64(rtt) / float64(time.Millisecond)
-		if i := dst.Index(s.At); i >= 0 && (timeseries.IsMissing(dst.Values[i]) || ms < dst.Values[i]) {
-			dst.Values[i] = ms
+		if i := int(s.At.Sub(f.start) / DefaultAggStep); i < len(dst) && (timeseries.IsMissing(dst[i]) || ms < dst[i]) {
+			dst[i] = ms
 		}
 	}
 	merge(f.near, s.NearLost, s.NearRTT)
@@ -120,8 +124,8 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 		col := NewCollector(ts, cfg)
 		ref := newFlatMinFilter(campaign)
 		_, _, n := col.AggSpan()
-		if n != ref.near.Len() {
-			t.Logf("grid %d slots, oracle %d", n, ref.near.Len())
+		if n != len(ref.near) {
+			t.Logf("grid %d slots, oracle %d", n, len(ref.near))
 			return false
 		}
 
@@ -131,7 +135,7 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 		for k, s := range stream {
 			if k == cut {
 				near, far := copyAll(col, n)
-				if !sameBits(near, ref.near.Values) || !sameBits(far, ref.far.Values) {
+				if !sameBits(near, ref.near) || !sameBits(far, ref.far) {
 					t.Logf("seed %d: mid-stream CopyAgg differs at sample %d", seed, k)
 					return false
 				}
@@ -156,7 +160,7 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 		}
 		for _, c := range []*Collector{col, restored} {
 			near, far := copyAll(c, n)
-			if !sameBits(near, ref.near.Values) || !sameBits(far, ref.far.Values) {
+			if !sameBits(near, ref.near) || !sameBits(far, ref.far) {
 				t.Logf("seed %d: CopyAgg before sealing differs", seed)
 				return false
 			}
@@ -164,10 +168,10 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 			for _, p := range []struct {
 				got  *timeseries.Series
 				want []float64
-			}{{ls.Near, ref.near.Values}, {ls.Far, ref.far.Values}} {
-				if !p.got.Chunked() || p.got.Start != start || p.got.Step != DefaultAggStep || p.got.Len() != n {
-					t.Logf("seed %d: sealed series shape %v/%v×%d chunked=%t", seed,
-						p.got.Start, p.got.Step, p.got.Len(), p.got.Chunked())
+			}{{ls.Near, ref.near}, {ls.Far, ref.far}} {
+				if p.got.Start != start || p.got.Step != DefaultAggStep || p.got.Len() != n {
+					t.Logf("seed %d: sealed series shape %v/%v×%d", seed,
+						p.got.Start, p.got.Step, p.got.Len())
 					return false
 				}
 				if !sameBits(seriesValues(p.got), p.want) {
@@ -178,7 +182,7 @@ func TestCollectorMatchesFlatOracle(t *testing.T) {
 			from := rng.Intn(n)
 			near, far = make([]float64, n-from), make([]float64, n-from)
 			c.CopyAgg(from, near, far)
-			if !sameBits(near, ref.near.Values[from:]) || !sameBits(far, ref.far.Values[from:]) {
+			if !sameBits(near, ref.near[from:]) || !sameBits(far, ref.far[from:]) {
 				t.Logf("seed %d: sealed CopyAgg from %d differs", seed, from)
 				return false
 			}

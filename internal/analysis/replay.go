@@ -26,10 +26,10 @@ import (
 // Samples are min-filtered into DefaultAggStep bins, the grid the live
 // Collector stores, so a replay reproduces the live series bit for
 // bit. Warts archives carry no per-link ordering guarantee, so ingest
-// accumulates into flat grids and XOR-compresses each once ingest
-// finishes: the resident set after return is the compressed one, which
-// is what matters for replaying month-scale archives. The result maps
-// VP name → link → series.
+// min-filters into one []float64 per link end and seals each with
+// timeseries.FromValues once ingest ends: the resident set after return
+// is the compressed one, which is what matters for replaying
+// month-scale archives. The result maps VP name → link → series.
 func FromWarts(r *warts.Reader, campaign simclock.Interval) (map[string]map[prober.LinkTarget]LinkSeries, error) {
 	const step = DefaultAggStep
 	n := campaign.NumSteps(step)
@@ -39,21 +39,29 @@ func FromWarts(r *warts.Reader, campaign simclock.Interval) (map[string]map[prob
 		far netaddr.Addr
 	}
 	type link struct {
-		near     *timeseries.Series
-		far      *timeseries.Series
-		nearAddr netaddr.Addr
+		near, far []float64
+		nearAddr  netaddr.Addr
 	}
 	links := make(map[key]*link)
 	ensure := func(k key) *link {
 		l, ok := links[k]
 		if !ok {
-			l = &link{
-				near: timeseries.NewRegular(campaign.Start, step, n),
-				far:  timeseries.NewRegular(campaign.Start, step, n),
+			l = &link{near: make([]float64, n), far: make([]float64, n)}
+			for i := range l.near {
+				l.near[i], l.far[i] = timeseries.Missing, timeseries.Missing
 			}
 			links[k] = l
 		}
 		return l
+	}
+	// minInto is the streaming min filter onto the grid, matching the
+	// live Collector's behavior for repeated samples.
+	minInto := func(grid []float64, at simclock.Time, ms float64) {
+		if i := int(at.Sub(campaign.Start) / step); i < n {
+			if timeseries.IsMissing(grid[i]) || ms < grid[i] {
+				grid[i] = ms
+			}
+		}
 	}
 
 	for {
@@ -74,22 +82,10 @@ func FromWarts(r *warts.Reader, campaign simclock.Interval) (map[string]map[prob
 				l.nearAddr = rec.Responder
 			}
 			if !rec.Lost {
-				// Streaming min filter onto the grid, matching the
-				// live Collector's behavior for repeated samples.
-				if i := l.near.Index(rec.At); i >= 0 {
-					if timeseries.IsMissing(l.near.Values[i]) || ms < l.near.Values[i] {
-						l.near.Values[i] = ms
-					}
-				}
+				minInto(l.near, rec.At, ms)
 			}
-		} else {
-			if !rec.Lost {
-				if i := l.far.Index(rec.At); i >= 0 {
-					if timeseries.IsMissing(l.far.Values[i]) || ms < l.far.Values[i] {
-						l.far.Values[i] = ms
-					}
-				}
-			}
+		} else if !rec.Lost {
+			minInto(l.far, rec.At, ms)
 		}
 	}
 
@@ -100,7 +96,8 @@ func FromWarts(r *warts.Reader, campaign simclock.Interval) (map[string]map[prob
 		}
 		target := prober.LinkTarget{Near: l.nearAddr, Far: k.far}
 		out[k.vp][target] = LinkSeries{Target: target,
-			Near: timeseries.Compress(l.near), Far: timeseries.Compress(l.far)}
+			Near: timeseries.FromValues(campaign.Start, step, l.near),
+			Far:  timeseries.FromValues(campaign.Start, step, l.far)}
 	}
 	return out, nil
 }

@@ -34,9 +34,11 @@ func summarizeVerdict(v Verdict) string {
 		b.WriteString(" series=")
 		if r.Series != nil {
 			fmt.Fprintf(&b, "step=%d:", r.Series.Step)
-			for _, x := range r.Series.Values {
-				fmt.Fprintf(&b, "%x,", bits(x))
-			}
+			r.Series.Each(func(_ int, vals []float64) {
+				for _, x := range vals {
+					fmt.Fprintf(&b, "%x,", bits(x))
+				}
+			})
 		}
 		b.WriteByte('\n')
 	}
@@ -54,17 +56,17 @@ func sweepLinkSeries(t *testing.T) map[string]LinkSeries {
 		"near-shifts-too":   synth(14, diurnalFn(2, 25, 9, 17, 0.5, 5), diurnalFn(2, 25, 9, 17, 0.5, 6)),
 		"flat":              synth(14, flatFn(2, 0.4, 7), flatFn(1, 0.3, 8)),
 	}
-	lossy := synth(21, diurnalFn(2, 20, 9, 17, 0.5, 9), flatFn(1, 0.3, 10))
+	fs, ns := synthVals(21, diurnalFn(2, 20, 9, 17, 0.5, 9), flatFn(1, 0.3, 10))
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < lossy.Far.Len(); i++ {
+	for i := range fs {
 		if rng.Float64() < 0.15 {
-			lossy.Far.Set(i, timeseries.Missing)
+			fs[i] = timeseries.Missing
 		}
 		if rng.Float64() < 0.1 {
-			lossy.Near.Set(i, timeseries.Missing)
+			ns[i] = timeseries.Missing
 		}
 	}
-	out["lossy"] = lossy
+	out["lossy"] = sealLink(fs, ns)
 	return out
 }
 
@@ -148,16 +150,16 @@ func TestSweepEmptyThresholds(t *testing.T) {
 // verdict number finite, and (c) match the single-shot pipeline bit
 // for bit at every threshold.
 func TestSweepNaNHeavyMatchesSingleShot(t *testing.T) {
-	ls := synth(21, diurnalFn(2, 25, 9, 17, 0.5, 30), flatFn(1, 0.3, 31))
+	fs, ns := synthVals(21, diurnalFn(2, 25, 9, 17, 0.5, 30), flatFn(1, 0.3, 31))
 	missing := 0
 	holeStart, holeEnd := 7*48, 11*48 // days 7–10 fully dark
-	for i := 0; i < ls.Far.Len(); i++ {
+	for i := range fs {
 		if i%2 == 0 || (i >= holeStart && i < holeEnd) {
-			ls.Far.Set(i, timeseries.Missing)
-			ls.Near.Set(i, timeseries.Missing)
+			fs[i], ns[i] = timeseries.Missing, timeseries.Missing
 			missing++
 		}
 	}
+	ls := sealLink(fs, ns)
 	if 2*missing < ls.Far.Len() {
 		t.Fatalf("gap pattern too thin: %d/%d missing", missing, ls.Far.Len())
 	}

@@ -103,14 +103,16 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	if got.Barrier != 1000 || got.Manifest != snap.Manifest {
 		t.Fatalf("roundtrip header mismatch: %+v", got)
 	}
-	full := tschunk.NewBuilder(3)
-	full.RestoreState(got.VPs[0].Links[0].Collector.FullNearB)
-	if c := full.Seal(); c.At(0) != 1.5 || !math.IsNaN(c.At(1)) || c.At(2) != 3.25 {
+	// Each restored grid is one block: decode it whole.
+	decode := func(st tschunk.BuilderState) []float64 {
+		b := tschunk.NewBuilder(st.N)
+		b.RestoreState(st)
+		return b.Seal().DecodeBlock(0, make([]float64, 0, tschunk.BlockLen))
+	}
+	if v := decode(got.VPs[0].Links[0].Collector.FullNearB); v[0] != 1.5 || !math.IsNaN(v[1]) || v[2] != 3.25 {
 		t.Fatalf("float payload (incl. NaN) not preserved: %+v", got.VPs[0].Links[0].Collector.FullNearB)
 	}
-	b := tschunk.NewBuilder(3)
-	b.RestoreState(got.VPs[0].Links[1].Collector.NearB)
-	if c := b.Seal(); !math.IsNaN(c.At(0)) || c.At(1) != 4.5 || !math.IsNaN(c.At(2)) {
+	if v := decode(got.VPs[0].Links[1].Collector.NearB); !math.IsNaN(v[0]) || v[1] != 4.5 || !math.IsNaN(v[2]) {
 		t.Fatalf("builder state not preserved: %+v", got.VPs[0].Links[1].Collector.NearB)
 	}
 	l := got.VPs[0].Links[1].Loss

@@ -6,18 +6,27 @@ import (
 	"testing"
 	"time"
 
+	"afrixp/internal/simclock"
 	"afrixp/internal/timeseries"
 )
 
-// series builds days of 5-minute samples from a value function of
-// (dayIndex, hourOfDay).
-func series(days int, fn func(day int, hour float64) float64) *timeseries.Series {
-	s := timeseries.NewRegular(0, 5*time.Minute, days*288)
-	for i := 0; i < s.Len(); i++ {
-		t := s.TimeAt(i)
-		s.Set(i, fn(t.Day(), t.HourOfDay()))
+// grid samples days of 5-minute values, from time 0, from a value
+// function of (dayIndex, hourOfDay).
+func grid(days int, fn func(day int, hour float64) float64) []float64 {
+	vs := make([]float64, days*288)
+	for i := range vs {
+		t := slotTime(i)
+		vs[i] = fn(t.Day(), t.HourOfDay())
 	}
-	return s
+	return vs
+}
+
+// slotTime is the time of grid slot i.
+func slotTime(i int) simclock.Time { return simclock.Time(time.Duration(i) * 5 * time.Minute) }
+
+// series seals grid(days, fn).
+func series(days int, fn func(day int, hour float64) float64) *timeseries.Series {
+	return timeseries.FromValues(0, 5*time.Minute, grid(days, fn))
 }
 
 func TestCleanDiurnalDetected(t *testing.T) {
@@ -60,8 +69,8 @@ func TestRandomRegimeShiftsRejected(t *testing.T) {
 	// this; the diurnal check must not.
 	rng := rand.New(rand.NewSource(3))
 	level := 2.0
-	s := timeseries.NewRegular(0, 5*time.Minute, 20*288)
-	for i := 0; i < s.Len(); i++ {
+	vs := make([]float64, 20*288)
+	for i := range vs {
 		if i%60 == 0 && rng.Float64() < 0.3 { // reconsider every 5h
 			if level == 2 {
 				level = 30
@@ -69,9 +78,9 @@ func TestRandomRegimeShiftsRejected(t *testing.T) {
 				level = 2
 			}
 		}
-		s.Set(i, level+math.Abs(0.5*rng.NormFloat64()))
+		vs[i] = level + math.Abs(0.5*rng.NormFloat64())
 	}
-	v := Detect(s, Config{})
+	v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
 	if v.Diurnal {
 		t.Fatalf("random regimes detected as diurnal: %+v", v)
 	}
@@ -84,9 +93,9 @@ func TestWeekdayWeekendAmplitudeStillDiurnal(t *testing.T) {
 	// QCELL–NETPAGE: 35 ms weekday spikes, 15 ms weekend spikes — the
 	// pattern differs in amplitude but stays diurnal.
 	rng := rand.New(rand.NewSource(4))
-	s := timeseries.NewRegular(0, 5*time.Minute, 21*288)
-	for i := 0; i < s.Len(); i++ {
-		tm := s.TimeAt(i)
+	vs := make([]float64, 21*288)
+	for i := range vs {
+		tm := slotTime(i)
 		amp := 35.0
 		if tm.IsWeekend() {
 			amp = 15
@@ -96,9 +105,9 @@ func TestWeekdayWeekendAmplitudeStillDiurnal(t *testing.T) {
 		if h >= 10 && h < 16 {
 			v += amp
 		}
-		s.Set(i, v+math.Abs(0.5*rng.NormFloat64()))
+		vs[i] = v + math.Abs(0.5*rng.NormFloat64())
 	}
-	v := Detect(s, Config{})
+	v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
 	if !v.Diurnal {
 		t.Fatalf("amplitude-modulated diurnal rejected: %+v", v)
 	}
@@ -106,19 +115,19 @@ func TestWeekdayWeekendAmplitudeStillDiurnal(t *testing.T) {
 
 func TestLossySeriesTolerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := series(14, func(_ int, h float64) float64 {
+	vs := grid(14, func(_ int, h float64) float64 {
 		v := 2.0
 		if h >= 12 && h < 20 {
 			v = 20
 		}
 		return v + math.Abs(0.4*rng.NormFloat64())
 	})
-	for i := 0; i < s.Len(); i++ {
+	for i := range vs {
 		if rng.Float64() < 0.25 {
-			s.Set(i, timeseries.Missing)
+			vs[i] = timeseries.Missing
 		}
 	}
-	if v := Detect(s, Config{}); !v.Diurnal {
+	if v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{}); !v.Diurnal {
 		t.Fatalf("lossy diurnal rejected: %+v", v)
 	}
 }
@@ -152,10 +161,10 @@ func TestSmallAmplitudeRejected(t *testing.T) {
 }
 
 func TestEmptySeries(t *testing.T) {
-	if v := Detect(timeseries.NewRegular(0, time.Minute, 0), Config{}); v.Diurnal {
+	if v := Detect(timeseries.FromValues(0, time.Minute, nil), Config{}); v.Diurnal {
 		t.Fatal("empty series accepted")
 	}
-	s := timeseries.NewRegular(0, 5*time.Minute, 288)
+	s := series(1, func(int, float64) float64 { return timeseries.Missing })
 	if v := Detect(s, Config{}); v.Diurnal {
 		t.Fatal("all-missing series accepted")
 	}
@@ -233,18 +242,19 @@ func TestFoldGapNormalization(t *testing.T) {
 		return 10
 	}
 	full := series(12, shape)
-	gappy := series(12, shape)
+	vs := grid(12, shape)
 	missing := 0
-	for i := 0; i < gappy.Len(); i++ {
-		day := gappy.TimeAt(i).Day()
+	for i := range vs {
+		day := slotTime(i).Day()
 		if i%2 == 0 || (day >= 4 && day < 7) {
-			gappy.Set(i, timeseries.Missing)
+			vs[i] = timeseries.Missing
 			missing++
 		}
 	}
-	if 2*missing < gappy.Len() {
-		t.Fatalf("gap pattern too thin: %d/%d missing", missing, gappy.Len())
+	if 2*missing < len(vs) {
+		t.Fatalf("gap pattern too thin: %d/%d missing", missing, len(vs))
 	}
+	gappy := timeseries.FromValues(0, 5*time.Minute, vs)
 
 	v := Fold(gappy, Config{})
 	if want := Fold(full, Config{}).AmplitudeMs; v.AmplitudeMs != want {
@@ -275,7 +285,7 @@ func TestFoldGapNormalization(t *testing.T) {
 // window a link without flagged events is folded over.
 func BenchmarkDiurnalFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	flat := series(255, func(_ int, h float64) float64 {
+	s := series(255, func(_ int, h float64) float64 {
 		if rng.Intn(32) == 0 {
 			return timeseries.Missing
 		}
@@ -285,7 +295,6 @@ func BenchmarkDiurnalFold(b *testing.B) {
 		}
 		return math.Round(v*1000) / 1000
 	})
-	s := timeseries.Compress(flat)
 	var scr Scratch
 	FoldWith(s, Config{}, &scr)
 	b.ReportAllocs()

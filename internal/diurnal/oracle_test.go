@@ -78,9 +78,9 @@ func sameVerdict(a, b Verdict) bool {
 
 // Property: the one-pass fold equals the oracle bit for bit over
 // random diurnal, flat and regime-shift series with tied values, NaN
-// gaps (single slots and whole days), flat and chunked backings,
-// windows with unaligned starts, grids starting off midnight and before
-// the epoch or a nanosecond before a bin boundary, 5-, 7- and 30-minute
+// gaps (single slots and whole days), windows with unaligned starts,
+// grids starting off midnight and before the epoch or a nanosecond
+// before a bin boundary, 5-, 7- and 30-minute
 // steps (7 minutes meets midnight at a different offset each day) and
 // a 25-hour one (a grid coarser than a day), and 30-minute and 1-hour
 // bins. One scratch is reused throughout, as a sweep worker does.
@@ -98,10 +98,10 @@ func TestQuickFoldMatchesOracle(t *testing.T) {
 			start = simclock.Time(time.Duration(startOff%480)*30*time.Minute - 1)
 		}
 		n := int(time.Duration(days) * 24 * time.Hour / step)
-		s := timeseries.NewRegular(start, step, n)
+		vs := make([]float64, n)
 		amp := 5 + 30*rng.Float64()
-		for i := 0; i < n; i++ {
-			h := s.TimeAt(i).HourOfDay()
+		for i := range vs {
+			h := start.Add(time.Duration(i) * step).HourOfDay()
 			v := 3 + math.Abs(rng.NormFloat64())
 			switch mode % 3 {
 			case 0:
@@ -119,12 +119,9 @@ func TestQuickFoldMatchesOracle(t *testing.T) {
 			if rng.Intn(10) == 0 || (mode&8 != 0 && (i/(n/days+1))%3 == 1) {
 				v = timeseries.Missing
 			}
-			s.Set(i, v)
+			vs[i] = v
 		}
-		var in *timeseries.Series = s
-		if mode&64 != 0 {
-			in = timeseries.Compress(s)
-		}
+		in := timeseries.FromValues(start, step, vs)
 		if mode&128 != 0 {
 			lo := int(winLo) % (n + 1)
 			hi := lo + int(winHi)%(n-lo+1)
@@ -162,7 +159,6 @@ func TestFoldRejectsFractionalSecondBins(t *testing.T) {
 			t.Fatal("1.5 s bins did not panic")
 		}
 	}()
-	s := timeseries.NewRegular(0, time.Minute, 10)
-	s.Set(0, 1)
+	s := timeseries.FromValues(0, time.Minute, []float64{1})
 	Fold(s, Config{BinWidth: 1500 * time.Millisecond})
 }

@@ -9,28 +9,30 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// buildDiurnalSeries returns a 30-min series with a daily sinusoid of
-// the given amplitude on a 20 ms floor, plus a deterministic dither.
-func buildDiurnalSeries(days int, ampMs float64) *timeseries.Series {
-	step := simclock.Duration(30 * time.Minute)
-	n := days * 48
-	s := timeseries.NewRegular(0, step, n)
-	for i := 0; i < n; i++ {
+// diurnalValues returns 30-min samples from time 0 with a daily
+// sinusoid of the given amplitude on a 20 ms floor, plus a
+// deterministic dither.
+func diurnalValues(days int, ampMs float64) []float64 {
+	vs := make([]float64, days*48)
+	for i := range vs {
 		hod := float64(i%48) / 48 * 2 * math.Pi
 		dither := 0.3 * math.Sin(float64(i)*0.7)
-		s.Set(i, 20+ampMs/2*(1-math.Cos(hod))+dither)
+		vs[i] = 20 + ampMs/2*(1-math.Cos(hod)) + dither
 	}
-	return s
+	return vs
 }
 
+// halfHour is the time of diurnalValues' sample i.
+func halfHour(i int) simclock.Time { return simclock.Time(time.Duration(i) * 30 * time.Minute) }
+
 func TestStreamFoldMatchesBatchAmplitude(t *testing.T) {
-	s := buildDiurnalSeries(6, 24)
+	vs := diurnalValues(6, 24)
 	cfg := Config{MinDays: 3}
-	batch := Fold(s, cfg)
+	batch := Fold(timeseries.FromValues(0, 30*time.Minute, vs), cfg)
 
 	f := NewStreamFold(cfg)
-	for i := 0; i < s.Len(); i++ {
-		f.Observe(s.TimeAt(i), s.Values[i])
+	for i := 0; i < len(vs); i++ {
+		f.Observe(halfHour(i), vs[i])
 	}
 	got := f.Snapshot()
 
@@ -57,10 +59,10 @@ func TestStreamFoldMatchesBatchAmplitude(t *testing.T) {
 }
 
 func TestStreamFoldFlatSeriesNotDiurnal(t *testing.T) {
-	s := buildDiurnalSeries(6, 0)
+	vs := diurnalValues(6, 0)
 	f := NewStreamFold(Config{MinDays: 3})
-	for i := 0; i < s.Len(); i++ {
-		f.Observe(s.TimeAt(i), s.Values[i])
+	for i := 0; i < len(vs); i++ {
+		f.Observe(halfHour(i), vs[i])
 	}
 	v := f.Snapshot().Decide(Config{MinDays: 3})
 	if v.Diurnal {
@@ -74,13 +76,13 @@ func TestStreamFoldFlatSeriesNotDiurnal(t *testing.T) {
 func TestStreamFoldHandlesMissingAndReset(t *testing.T) {
 	cfg := Config{MinDays: 3}
 	f := NewStreamFold(cfg)
-	s := buildDiurnalSeries(6, 24)
-	for i := 0; i < s.Len(); i++ {
-		v := s.Values[i]
+	vs := diurnalValues(6, 24)
+	for i := 0; i < len(vs); i++ {
+		v := vs[i]
 		if i%7 == 3 {
 			v = timeseries.Missing
 		}
-		f.Observe(s.TimeAt(i), v)
+		f.Observe(halfHour(i), v)
 	}
 	if got := f.Snapshot().Decide(cfg); !got.Diurnal {
 		t.Fatalf("diurnal pattern lost to 1/7 missing slots: %+v", got)
@@ -92,12 +94,12 @@ func TestStreamFoldHandlesMissingAndReset(t *testing.T) {
 	if v := f.Snapshot(); v.DaysEvaluated != 0 || v.AmplitudeMs != 0 {
 		t.Fatalf("reset left state: %+v", v)
 	}
-	for i := 0; i < s.Len(); i++ {
-		v := s.Values[i]
+	for i := 0; i < len(vs); i++ {
+		v := vs[i]
 		if i%7 == 3 {
 			v = timeseries.Missing
 		}
-		f.Observe(s.TimeAt(i), v)
+		f.Observe(halfHour(i), v)
 	}
 	after := f.Snapshot()
 	if math.Float64bits(before.AmplitudeMs) != math.Float64bits(after.AmplitudeMs) ||
@@ -110,13 +112,13 @@ func TestStreamFoldHandlesMissingAndReset(t *testing.T) {
 func TestStreamFoldZeroAlloc(t *testing.T) {
 	cfg := Config{MinDays: 3}
 	f := NewStreamFold(cfg)
-	s := buildDiurnalSeries(4, 24)
-	for i := 0; i < s.Len(); i++ {
-		f.Observe(s.TimeAt(i), s.Values[i])
+	vs := diurnalValues(4, 24)
+	for i := 0; i < len(vs); i++ {
+		f.Observe(halfHour(i), vs[i])
 	}
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
-		f.Observe(s.TimeAt(i%s.Len()), s.Values[i%s.Len()])
+		f.Observe(halfHour(i%len(vs)), vs[i%len(vs)])
 		_ = f.Snapshot()
 		i++
 	}); n != 0 {

@@ -107,17 +107,19 @@ func TestFaultCampaignOutageGapsFlow(t *testing.T) {
 			}
 			far := lr.Collector.Series().Far
 			gapped := 0
-			for i := 0; i < far.Len(); i++ {
-				at := far.TimeAt(i)
-				// Interior bins only: edge bins can mix up/down steps.
-				if at.Add(far.Step) <= f.Window.End && at >= f.Window.Start {
-					if !timeseries.IsMissing(far.ValueAt(i)) {
-						t.Fatalf("%s %v: sample %v at %v inside outage %v",
-							f.Target, lr.Target, far.ValueAt(i), at, f.Window)
+			far.Each(func(base int, vals []float64) {
+				for k, v := range vals {
+					at := far.TimeAt(base + k)
+					// Interior bins only: edge bins can mix up/down steps.
+					if at.Add(far.Step) <= f.Window.End && at >= f.Window.Start {
+						if !timeseries.IsMissing(v) {
+							t.Fatalf("%s %v: sample %v at %v inside outage %v",
+								f.Target, lr.Target, v, at, f.Window)
+						}
+						gapped++
 					}
-					gapped++
 				}
-			}
+			})
 			if gapped > 0 {
 				checkedGaps = true
 			}

@@ -57,16 +57,18 @@ func TestMemberLeaveGatesCompiledPaths(t *testing.T) {
 				}
 				far := lr.Collector.Series().Far
 				before, after := 0, 0
-				for i := 0; i < far.Len(); i++ {
-					if timeseries.IsMissing(far.ValueAt(i)) {
-						continue
+				far.Each(func(base int, vals []float64) {
+					for k, v := range vals {
+						if timeseries.IsMissing(v) {
+							continue
+						}
+						if far.TimeAt(base+k) >= lv.at {
+							after++
+						} else {
+							before++
+						}
 					}
-					if far.TimeAt(i) >= lv.at {
-						after++
-					} else {
-						before++
-					}
-				}
+				})
 				if before == 0 {
 					t.Fatalf("%s %v: no far sample before the leave at %v", vr.VP.ID, lr.Target, lv.at)
 				}

@@ -35,6 +35,16 @@ func runShortCampaignCfg(workers, batchSteps int) *Result {
 	})
 }
 
+// summarizeResult is the summary the digest hashes, as text, for the
+// determinism tests to compare and diff.
+func summarizeResult(res *Result) string {
+	var b strings.Builder
+	if err := writeSummary(&b, res); err != nil {
+		panic(err) // a strings.Builder never fails a write
+	}
+	return b.String()
+}
+
 // renderReports renders Table 1, Table 2, and the headline fraction as
 // the CLI would print them.
 func renderReports(t *testing.T, res *Result) string {

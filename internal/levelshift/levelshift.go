@@ -226,8 +226,8 @@ func flatBound(vs []float64) float64 {
 }
 
 // median computes the median of vs through the scratch sort buffer —
-// bit-identical to timeseries.Median (same sort, same interpolation),
-// without the per-call clone.
+// bit-identical to timeseries.Quantile(vs, 0.5) (same sort, same
+// interpolation), without the per-call clone.
 func (scr *Scratch) median(vs []float64) float64 {
 	scr.sortBuf = append(scr.sortBuf[:0], vs...)
 	sort.Float64s(scr.sortBuf)
@@ -277,8 +277,8 @@ func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *S
 	}
 	// The CUSUM detector cannot carry NaNs; compact the present
 	// samples and keep the index mapping back to grid slots. Each
-	// streams chunk-backed series one decoded block at a time — the
-	// analysis never materializes the full grid.
+	// streams the series one decoded block at a time — the analysis
+	// never materializes the full grid.
 	if n := work.Len(); cap(scr.vals) < n {
 		scr.vals, scr.slots = make([]float64, 0, n), make([]int, 0, n)
 	}

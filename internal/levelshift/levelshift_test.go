@@ -10,29 +10,53 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// diurnalSeries builds `days` days of 5-minute RTT samples: baseline
-// RTT with a plateau of +magnitude ms between startHour and endHour
-// every day, plus Gaussian noise.
-func diurnalSeries(days int, baseline, magnitude float64, startHour, endHour int, noise float64, seed int64) *timeseries.Series {
+// fiveMinute seals n 5-minute samples fn(0), ..., fn(n-1) from time 0.
+func fiveMinute(n int, fn func(i int) float64) *timeseries.Series {
+	return timeseries.FromValues(0, 5*time.Minute, fiveMinuteValues(n, fn))
+}
+
+// fiveMinuteValues is fiveMinute's values, for callers that punch gaps
+// before sealing.
+func fiveMinuteValues(n int, fn func(i int) float64) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = fn(i)
+	}
+	return vs
+}
+
+// slotTime is the time of a fiveMinute slot.
+func slotTime(i int) simclock.Time { return simclock.Time(time.Duration(i) * 5 * time.Minute) }
+
+// values reads a series back through Each.
+func values(s *timeseries.Series) []float64 {
+	out := make([]float64, 0, s.Len())
+	s.Each(func(_ int, vs []float64) { out = append(out, vs...) })
+	return out
+}
+
+// diurnalValues is `days` days of 5-minute RTT samples: baseline RTT
+// with a plateau of +magnitude ms between startHour and endHour every
+// day, plus Gaussian noise.
+func diurnalValues(days int, baseline, magnitude float64, startHour, endHour int, noise float64, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
-	s := timeseries.NewRegular(0, 5*time.Minute, days*288)
-	for i := 0; i < s.Len(); i++ {
-		h := s.TimeAt(i).HourOfDay()
+	return fiveMinuteValues(days*288, func(i int) float64 {
 		v := baseline
-		if h >= float64(startHour) && h < float64(endHour) {
+		if h := slotTime(i).HourOfDay(); h >= float64(startHour) && h < float64(endHour) {
 			v += magnitude
 		}
-		s.Set(i, v+math.Abs(noise*rng.NormFloat64()))
-	}
-	return s
+		return v + math.Abs(noise*rng.NormFloat64())
+	})
+}
+
+// diurnalSeries seals diurnalValues.
+func diurnalSeries(days int, baseline, magnitude float64, startHour, endHour int, noise float64, seed int64) *timeseries.Series {
+	return timeseries.FromValues(0, 5*time.Minute, diurnalValues(days, baseline, magnitude, startHour, endHour, noise, seed))
 }
 
 func TestFlatSeriesNotFlagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := timeseries.NewRegular(0, 5*time.Minute, 7*288)
-	for i := 0; i < s.Len(); i++ {
-		s.Set(i, 2+math.Abs(0.5*rng.NormFloat64()))
-	}
+	s := fiveMinute(7*288, func(int) float64 { return 2 + math.Abs(0.5*rng.NormFloat64()) })
 	res := Analyze(s, DefaultConfig())
 	if res.Flagged() {
 		t.Fatalf("flat series flagged: %+v", res.Events)
@@ -84,14 +108,13 @@ func TestThresholdSensitivity(t *testing.T) {
 func TestShortBlipsFiltered(t *testing.T) {
 	// 15-minute spikes must not be flagged at MinDuration 30 min.
 	rng := rand.New(rand.NewSource(4))
-	s := timeseries.NewRegular(0, 5*time.Minute, 5*288)
-	for i := 0; i < s.Len(); i++ {
+	s := fiveMinute(5*288, func(i int) float64 {
 		v := 2 + math.Abs(0.3*rng.NormFloat64())
 		if i%288 < 3 { // 15 minutes once a day
 			v += 40
 		}
-		s.Set(i, v)
-	}
+		return v
+	})
 	cfg := DefaultConfig()
 	res := Analyze(s, cfg)
 	if res.Flagged() {
@@ -103,14 +126,13 @@ func TestOpenEndedSustainedCongestion(t *testing.T) {
 	// RTT elevates halfway through and never recovers (GHANATEL phase
 	// transition): one open-ended event.
 	rng := rand.New(rand.NewSource(5))
-	s := timeseries.NewRegular(0, 5*time.Minute, 6*288)
-	for i := 0; i < s.Len(); i++ {
+	s := fiveMinute(6*288, func(i int) float64 {
 		v := 2.0
-		if i >= s.Len()/2 {
+		if i >= 3*288 {
 			v = 30
 		}
-		s.Set(i, v+math.Abs(0.4*rng.NormFloat64()))
-	}
+		return v + math.Abs(0.4*rng.NormFloat64())
+	})
 	res := Analyze(s, DefaultConfig())
 	if len(res.Events) != 1 {
 		t.Fatalf("events = %d, want 1", len(res.Events))
@@ -125,14 +147,14 @@ func TestOpenEndedSustainedCongestion(t *testing.T) {
 
 func TestMissingSamplesTolerated(t *testing.T) {
 	// 20% random loss must not break detection.
-	s := diurnalSeries(10, 2, 25, 9, 17, 0.5, 6)
+	vs := diurnalValues(10, 2, 25, 9, 17, 0.5, 6)
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < s.Len(); i++ {
+	for i := range vs {
 		if rng.Float64() < 0.2 {
-			s.Set(i, timeseries.Missing)
+			vs[i] = timeseries.Missing
 		}
 	}
-	res := Analyze(s, DefaultConfig())
+	res := Analyze(timeseries.FromValues(0, 5*time.Minute, vs), DefaultConfig())
 	if !res.Flagged() {
 		t.Fatal("lossy congested series not flagged")
 	}
@@ -142,11 +164,10 @@ func TestMissingSamplesTolerated(t *testing.T) {
 }
 
 func TestEmptyAndTinySeries(t *testing.T) {
-	if Analyze(timeseries.NewRegular(0, time.Minute, 0), DefaultConfig()).Flagged() {
+	if Analyze(timeseries.FromValues(0, time.Minute, nil), DefaultConfig()).Flagged() {
 		t.Fatal("empty series flagged")
 	}
-	s := timeseries.NewRegular(0, 5*time.Minute, 3)
-	s.Set(0, 1)
+	s := timeseries.FromValues(0, 5*time.Minute, []float64{1, timeseries.Missing, timeseries.Missing})
 	if Analyze(s, DefaultConfig()).Flagged() {
 		t.Fatal("tiny series flagged")
 	}

@@ -51,10 +51,7 @@ func roundedUpStep(t *testing.T) (win []float64, mag float64) {
 // the window although its range is below minMag.
 func TestScreenKeepsRoundedUpShift(t *testing.T) {
 	win, mag := roundedUpStep(t)
-	s := timeseries.NewRegular(0, 30*time.Minute, len(win))
-	for i, v := range win {
-		s.Set(i, v)
-	}
+	s := timeseries.FromValues(0, 30*time.Minute, win)
 	cfg := DefaultConfig()
 	thr := 2 * mag
 	got := Detect(s, cfg).AtThreshold(thr)
@@ -70,7 +67,7 @@ func TestScreenKeepsRoundedUpShift(t *testing.T) {
 // days with decimal levels, days with a large shift, and noisy days,
 // with gaps that move the window boundaries.
 func screenSeries(rng *rand.Rand, days int, gapFrac float64) *timeseries.Series {
-	s := timeseries.NewRegular(0, 30*time.Minute, days*48)
+	vs := make([]float64, days*48)
 	for d := 0; d < days; d++ {
 		base := 2 + 20*rng.Float64()
 		kind := rng.Intn(4)
@@ -99,15 +96,15 @@ func screenSeries(rng *rand.Rand, days int, gapFrac float64) *timeseries.Series 
 			case 3: // noise
 				v = base + math.Abs(rng.NormFloat64())
 			}
-			s.Set(d*48+i, v)
+			vs[d*48+i] = v
 		}
 	}
-	for i := 0; i < s.Len(); i++ {
+	for i := range vs {
 		if rng.Float64() < gapFrac {
-			s.Set(i, timeseries.Missing)
+			vs[i] = timeseries.Missing
 		}
 	}
-	return s
+	return timeseries.FromValues(0, 30*time.Minute, vs)
 }
 
 // boundaryThresholds returns thresholds whose minMag lands on, and one
@@ -115,7 +112,7 @@ func screenSeries(rng *rand.Rand, days int, gapFrac float64) *timeseries.Series 
 // ApplyMagnitude computes for the window's candidates.
 func boundaryThresholds(s *timeseries.Series, cfg Config) []float64 {
 	var vals []float64
-	for _, v := range s.Values {
+	for _, v := range values(s) {
 		if !timeseries.IsMissing(v) {
 			vals = append(vals, v)
 		}

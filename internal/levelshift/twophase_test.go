@@ -25,7 +25,7 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 	}
 	vals := make([]float64, 0, work.Len())
 	slots := make([]int, 0, work.Len())
-	for i, v := range work.Values {
+	for i, v := range values(work) {
 		if !timeseries.IsMissing(v) {
 			vals = append(vals, v)
 			slots = append(slots, i)
@@ -68,7 +68,7 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 			if b <= a {
 				continue
 			}
-			level := timeseries.Median(win[a:b])
+			level := timeseries.Quantile(win[a:b], 0.5)
 			if level-base >= cfg.ThresholdMs {
 				for i := lo + a; i < lo+b; i++ {
 					elevation[i] = level - base
@@ -153,8 +153,9 @@ func resultsBitIdentical(a, b Result) bool {
 		if a.Series.Len() != b.Series.Len() || a.Series.Step != b.Series.Step {
 			return false
 		}
-		for i, v := range a.Series.Values {
-			if math.Float64bits(v) != math.Float64bits(b.Series.Values[i]) {
+		bv := values(b.Series)
+		for i, v := range values(a.Series) {
+			if math.Float64bits(v) != math.Float64bits(bv[i]) {
 				return false
 			}
 		}
@@ -166,10 +167,11 @@ func resultsBitIdentical(a, b Result) bool {
 // regimes, gaps, and events that straddle detection-window boundaries.
 func propertySeries(seed int64, days int, gapFrac float64, shape uint8) *timeseries.Series {
 	rng := rand.New(rand.NewSource(seed))
-	s := timeseries.NewRegular(0, 5*time.Minute, days*288)
+	n := days * 288
+	vs := make([]float64, n)
 	level := 0.0
-	for i := 0; i < s.Len(); i++ {
-		t := s.TimeAt(i)
+	for i := range vs {
+		t := slotTime(i)
 		v := 3 + math.Abs(0.5*rng.NormFloat64())
 		switch shape % 4 {
 		case 0: // daytime plateau (window-interior events)
@@ -190,23 +192,23 @@ func propertySeries(seed int64, days int, gapFrac float64, shape uint8) *timeser
 			}
 			v += level
 		case 3: // flat with one mid-series permanent shift
-			if i >= s.Len()/2 {
+			if i >= n/2 {
 				v += 16
 			}
 		}
-		s.Set(i, v)
+		vs[i] = v
 	}
 	// Gaps: missing samples, in runs, so compaction shifts windows.
-	for i := 0; i < s.Len(); i++ {
+	for i := 0; i < n; i++ {
 		if rng.Float64() < gapFrac {
 			run := 1 + rng.Intn(6)
-			for k := i; k < i+run && k < s.Len(); k++ {
-				s.Set(k, timeseries.Missing)
+			for k := i; k < i+run && k < n; k++ {
+				vs[k] = timeseries.Missing
 			}
 			i += run
 		}
 	}
-	return s
+	return timeseries.FromValues(0, 5*time.Minute, vs)
 }
 
 // TestQuickTwoPhaseMatchesSingleShot is the sweep's core property: for
@@ -247,15 +249,9 @@ func TestQuickTwoPhaseMatchesSingleShot(t *testing.T) {
 func TestTwoPhaseTinyAndEmptySeries(t *testing.T) {
 	cfg := DefaultConfig()
 	cases := []*timeseries.Series{
-		timeseries.NewRegular(0, time.Minute, 0),
-		timeseries.NewRegular(0, 5*time.Minute, 3),
-		func() *timeseries.Series {
-			s := timeseries.NewRegular(0, 5*time.Minute, 50)
-			for i := 0; i < s.Len(); i++ {
-				s.Set(i, timeseries.Missing)
-			}
-			return s
-		}(),
+		timeseries.FromValues(0, time.Minute, nil),
+		fiveMinute(3, func(int) float64 { return timeseries.Missing }),
+		fiveMinute(50, func(int) float64 { return timeseries.Missing }),
 	}
 	for ci, s := range cases {
 		det := Detect(s, cfg)

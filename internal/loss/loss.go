@@ -180,19 +180,22 @@ func Summarize(batches []Batch) Summary {
 // sub-interval expect drops, but a grid built with GridFor over the
 // batches' own interval must report zero.
 func ToSeries(batches []Batch, start simclock.Time, step simclock.Duration, n int) (*timeseries.Series, int) {
-	s := timeseries.NewRegular(start, step, n)
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = timeseries.Missing
+	}
 	dropped := 0
 	for _, b := range batches {
-		i := s.Index(b.Start)
-		if i < 0 {
+		i := int(b.Start.Sub(start) / step)
+		if b.Start < start || i >= n {
 			dropped++
 			continue
 		}
-		if timeseries.IsMissing(s.Values[i]) || b.Rate() > s.Values[i] {
-			s.Values[i] = b.Rate()
+		if r := b.Rate(); timeseries.IsMissing(vals[i]) || r > vals[i] {
+			vals[i] = r
 		}
 	}
-	return s, dropped
+	return timeseries.FromValues(start, step, vals), dropped
 }
 
 // GridFor returns (start, step, n) covering an interval with ~batch

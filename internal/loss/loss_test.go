@@ -92,16 +92,24 @@ func TestToSeries(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("dropped = %d", dropped)
 	}
+	vals := gridValues(s)
 	// Two batches fall into slot 0: the max rate wins.
-	if s.Values[0] != 20 {
-		t.Fatalf("slot 0 = %v", s.Values[0])
+	if vals[0] != 20 {
+		t.Fatalf("slot 0 = %v", vals[0])
 	}
-	if s.At(start.Add(3*time.Hour)) != 1 {
+	if vals[s.Index(start.Add(3*time.Hour))] != 1 {
 		t.Fatal("late batch misplaced")
 	}
-	if !timeseries.IsMissing(s.Values[1]) {
+	if !timeseries.IsMissing(vals[1]) {
 		t.Fatal("empty slots must stay missing")
 	}
+}
+
+// gridValues reads a series back through Each.
+func gridValues(s *timeseries.Series) []float64 {
+	out := make([]float64, 0, s.Len())
+	s.Each(func(_ int, vals []float64) { out = append(out, vals...) })
+	return out
 }
 
 func TestGridFor(t *testing.T) {
@@ -138,7 +146,7 @@ func TestToSeriesTrailingPartialBatch(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("trailing partial batch dropped (%d)", dropped)
 	}
-	if timeseries.IsMissing(s.At(last.Start)) {
+	if timeseries.IsMissing(gridValues(s)[s.Index(last.Start)]) {
 		t.Fatal("trailing partial batch missing from the grid")
 	}
 	// A deliberately short grid reports the drop instead of hiding it.

@@ -240,7 +240,5 @@ func (r *ring) observe(at simclock.Time, v float64) {
 
 // series snapshots the window as a regular series.
 func (r *ring) series() *timeseries.Series {
-	s := timeseries.NewRegular(r.start, r.binWidth, len(r.vals))
-	copy(s.Values, r.vals)
-	return s
+	return timeseries.FromValues(r.start, r.binWidth, r.vals)
 }

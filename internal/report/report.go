@@ -93,17 +93,18 @@ func WriteSeriesCSV(w io.Writer, names []string, series ...*timeseries.Series) e
 		return err
 	}
 	n := 0
-	for _, s := range series {
-		if s.Len() > n {
-			n = s.Len()
-		}
+	cols := make([][]float64, len(series))
+	for k, s := range series {
+		n = max(n, s.Len())
+		cols[k] = make([]float64, s.Len())
+		s.Each(func(base int, vals []float64) { copy(cols[k][base:], vals) })
 	}
 	for i := 0; i < n; i++ {
 		cells := make([]string, 0, len(series)+1)
 		cells = append(cells, series[0].TimeAt(i).Wall().Format("2006-01-02T15:04:05"))
-		for _, s := range series {
-			if i < s.Len() && !timeseries.IsMissing(s.ValueAt(i)) {
-				cells = append(cells, fmt.Sprintf("%.3f", s.ValueAt(i)))
+		for _, col := range cols {
+			if i < len(col) && !timeseries.IsMissing(col[i]) {
+				cells = append(cells, fmt.Sprintf("%.3f", col[i]))
 			} else {
 				cells = append(cells, "")
 			}
@@ -125,8 +126,7 @@ func ASCIIPlot(w io.Writer, names []string, markers []rune, width, height int, s
 	if len(markers) < len(series) || len(names) < len(series) {
 		return fmt.Errorf("report: need a name and marker per series")
 	}
-	// Global scale. Each streams chunk-backed series block by block
-	// and visits flat ones in a single run.
+	// Global scale.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range series {
 		s.Each(func(_ int, vals []float64) {
@@ -154,22 +154,7 @@ func ASCIIPlot(w io.Writer, names []string, markers []rune, width, height int, s
 		grid[r] = []rune(strings.Repeat(" ", width))
 	}
 	for si := len(series) - 1; si >= 0; si-- {
-		s := series[si]
-		if s.Len() == 0 {
-			continue
-		}
-		for col := 0; col < width; col++ {
-			a := col * s.Len() / width
-			b := (col + 1) * s.Len() / width
-			if b <= a {
-				b = a + 1
-			}
-			vmax := math.Inf(-1)
-			for i := a; i < b && i < s.Len(); i++ {
-				if v := s.ValueAt(i); !timeseries.IsMissing(v) && v > vmax {
-					vmax = v
-				}
-			}
+		for col, vmax := range columnMax(series[si], width) {
 			if math.IsInf(vmax, -1) {
 				continue
 			}
@@ -196,6 +181,40 @@ func ASCIIPlot(w io.Writer, names []string, markers []rune, width, height int, s
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// columnMax resamples s into width plot columns by maximum: column c
+// covers slots [c*n/width, (c+1)*n/width), or the one slot c*n/width
+// when that range is empty (a series shorter than the plot), and reads
+// -Inf when it holds no present sample. The series is read once,
+// through Each.
+func columnMax(s *timeseries.Series, width int) []float64 {
+	n := s.Len()
+	out := make([]float64, width)
+	for c := range out {
+		out[c] = math.Inf(-1)
+	}
+	end := func(c int) int { return max((c+1)*n/width, c*n/width+1) }
+	c := 0 // first column whose range has not ended before the slot
+	s.Each(func(base int, vals []float64) {
+		for k, v := range vals {
+			i := base + k
+			for end(c) <= i {
+				c++
+			}
+			if timeseries.IsMissing(v) {
+				continue
+			}
+			// Columns covering slot i are contiguous from c: both range
+			// ends grow with the column.
+			for d := c; d < width && d*n/width <= i; d++ {
+				if v > out[d] {
+					out[d] = v
+				}
+			}
+		}
+	})
+	return out
 }
 
 // PaperComparison is one paper-vs-measured line in EXPERIMENTS.md

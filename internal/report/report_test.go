@@ -34,11 +34,9 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestWriteSeriesCSV(t *testing.T) {
-	a := timeseries.NewRegular(0, 5*time.Minute, 3)
-	b := timeseries.NewRegular(0, 5*time.Minute, 3)
-	a.Set(0, 1.5)
-	a.Set(2, 3.25)
-	b.Set(1, 2)
+	nan := timeseries.Missing
+	a := timeseries.FromValues(0, 5*time.Minute, []float64{1.5, nan, 3.25})
+	b := timeseries.FromValues(0, 5*time.Minute, []float64{nan, 2, nan})
 	var buf bytes.Buffer
 	if err := WriteSeriesCSV(&buf, []string{"near", "far"}, a, b); err != nil {
 		t.Fatal(err)
@@ -59,8 +57,8 @@ func TestWriteSeriesCSV(t *testing.T) {
 }
 
 func TestWriteSeriesCSVValidation(t *testing.T) {
-	a := timeseries.NewRegular(0, time.Minute, 1)
-	b := timeseries.NewRegular(0, 2*time.Minute, 1)
+	a := timeseries.FromValues(0, time.Minute, allMissing(1))
+	b := timeseries.FromValues(0, 2*time.Minute, allMissing(1))
 	if err := WriteSeriesCSV(&bytes.Buffer{}, []string{"x"}, a, b); err == nil {
 		t.Fatal("name/series count mismatch must fail")
 	}
@@ -73,18 +71,14 @@ func TestWriteSeriesCSVValidation(t *testing.T) {
 }
 
 func TestASCIIPlot(t *testing.T) {
-	s := timeseries.NewRegular(0, time.Hour, 48)
-	for i := 0; i < 48; i++ {
-		v := 2.0
+	vs, ones := make([]float64, 48), make([]float64, 48)
+	for i := range vs {
+		vs[i], ones[i] = 2, 1
 		if i%24 >= 9 && i%24 < 17 {
-			v = 30
+			vs[i] = 30
 		}
-		s.Set(i, v)
 	}
-	flat := timeseries.NewRegular(0, time.Hour, 48)
-	for i := 0; i < 48; i++ {
-		flat.Set(i, 1)
-	}
+	s, flat := timeseries.FromValues(0, time.Hour, vs), timeseries.FromValues(0, time.Hour, ones)
 	var buf bytes.Buffer
 	err := ASCIIPlot(&buf, []string{"far", "near"}, []rune{'o', '.'}, 60, 10, s, flat)
 	if err != nil {
@@ -103,14 +97,16 @@ func TestASCIIPlot(t *testing.T) {
 }
 
 func TestASCIIPlotValidation(t *testing.T) {
-	s := timeseries.NewRegular(0, time.Hour, 4)
+	vs := allMissing(4)
+	s := timeseries.FromValues(0, time.Hour, vs)
 	if err := ASCIIPlot(&bytes.Buffer{}, []string{"x"}, []rune{'o'}, 5, 2, s); err == nil {
 		t.Fatal("tiny geometry must fail")
 	}
 	if err := ASCIIPlot(&bytes.Buffer{}, []string{"x"}, []rune{'o'}, 40, 8, s); err == nil {
 		t.Fatal("all-missing series must fail")
 	}
-	s.Set(0, 5)
+	vs[0] = 5
+	s = timeseries.FromValues(0, time.Hour, vs)
 	if err := ASCIIPlot(&bytes.Buffer{}, []string{"x"}, []rune{'o'}, 40, 8, s); err != nil {
 		t.Fatalf("constant series should plot: %v", err)
 	}

@@ -11,20 +11,16 @@ import (
 )
 
 func svgSample() (*timeseries.Series, *timeseries.Series) {
-	far := timeseries.NewRegular(0, time.Hour, 96)
-	near := timeseries.NewRegular(0, time.Hour, 96)
-	for i := 0; i < 96; i++ {
-		v := 2.0
+	far, near := make([]float64, 96), make([]float64, 96)
+	for i := range far {
+		far[i], near[i] = 2, 0.5
 		if i%24 >= 9 && i%24 < 17 {
-			v = 28
+			far[i] = 28
 		}
-		far.Set(i, v)
-		near.Set(i, 0.5)
 	}
 	// A gap in the far series (lost probes).
-	far.Set(40, timeseries.Missing)
-	far.Set(41, timeseries.Missing)
-	return near, far
+	far[40], far[41] = timeseries.Missing, timeseries.Missing
+	return timeseries.FromValues(0, time.Hour, near), timeseries.FromValues(0, time.Hour, far)
 }
 
 func TestWriteSVGWellFormed(t *testing.T) {
@@ -81,7 +77,7 @@ func TestWriteSVGValidation(t *testing.T) {
 		SVGSeries{Name: "x", Series: far}); err == nil {
 		t.Fatal("tiny geometry must fail")
 	}
-	empty := timeseries.NewRegular(0, time.Hour, 5)
+	empty := timeseries.FromValues(0, time.Hour, allMissing(5))
 	if err := WriteSVG(&bytes.Buffer{}, "t", "y", 640, 360,
 		SVGSeries{Name: "x", Series: empty}); err == nil {
 		t.Fatal("all-missing series must fail")

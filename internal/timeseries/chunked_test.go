@@ -11,22 +11,92 @@ import (
 	"afrixp/internal/simclock"
 )
 
-// randomSeries builds a flat series shaped like collector output: a
-// regular grid with missing runs, repeated floors, and moving values.
-func randomSeries(rng *rand.Rand) *Series {
+// randomSeries builds values shaped like collector output — a regular
+// grid with missing runs, repeated floors, and moving values — and the
+// series sealed from them.
+func randomSeries(rng *rand.Rand) ([]float64, *Series) {
 	n := rng.Intn(1200) // spans several 256-slot blocks at the top end
-	s := NewRegular(simclock.Time(rng.Intn(10_000))*simclock.Time(time.Second), 30*time.Minute, n)
+	start := simclock.Time(rng.Intn(10_000)) * simclock.Time(time.Second)
+	vals := filled(n, missing)
 	floor := 1 + rng.Float64()*50
-	for i := 0; i < n; i++ {
+	for i := range vals {
 		switch rng.Intn(5) {
-		case 0: // missing (already NaN)
+		case 0: // missing
 		case 1:
-			s.Values[i] = floor
+			vals[i] = floor
 		default:
-			s.Values[i] = floor + rng.Float64()*100
+			vals[i] = floor + rng.Float64()*100
 		}
 	}
-	return s
+	return vals, FromValues(start, 30*time.Minute, vals)
+}
+
+// present is the oracle for Present: the non-missing values in order.
+func present(vals []float64) []float64 {
+	out := []float64{}
+	for _, v := range vals {
+		if !IsMissing(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// aggregate is the oracle for Aggregate: fn over each bin's present
+// values, missing for a bin without any.
+func aggregate(vals []float64, factor int, fn func([]float64) float64) []float64 {
+	out := filled((len(vals)+factor-1)/factor, missing)
+	for j := range out {
+		hi := min((j+1)*factor, len(vals))
+		if bin := present(vals[j*factor : hi]); len(bin) > 0 {
+			out[j] = fn(bin)
+		}
+	}
+	return out
+}
+
+// foldDaily is the oracle for FoldDaily over vals sampled from start
+// every step.
+func foldDaily(vals []float64, start simclock.Time, step, binWidth simclock.Duration, fn func([]float64) float64) []float64 {
+	nBins := int(24 * time.Hour / binWidth)
+	bins := make([][]float64, nBins)
+	for i, v := range vals {
+		if !IsMissing(v) {
+			b := start.Add(time.Duration(i)*step).SecondOfDay() / int(binWidth/time.Second)
+			bins[b] = append(bins[b], v)
+		}
+	}
+	out := filled(nBins, missing)
+	for b, vs := range bins {
+		if len(vs) > 0 {
+			out[b] = fn(vs)
+		}
+	}
+	return out
+}
+
+// summarize is the oracle for SummarizeInto: each statistic computed on
+// its own, the quantiles by a fresh clone and sort each.
+func summarize(vals []float64) Stats {
+	vs := present(vals)
+	st := Stats{N: len(vs), Min: Missing, Max: Missing, Mean: Missing,
+		Median: Quantile(vs, 0.5), P5: Quantile(vs, 0.05), P95: Quantile(vs, 0.95), Stddev: Missing}
+	if len(vs) == 0 {
+		return st
+	}
+	st.Min, st.Max = vs[0], vs[0]
+	var sum float64
+	for _, v := range vs {
+		st.Min, st.Max = math.Min(st.Min, v), math.Max(st.Max, v)
+		sum += v
+	}
+	st.Mean = sum / float64(len(vs))
+	var ss float64
+	for _, v := range vs {
+		ss += (v - st.Mean) * (v - st.Mean)
+	}
+	st.Stddev = math.Sqrt(ss / float64(len(vs)))
+	return st
 }
 
 func bitsEqual(a, b float64) bool {
@@ -45,91 +115,69 @@ func bitsSliceEqual(a, b []float64) bool {
 	return true
 }
 
-// TestChunkedMatchesFlat is the property-test satellite: every
-// statistic on a chunk-backed series must match the flat
-// implementation bit for bit.
+// TestChunkedMatchesFlat is the property test of the chunk backing:
+// every statistic on a sealed series matches an oracle computed
+// straight from the values it was sealed from, bit for bit.
 func TestChunkedMatchesFlat(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		flat := randomSeries(rng)
-		ch := Compress(flat)
-		if !ch.Chunked() || ch.Len() != flat.Len() {
+		vals, s := randomSeries(rng)
+		if s.Len() != len(vals) || !bitsSliceEqual(collect(s), vals) {
+			t.Logf("Each differs")
 			return false
 		}
-
-		for i := 0; i < flat.Len(); i++ {
-			if !bitsEqual(flat.ValueAt(i), ch.ValueAt(i)) {
-				t.Logf("ValueAt(%d) differs", i)
-				return false
-			}
-		}
-		if flat.PresentCount() != ch.PresentCount() ||
-			!bitsEqual(flat.LossFraction(), ch.LossFraction()) ||
-			flat.LastPresentIndex() != ch.LastPresentIndex() {
-			t.Logf("presence accounting differs")
-			return false
-		}
-		if !bitsSliceEqual(flat.Present(), ch.Present()) {
+		if s.PresentCount() != len(present(vals)) || !bitsSliceEqual(s.Present(), present(vals)) {
 			t.Logf("Present differs")
 			return false
 		}
+		last := len(vals) - 1
+		for last >= 0 && IsMissing(vals[last]) {
+			last--
+		}
+		if s.LastPresentIndex() != last {
+			t.Logf("LastPresentIndex %d, want %d", s.LastPresentIndex(), last)
+			return false
+		}
 
-		fa, ca := flat.Aggregate(6, Min), ch.Aggregate(6, Min)
-		if fa.Start != ca.Start || fa.Step != ca.Step || !bitsSliceEqual(fa.Values, ca.Values) {
+		agg := s.Aggregate(6, Min)
+		if agg.Start != s.Start || agg.Step != 6*s.Step || !bitsSliceEqual(collect(agg), aggregate(vals, 6, Min)) {
 			t.Logf("Aggregate differs")
 			return false
 		}
 
-		if flat.Len() > 0 {
-			ff := flat.FoldDaily(30*time.Minute, Mean)
-			cf := ch.FoldDaily(30*time.Minute, Mean)
-			if !bitsSliceEqual(ff, cf) {
-				t.Logf("FoldDaily differs")
-				return false
-			}
-		}
-
-		fs, cs := flat.Summarize(), ch.Summarize()
-		if fs.N != cs.N || !bitsEqual(fs.Min, cs.Min) || !bitsEqual(fs.Max, cs.Max) ||
-			!bitsEqual(fs.Mean, cs.Mean) || !bitsEqual(fs.Median, cs.Median) ||
-			!bitsEqual(fs.P5, cs.P5) || !bitsEqual(fs.P95, cs.P95) ||
-			!bitsEqual(fs.Stddev, cs.Stddev) {
-			t.Logf("Summarize differs: %+v vs %+v", fs, cs)
+		if !bitsSliceEqual(s.FoldDaily(30*time.Minute, Mean), foldDaily(vals, s.Start, s.Step, 30*time.Minute, Mean)) {
+			t.Logf("FoldDaily differs")
 			return false
 		}
 
-		// Windowing shares the chunk; a misaligned sub-view exercises
-		// the partial-block paths in Each.
-		if flat.Len() > 3 {
-			from := flat.TimeAt(flat.Len() / 3)
-			to := flat.TimeAt(2 * flat.Len() / 3)
-			fw, cw := flat.Slice(from, to), ch.Slice(from, to)
-			if fw.Len() != cw.Len() {
-				t.Logf("Slice length differs")
-				return false
-			}
-			if !bitsSliceEqual(fw.Present(), cw.Present()) {
-				t.Logf("sliced Present differs")
-				return false
-			}
-			if fw.Len() > 0 {
-				if !bitsSliceEqual(fw.FoldDaily(30*time.Minute, Mean), cw.FoldDaily(30*time.Minute, Mean)) {
-					t.Logf("sliced FoldDaily differs")
-					return false
-				}
-			}
-		}
-
-		// SplitDays must agree on day keys and per-day presence.
-		fd, cd := flat.SplitDays(), ch.SplitDays()
-		if len(fd) != len(cd) {
-			t.Logf("SplitDays size differs")
+		got, want := s.SummarizeInto(&StatsScratch{}), summarize(vals)
+		if got.N != want.N || !bitsEqual(got.Min, want.Min) || !bitsEqual(got.Max, want.Max) ||
+			!bitsEqual(got.Mean, want.Mean) || !bitsEqual(got.Median, want.Median) ||
+			!bitsEqual(got.P5, want.P5) || !bitsEqual(got.P95, want.P95) ||
+			!bitsEqual(got.Stddev, want.Stddev) {
+			t.Logf("SummarizeInto differs: %+v vs %+v", got, want)
 			return false
 		}
-		for day, sub := range fd {
-			csub, ok := cd[day]
-			if !ok || !bitsSliceEqual(sub.Present(), csub.Present()) {
-				t.Logf("SplitDays day %d differs", day)
+
+		// Slicing shares the chunk; a misaligned sub-view exercises the
+		// partial-block paths in Each.
+		if len(vals) > 3 {
+			lo, hi := len(vals)/3, 2*len(vals)/3
+			w := s.Slice(s.TimeAt(lo), s.TimeAt(hi))
+			if w.Start != s.TimeAt(lo) || !bitsSliceEqual(collect(w), vals[lo:hi]) {
+				t.Logf("Slice differs")
+				return false
+			}
+			wLast := hi - lo - 1
+			for wLast >= 0 && IsMissing(vals[lo+wLast]) {
+				wLast--
+			}
+			if w.LastPresentIndex() != wLast {
+				t.Logf("sliced LastPresentIndex %d, want %d", w.LastPresentIndex(), wLast)
+				return false
+			}
+			if !bitsSliceEqual(w.FoldDaily(30*time.Minute, Mean), foldDaily(vals[lo:hi], w.Start, s.Step, 30*time.Minute, Mean)) {
+				t.Logf("sliced FoldDaily differs")
 				return false
 			}
 		}
@@ -140,13 +188,15 @@ func TestChunkedMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestSummarizeSingleSortMatchesLegacy pins the Summarize rewrite
-// against the definitionally-correct per-quantile clone+sort.
+// TestSummarizeSingleSortMatchesLegacy pins SummarizeInto's single
+// sort against the per-quantile clone+sort, with one scratch reused
+// across series.
 func TestSummarizeSingleSortMatchesLegacy(t *testing.T) {
+	var sc StatsScratch
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := randomSeries(rng)
-		st := s.Summarize()
+		_, s := randomSeries(rng)
+		st := s.SummarizeInto(&sc)
 		vs := s.Present()
 		if st.N != len(vs) {
 			return false
@@ -183,12 +233,16 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	}
 }
 
+// TestChunkedSeriesIsImmutable checks that a sealed series keeps no
+// reference to the values it was sealed from.
 func TestChunkedSeriesIsImmutable(t *testing.T) {
-	s := Compress(NewRegular(0, 5*time.Minute, 10))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set on chunked series did not panic")
-		}
-	}()
-	s.Set(0, 1)
+	vals := filled(10, func(i int) float64 { return float64(i) })
+	s := FromValues(0, 5*time.Minute, vals)
+	want := append([]float64(nil), vals...)
+	for i := range vals {
+		vals[i] = -1
+	}
+	if !bitsSliceEqual(collect(s), want) {
+		t.Fatal("series changed with the slice it was sealed from")
+	}
 }

@@ -15,18 +15,18 @@ func TestQuickAggregateMinBound(t *testing.T) {
 		n := int(n8%200) + 10
 		factor := int(factor8%10) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewRegular(0, 5*time.Minute, n)
-		for i := 0; i < n; i++ {
+		vals := filled(n, missing)
+		for i := range vals {
 			if rng.Float64() < 0.8 {
-				s.Set(i, rng.Float64()*100)
+				vals[i] = rng.Float64() * 100
 			}
 		}
-		agg := s.Aggregate(factor, Min)
-		for i, v := range s.Values {
+		agg := collect(FromValues(0, 5*time.Minute, vals).Aggregate(factor, Min))
+		for i, v := range vals {
 			if IsMissing(v) {
 				continue
 			}
-			av := agg.Values[i/factor]
+			av := agg[i/factor]
 			if IsMissing(av) || av > v+1e-12 {
 				return false
 			}
@@ -74,12 +74,12 @@ func TestQuickSlicePartition(t *testing.T) {
 	f := func(seed int64, n8, cut8 uint8) bool {
 		n := int(n8%200) + 4
 		rng := rand.New(rand.NewSource(seed))
-		s := NewRegular(0, time.Minute, n)
-		for i := 0; i < n; i++ {
+		s := FromValues(0, time.Minute, filled(n, func(i int) float64 {
 			if rng.Float64() < 0.7 {
-				s.Set(i, float64(i))
+				return float64(i)
 			}
-		}
+			return Missing
+		}))
 		cutIdx := int(cut8) % n
 		cut := s.TimeAt(cutIdx)
 		end := s.TimeAt(n)
@@ -99,12 +99,12 @@ func TestQuickFoldDailyPartition(t *testing.T) {
 	f := func(seed int64, days8 uint8) bool {
 		days := int(days8%10) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewRegular(0, 30*time.Minute, days*48)
-		for i := 0; i < s.Len(); i++ {
+		s := FromValues(0, 30*time.Minute, filled(days*48, func(int) float64 {
 			if rng.Float64() < 0.6 {
-				s.Set(i, rng.Float64())
+				return rng.Float64()
 			}
-		}
+			return Missing
+		}))
 		count := 0
 		counts := s.FoldDaily(30*time.Minute, func(vs []float64) float64 {
 			count += len(vs)

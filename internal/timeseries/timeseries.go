@@ -3,13 +3,12 @@
 // explicit missing values for lost probes. All statistics skip missing
 // samples.
 //
-// A Series has two backings. The flat backing is a plain []float64 —
-// mutable, cheap for short grids and synthetic test inputs. The chunked
-// backing is an immutable tschunk.Chunk: XOR-compressed fixed-size
-// blocks that the statistics stream through one decode buffer at a
-// time, which is what lets a campaign hold months of per-link history
-// (DESIGN.md §12). Both backings produce bit-identical statistics; the
-// campaign engine pins that equivalence in its determinism tests.
+// A Series is a sealed tschunk.Chunk, or a window of one:
+// XOR-compressed fixed-size blocks that readers stream through Each one
+// decoded block at a time, which is what lets a campaign hold months of
+// per-link history (DESIGN.md §12). FromValues seals a plain []float64;
+// the campaign's collectors seal their own builders and wrap them with
+// FromChunk.
 package timeseries
 
 import (
@@ -29,34 +28,34 @@ var Missing = math.NaN()
 // IsMissing reports whether v is the missing marker.
 func IsMissing(v float64) bool { return math.IsNaN(v) }
 
-// Series is a regular-grid time series: sample i was taken at
-// Start + i*Step. Values are RTT milliseconds (or loss percentages in
-// the loss pipeline); NaN marks missing samples.
-//
-// Exactly one backing is active: Values (flat, mutable) or an
-// immutable compressed chunk set via FromChunk. Mutating methods (Set,
-// SetAt) panic on a chunked series; everything else works on both.
+// Series is an immutable regular-grid time series: sample i was taken
+// at Start + i*Step. Values are RTT milliseconds (or loss percentages
+// in the loss pipeline); NaN marks missing samples.
 type Series struct {
-	Start  simclock.Time
-	Step   simclock.Duration
-	Values []float64
+	Start simclock.Time
+	Step  simclock.Duration
 
-	chunk *tschunk.Chunk // nil for flat series
-	cOff  int            // first chunk slot of this view
-	cLen  int            // view length in slots
+	chunk *tschunk.Chunk
+	cOff  int // first chunk slot of this view
+	cLen  int // view length in slots
 }
 
-// NewRegular allocates an all-missing flat series of n samples.
-func NewRegular(start simclock.Time, step simclock.Duration, n int) *Series {
-	if step <= 0 {
-		panic("timeseries: non-positive step")
+// FromValues seals vals as a series: slot i is vals[i], taken at
+// start + i*step. Every value keeps its bits; vals is not retained.
+func FromValues(start simclock.Time, step simclock.Duration, vals []float64) *Series {
+	b := tschunk.NewBuilder(len(vals))
+	for i, v := range vals {
+		// The builder's open slots already hold the canonical missing
+		// bits, so skipping them lets all-missing blocks share one
+		// encoding.
+		if math.Float64bits(v) != missingBits {
+			b.Set(i, v)
+		}
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = Missing
-	}
-	return &Series{Start: start, Step: step, Values: v}
+	return FromChunk(start, step, b.Seal())
 }
+
+var missingBits = math.Float64bits(Missing)
 
 // FromChunk wraps a sealed compressed chunk as a read-only series.
 func FromChunk(start simclock.Time, step simclock.Duration, c *tschunk.Chunk) *Series {
@@ -66,25 +65,8 @@ func FromChunk(start simclock.Time, step simclock.Duration, c *tschunk.Chunk) *S
 	return &Series{Start: start, Step: step, chunk: c, cLen: c.Len()}
 }
 
-// Chunked reports whether the series is backed by a compressed chunk.
-func (s *Series) Chunked() bool { return s.chunk != nil }
-
-// Chunk returns the compressed backing, or nil for a flat series. The
-// returned chunk covers the whole underlying grid, not just this view;
-// see ChunkSpan for the view's slot range.
-func (s *Series) Chunk() *tschunk.Chunk { return s.chunk }
-
-// ChunkSpan returns the [off, off+len) chunk-slot range this view
-// covers. Meaningful only when Chunked.
-func (s *Series) ChunkSpan() (off, n int) { return s.cOff, s.cLen }
-
 // Len returns the number of grid slots.
-func (s *Series) Len() int {
-	if s.chunk != nil {
-		return s.cLen
-	}
-	return len(s.Values)
-}
+func (s *Series) Len() int { return s.cLen }
 
 // TimeAt returns the timestamp of slot i.
 func (s *Series) TimeAt(i int) simclock.Time {
@@ -103,45 +85,6 @@ func (s *Series) Index(t simclock.Time) int {
 	return i
 }
 
-// ValueAt returns the sample at slot i regardless of backing. On a
-// chunked series each call decodes the covering block; batch reads
-// should use Each instead.
-func (s *Series) ValueAt(i int) float64 {
-	if s.chunk != nil {
-		return s.chunk.At(s.cOff + i)
-	}
-	return s.Values[i]
-}
-
-// Set records a sample at slot i. Panics on a chunked series.
-func (s *Series) Set(i int, v float64) {
-	s.mutable()
-	s.Values[i] = v
-}
-
-// SetAt records a sample at the slot covering t; out-of-grid times are
-// ignored (campaign edges). Panics on a chunked series.
-func (s *Series) SetAt(t simclock.Time, v float64) {
-	s.mutable()
-	if i := s.Index(t); i >= 0 {
-		s.Values[i] = v
-	}
-}
-
-func (s *Series) mutable() {
-	if s.chunk != nil {
-		panic("timeseries: write to chunk-backed series (chunks are immutable; build via tschunk.Builder)")
-	}
-}
-
-// At returns the sample at the slot covering t.
-func (s *Series) At(t simclock.Time) float64 {
-	if i := s.Index(t); i >= 0 {
-		return s.ValueAt(i)
-	}
-	return Missing
-}
-
 // blockBufs pools block decode buffers for Each. A stack array would
 // be free, but the buffer is handed to an arbitrary callback, so
 // escape analysis moves it to the heap on every call — and Each is the
@@ -151,17 +94,10 @@ func (s *Series) At(t simclock.Time) float64 {
 var blockBufs = sync.Pool{New: func() any { return new([tschunk.BlockLen]float64) }}
 
 // Each streams the series in grid order as (base, vals) runs, where
-// vals[k] is slot base+k. A flat series arrives as one run; a chunked
-// series as one run per decoded block. The vals slice is only valid
-// within the callback. This is the backing-agnostic bulk read path:
-// every statistic below is built on it.
+// vals[k] is slot base+k, one run per decoded block. The vals slice is
+// only valid within the callback. This is the bulk read path: every
+// statistic below is built on it.
 func (s *Series) Each(fn func(base int, vals []float64)) {
-	if s.chunk == nil {
-		if len(s.Values) > 0 {
-			fn(0, s.Values)
-		}
-		return
-	}
 	if s.cLen == 0 {
 		return
 	}
@@ -183,28 +119,15 @@ func (s *Series) Each(fn func(base int, vals []float64)) {
 	}
 }
 
-// window returns the sub-view [lo, hi) by slot index, sharing the
-// backing.
-func (s *Series) window(lo, hi int) Series {
-	w := Series{Start: s.TimeAt(lo), Step: s.Step}
-	if s.chunk != nil {
-		w.chunk = s.chunk
-		w.cOff = s.cOff + lo
-		w.cLen = hi - lo
-	} else {
-		w.Values = s.Values[lo:hi]
-	}
-	return w
-}
-
-// sliceBounds clamps [from, to) to slot indices the way Slice always
-// has.
-func (s *Series) sliceBounds(from, to simclock.Time) (lo, hi int) {
-	lo = 0
+// Window returns the sub-series covering [from, to), sharing the
+// chunk. It is returned by value for callers that window inside hot
+// loops.
+func (s *Series) Window(from, to simclock.Time) Series {
+	lo := 0
 	if from.After(s.Start) {
 		lo = int(from.Sub(s.Start) / s.Step)
 	}
-	hi = s.Len()
+	hi := s.Len()
 	if idx := s.Index(to); idx >= 0 {
 		hi = idx
 	}
@@ -214,22 +137,13 @@ func (s *Series) sliceBounds(from, to simclock.Time) (lo, hi int) {
 	if hi < lo {
 		hi = lo
 	}
-	return lo, hi
+	return Series{Start: s.TimeAt(lo), Step: s.Step, chunk: s.chunk, cOff: s.cOff + lo, cLen: hi - lo}
 }
 
-// Slice returns the sub-series covering [from, to), sharing the
-// backing (flat slices alias Values; chunked slices alias the chunk).
+// Slice is Window on the heap.
 func (s *Series) Slice(from, to simclock.Time) *Series {
-	lo, hi := s.sliceBounds(from, to)
-	w := s.window(lo, hi)
+	w := s.Window(from, to)
 	return &w
-}
-
-// Window is Slice without the heap allocation: the sub-series is
-// returned by value for callers that window inside hot loops.
-func (s *Series) Window(from, to simclock.Time) Series {
-	lo, hi := s.sliceBounds(from, to)
-	return s.window(lo, hi)
 }
 
 // Present returns the non-missing values in order.
@@ -264,17 +178,9 @@ func (s *Series) PresentCount() int {
 }
 
 // LastPresentIndex returns the highest slot with a present sample, or
-// -1 when the series is all-missing. Chunked series scan blocks from
-// the tail, so a recently-active link answers in one block decode.
+// -1 when the series is all-missing. Blocks are scanned from the tail,
+// so a recently-active link answers in one block decode.
 func (s *Series) LastPresentIndex() int {
-	if s.chunk == nil {
-		for i := len(s.Values) - 1; i >= 0; i-- {
-			if !IsMissing(s.Values[i]) {
-				return i
-			}
-		}
-		return -1
-	}
 	if s.cLen == 0 {
 		return -1
 	}
@@ -300,40 +206,19 @@ func (s *Series) LastPresentIndex() int {
 	return -1
 }
 
-// LossFraction returns the fraction of grid slots that are missing.
-func (s *Series) LossFraction() float64 {
-	if s.Len() == 0 {
-		return 0
-	}
-	return 1 - float64(s.PresentCount())/float64(s.Len())
-}
-
-// Compress re-encodes a flat series into the chunked backing (missing
-// slots stay missing bit-exactly). A chunked series is returned as is.
-func Compress(s *Series) *Series {
-	if s.chunk != nil {
-		return s
-	}
-	b := tschunk.NewBuilder(len(s.Values))
-	for i, v := range s.Values {
-		b.Set(i, v)
-	}
-	return FromChunk(s.Start, s.Step, b.Seal())
-}
-
-// Aggregate returns a coarser flat series whose slot j summarizes
-// `factor` input slots with fn (e.g. Min over 6 five-minute samples →
-// 30-minute minimum filtering, the standard TSLP noise reduction).
-// Slots with no present inputs stay missing. Chunked input streams
-// block by block; the collected per-slot values reach fn in grid
-// order either way.
+// Aggregate returns a coarser series whose slot j summarizes `factor`
+// input slots with fn (e.g. Min over 6 five-minute samples → 30-minute
+// minimum filtering, the standard TSLP noise reduction). Slots with no
+// present inputs stay missing. The input streams block by block, the
+// collected per-slot values reach fn in grid order, and the output is
+// sealed as it is written.
 func (s *Series) Aggregate(factor int, fn func([]float64) float64) *Series {
 	if factor <= 0 {
 		panic("timeseries: non-positive aggregation factor")
 	}
 	sLen := s.Len()
 	n := (sLen + factor - 1) / factor
-	out := NewRegular(s.Start, s.Step*time.Duration(factor), n)
+	out := tschunk.NewBuilder(n)
 	buf := make([]float64, 0, factor)
 	s.Each(func(base int, vals []float64) {
 		for k, v := range vals {
@@ -343,13 +228,13 @@ func (s *Series) Aggregate(factor int, fn func([]float64) float64) *Series {
 			}
 			if (i+1)%factor == 0 || i == sLen-1 {
 				if len(buf) > 0 {
-					out.Values[i/factor] = fn(buf)
+					out.Set(i/factor, fn(buf))
 				}
 				buf = buf[:0]
 			}
 		}
 	})
-	return out
+	return FromChunk(s.Start, s.Step*time.Duration(factor), out.Seal())
 }
 
 // Min returns the smallest of vs. It is the canonical Aggregate fn.
@@ -370,11 +255,6 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// Median returns the median of vs (vs is not modified).
-func Median(vs []float64) float64 {
-	return Quantile(vs, 0.5)
 }
 
 // Quantile returns the q-quantile of vs using linear interpolation.
@@ -426,12 +306,6 @@ type Stats struct {
 // what-if sweeps).
 type StatsScratch struct {
 	buf []float64
-}
-
-// Summarize computes Stats over the present samples.
-func (s *Series) Summarize() Stats {
-	var sc StatsScratch
-	return s.SummarizeInto(&sc)
 }
 
 // SummarizeInto computes Stats using sc's buffer. The present samples
@@ -499,30 +373,6 @@ func (s *Series) FoldDaily(binWidth simclock.Duration, fn func([]float64) float6
 		} else {
 			out[b] = fn(vs)
 		}
-	}
-	return out
-}
-
-// SplitDays returns one sub-series per UTC day, keyed by day index
-// since the simclock epoch. Days with no present samples are omitted.
-func (s *Series) SplitDays() map[int]*Series {
-	out := make(map[int]*Series)
-	perDay := int(24 * time.Hour / s.Step)
-	if perDay == 0 {
-		return out
-	}
-	for i := 0; i < s.Len(); {
-		day := s.TimeAt(i).Day()
-		// Collect slots in this day.
-		j := i
-		for j < s.Len() && s.TimeAt(j).Day() == day {
-			j++
-		}
-		sub := s.window(i, j)
-		if sub.PresentCount() > 0 {
-			out[day] = &sub
-		}
-		i = j
 	}
 	return out
 }

@@ -8,27 +8,34 @@ import (
 	"afrixp/internal/simclock"
 )
 
-func newFilled(n int, fn func(i int) float64) *Series {
-	s := NewRegular(0, 5*time.Minute, n)
-	for i := 0; i < n; i++ {
-		s.Set(i, fn(i))
+// filled returns n values fn(0), ..., fn(n-1).
+func filled(n int, fn func(i int) float64) []float64 {
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = fn(i)
 	}
-	return s
+	return vs
 }
 
-func TestNewRegularAllMissing(t *testing.T) {
-	s := NewRegular(0, time.Minute, 10)
+func missing(int) float64 { return Missing }
+
+// collect reads a series back into one slice through Each.
+func collect(s *Series) []float64 {
+	out := make([]float64, s.Len())
+	s.Each(func(base int, vals []float64) { copy(out[base:], vals) })
+	return out
+}
+
+func TestFromValuesAllMissing(t *testing.T) {
+	s := FromValues(0, time.Minute, filled(10, missing))
 	if s.Len() != 10 || s.PresentCount() != 0 {
 		t.Fatalf("len %d present %d", s.Len(), s.PresentCount())
-	}
-	if s.LossFraction() != 1 {
-		t.Fatal("all-missing series has loss fraction 1")
 	}
 }
 
 func TestIndexAndTimeAt(t *testing.T) {
 	start := simclock.Date(2016, time.March, 1)
-	s := NewRegular(start, 5*time.Minute, 288)
+	s := FromValues(start, 5*time.Minute, filled(288, missing))
 	if got := s.Index(start.Add(12 * time.Minute)); got != 2 {
 		t.Fatalf("Index = %d", got)
 	}
@@ -43,33 +50,15 @@ func TestIndexAndTimeAt(t *testing.T) {
 	}
 }
 
-func TestSetAtAndAt(t *testing.T) {
-	start := simclock.Date(2016, time.March, 1)
-	s := NewRegular(start, 5*time.Minute, 12)
-	s.SetAt(start.Add(17*time.Minute), 42)
-	if got := s.At(start.Add(15 * time.Minute)); got != 42 {
-		t.Fatalf("At = %v", got)
-	}
-	s.SetAt(start.Add(-time.Hour), 1) // silently ignored
-	s.SetAt(start.Add(2*time.Hour), 1)
-	if s.PresentCount() != 1 {
-		t.Fatal("out-of-grid SetAt must be ignored")
-	}
-	if !IsMissing(s.At(start)) {
-		t.Fatal("unset slot must be missing")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	start := simclock.Date(2016, time.March, 1)
-	s := newFilled(288, func(i int) float64 { return float64(i) })
-	s.Start = start
+	s := FromValues(start, 5*time.Minute, filled(288, func(i int) float64 { return float64(i) }))
 	sub := s.Slice(start.Add(time.Hour), start.Add(2*time.Hour))
 	if sub.Len() != 12 {
 		t.Fatalf("slice len = %d", sub.Len())
 	}
-	if sub.Values[0] != 12 {
-		t.Fatalf("slice start value = %v", sub.Values[0])
+	if v := collect(sub)[0]; v != 12 {
+		t.Fatalf("slice start value = %v", v)
 	}
 	if sub.Start != start.Add(time.Hour) {
 		t.Fatal("slice start time wrong")
@@ -84,33 +73,33 @@ func TestSlice(t *testing.T) {
 }
 
 func TestAggregateMin(t *testing.T) {
-	s := newFilled(12, func(i int) float64 { return float64(10 + i%6) })
-	s.Set(3, Missing)
-	agg := s.Aggregate(6, Min)
+	vs := filled(12, func(i int) float64 { return float64(10 + i%6) })
+	vs[3] = Missing
+	agg := FromValues(0, 5*time.Minute, vs).Aggregate(6, Min)
 	if agg.Len() != 2 || agg.Step != 30*time.Minute {
 		t.Fatalf("agg: len %d step %v", agg.Len(), agg.Step)
 	}
-	if agg.Values[0] != 10 || agg.Values[1] != 10 {
-		t.Fatalf("agg values: %v", agg.Values)
+	if got := collect(agg); got[0] != 10 || got[1] != 10 {
+		t.Fatalf("agg values: %v", got)
 	}
 }
 
 func TestAggregateAllMissingBin(t *testing.T) {
-	s := NewRegular(0, 5*time.Minute, 12)
-	s.Set(7, 5)
-	agg := s.Aggregate(6, Min)
-	if !IsMissing(agg.Values[0]) {
+	vs := filled(12, missing)
+	vs[7] = 5
+	agg := collect(FromValues(0, 5*time.Minute, vs).Aggregate(6, Min))
+	if !IsMissing(agg[0]) {
 		t.Fatal("empty bin must stay missing")
 	}
-	if agg.Values[1] != 5 {
+	if agg[1] != 5 {
 		t.Fatal("second bin should carry the sample")
 	}
 }
 
 func TestQuantileAndMedian(t *testing.T) {
 	vs := []float64{5, 1, 3, 2, 4}
-	if Median(vs) != 3 {
-		t.Fatalf("median = %v", Median(vs))
+	if got := Quantile(vs, 0.5); got != 3 {
+		t.Fatalf("median = %v", got)
 	}
 	if Quantile(vs, 0) != 1 || Quantile(vs, 1) != 5 {
 		t.Fatal("extreme quantiles wrong")
@@ -128,9 +117,9 @@ func TestQuantileAndMedian(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := newFilled(100, func(i int) float64 { return float64(i) })
-	s.Set(50, Missing)
-	st := s.Summarize()
+	vs := filled(100, func(i int) float64 { return float64(i) })
+	vs[50] = Missing
+	st := FromValues(0, 5*time.Minute, vs).SummarizeInto(&StatsScratch{})
 	if st.N != 99 || st.Min != 0 || st.Max != 99 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -143,7 +132,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	st := NewRegular(0, time.Minute, 5).Summarize()
+	st := FromValues(0, time.Minute, filled(5, missing)).SummarizeInto(&StatsScratch{})
 	if st.N != 0 || !IsMissing(st.Mean) || !IsMissing(st.Min) {
 		t.Fatalf("empty stats: %+v", st)
 	}
@@ -153,10 +142,9 @@ func TestFoldDaily(t *testing.T) {
 	// Three days of samples: value = hour of day. Folding by hour
 	// should return the hour index per bin.
 	start := simclock.Date(2016, time.March, 1)
-	s := NewRegular(start, 5*time.Minute, 3*288)
-	for i := 0; i < s.Len(); i++ {
-		s.Set(i, math.Floor(s.TimeAt(i).HourOfDay()))
-	}
+	s := FromValues(start, 5*time.Minute, filled(3*288, func(i int) float64 {
+		return math.Floor(start.Add(time.Duration(i) * 5 * time.Minute).HourOfDay())
+	}))
 	prof := s.FoldDaily(time.Hour, Mean)
 	if len(prof) != 24 {
 		t.Fatalf("profile bins = %d", len(prof))
@@ -174,36 +162,7 @@ func TestFoldDailyPanicsOnBadBin(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewRegular(0, time.Minute, 10).FoldDaily(7*time.Hour, Mean)
-}
-
-func TestSplitDays(t *testing.T) {
-	start := simclock.Date(2016, time.March, 1)
-	s := NewRegular(start, time.Hour, 72) // 3 days
-	for i := 0; i < 72; i++ {
-		s.Set(i, float64(i))
-	}
-	days := s.SplitDays()
-	if len(days) != 3 {
-		t.Fatalf("got %d days", len(days))
-	}
-	d0 := start.Day()
-	if days[d0].Len() != 24 || days[d0].Values[0] != 0 {
-		t.Fatalf("day 0: %+v", days[d0])
-	}
-	if days[d0+2].Values[0] != 48 {
-		t.Fatal("day 2 should start at 48")
-	}
-}
-
-func TestSplitDaysOmitsEmptyDays(t *testing.T) {
-	start := simclock.Date(2016, time.March, 1)
-	s := NewRegular(start, time.Hour, 48)
-	s.Set(30, 1) // only day 1 has data
-	days := s.SplitDays()
-	if len(days) != 1 {
-		t.Fatalf("got %d days, want 1", len(days))
-	}
+	FromValues(0, time.Minute, filled(10, missing)).FoldDaily(7*time.Hour, Mean)
 }
 
 func TestMinMeanHelpers(t *testing.T) {

@@ -33,7 +33,8 @@ import (
 // BlockLen is the number of grid slots per block. 256 slots cover ~2h
 // of native 5-minute samples per few blocks while keeping the decode
 // scratch (2 KiB) comfortably stack-sized; larger blocks amortize the
-// 8-byte raw first value better but make point reads dearer.
+// 8-byte raw first value better but make a read of a few slots
+// (Builder.CopyRange) decode more.
 const BlockLen = 256
 
 // Missing is the in-band missing marker (IEEE NaN). Any NaN bit
@@ -100,62 +101,6 @@ func (c *Chunk) DecodeBlock(b int, dst []float64) []float64 {
 	dst = dst[:ref.count]
 	decodeBlock(blockBytes(c.pages, ref), dst)
 	return dst
-}
-
-// At returns the value at grid slot i. Each call decodes the covering
-// block's prefix — O(BlockLen); use a Cursor or DecodeBlock for
-// anything denser than point reads.
-func (c *Chunk) At(i int) float64 {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("tschunk: slot %d out of range [0,%d)", i, c.n))
-	}
-	var buf [BlockLen]float64
-	vals := c.DecodeBlock(i/BlockLen, buf[:0])
-	return vals[i%BlockLen]
-}
-
-// Cursor is a random-access reader that caches the last decoded block,
-// making runs of nearby reads cheap. Not safe for concurrent use.
-type Cursor struct {
-	c    *Chunk
-	blk  int
-	vals []float64
-	buf  [BlockLen]float64
-}
-
-// NewCursor builds a cursor over c.
-func NewCursor(c *Chunk) *Cursor { return &Cursor{c: c, blk: -1} }
-
-// At returns the value at grid slot i.
-func (cu *Cursor) At(i int) float64 {
-	if i < 0 || i >= cu.c.n {
-		panic(fmt.Sprintf("tschunk: slot %d out of range [0,%d)", i, cu.c.n))
-	}
-	if b := i / BlockLen; b != cu.blk {
-		cu.vals = cu.c.DecodeBlock(b, cu.buf[:0])
-		cu.blk = b
-	}
-	return cu.vals[i%BlockLen]
-}
-
-// Iter streams a chunk's values in grid order, one block decode at a
-// time. Not safe for concurrent use.
-type Iter struct {
-	cu  *Cursor
-	idx int
-}
-
-// NewIter builds an iterator positioned before slot 0.
-func NewIter(c *Chunk) *Iter { return &Iter{cu: NewCursor(c)} }
-
-// Next returns the next value; ok is false once the grid is exhausted.
-func (it *Iter) Next() (v float64, ok bool) {
-	if it.idx >= it.cu.c.n {
-		return 0, false
-	}
-	v = it.cu.At(it.idx)
-	it.idx++
-	return v, true
 }
 
 // Builder accumulates a fixed-length grid and compresses it block by
@@ -414,29 +359,6 @@ func (b *Builder) MergeMax(i int, v float64) {
 		*slot = v
 		b.dirty = true
 	}
-}
-
-// At reads slot i back: from the raw current block when still open,
-// otherwise by decoding the sealed block (O(BlockLen)).
-func (b *Builder) At(i int) float64 {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("tschunk: slot %d out of range [0,%d)", i, b.n))
-	}
-	if b.sealed != nil {
-		return b.sealed.At(i)
-	}
-	blk := i / BlockLen
-	if blk == b.curBlk {
-		return b.cur[i-b.curBlk*BlockLen]
-	}
-	if blk > b.curBlk {
-		return Missing
-	}
-	ref := b.blocks[blk]
-	var buf [BlockLen]float64
-	dst := buf[:ref.count]
-	decodeBlock(blockBytes(b.arena.pages, ref), dst)
-	return dst[i%BlockLen]
 }
 
 // CopyRange copies slots [from, from+len(dst)) into dst without

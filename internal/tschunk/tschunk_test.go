@@ -1,6 +1,7 @@
 package tschunk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,41 +19,37 @@ func buildChunk(t testing.TB, vals []float64) *Chunk {
 	return b.Seal()
 }
 
-// assertRoundTrip checks bit-exact recovery through every read path.
+// decodeAll decodes every block of c into one slice.
+func decodeAll(c *Chunk) []float64 {
+	out := make([]float64, 0, c.Len())
+	var buf [BlockLen]float64
+	for blk := 0; blk < c.NumBlocks(); blk++ {
+		out = append(out, c.DecodeBlock(blk, buf[:0])...)
+	}
+	return out
+}
+
+// assertBits checks got against want bit for bit.
+func assertBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d slots, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: slot %d: got bits %016x, want %016x",
+				what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// assertRoundTrip checks bit-exact recovery through block decoding.
 func assertRoundTrip(t *testing.T, vals []float64, c *Chunk) {
 	t.Helper()
 	if c.Len() != len(vals) {
 		t.Fatalf("Len = %d, want %d", c.Len(), len(vals))
 	}
-	var buf [BlockLen]float64
-	for blk := 0; blk < c.NumBlocks(); blk++ {
-		got := c.DecodeBlock(blk, buf[:0])
-		base := c.BlockBase(blk)
-		for k, v := range got {
-			want := vals[base+k]
-			if math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("slot %d: got bits %016x, want %016x",
-					base+k, math.Float64bits(v), math.Float64bits(want))
-			}
-		}
-	}
-	cu := NewCursor(c)
-	it := NewIter(c)
-	for i, want := range vals {
-		if got := cu.At(i); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Cursor.At(%d) = %v bits, want %v", i, got, want)
-		}
-		got, ok := it.Next()
-		if !ok {
-			t.Fatalf("Iter exhausted at %d of %d", i, len(vals))
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Iter at %d = %v bits, want %v", i, got, want)
-		}
-	}
-	if _, ok := it.Next(); ok {
-		t.Fatalf("Iter yielded past the end")
-	}
+	assertBits(t, "DecodeBlock", decodeAll(c), vals)
 }
 
 func TestChunkRoundTripBasic(t *testing.T) {
@@ -103,29 +100,44 @@ func TestBuilderMergeSemantics(t *testing.T) {
 	b.MergeMax(1, 7) // larger: wins
 	b.Set(2, 9)
 	b.Set(2, 1) // Set overwrites
-	c := b.Seal()
-	want := []float64{3, 7, 1, math.NaN()}
-	for i, w := range want {
-		if got := c.At(i); math.Float64bits(got) != math.Float64bits(w) {
-			t.Fatalf("At(%d) = %v, want %v", i, got, w)
-		}
-	}
+	assertBits(t, "merged", decodeAll(b.Seal()), []float64{3, 7, 1, Missing})
 }
 
-func TestBuilderAtBeforeSeal(t *testing.T) {
-	n := BlockLen + 10
+// TestBuilderCopyRange reads ranges that start and end on block edges,
+// inside blocks and at the write frontier, before Seal (across sealed,
+// open and not-yet-reached blocks) and after it.
+func TestBuilderCopyRange(t *testing.T) {
+	n := 3*BlockLen + 10
+	frontier := BlockLen + 40 // block 0 sealed, block 1 open, 2 and 3 unreached
+	want := make([]float64, n)
 	b := NewBuilder(n)
-	b.Set(3, 42)         // current block
-	b.Set(BlockLen+1, 7) // advances: block 0 sealed
-	if got := b.At(3); got != 42 {
-		t.Fatalf("At(3) from sealed block = %v, want 42", got)
+	rng := rand.New(rand.NewSource(3))
+	for i := range want {
+		want[i] = Missing
+		if i < frontier && rng.Intn(3) > 0 {
+			want[i] = rng.Float64() * 50
+			b.Set(i, want[i])
+		}
 	}
-	if got := b.At(BlockLen + 1); got != 7 {
-		t.Fatalf("At in current block = %v, want 7", got)
+	edges := []int{0, 1, BlockLen - 1, BlockLen, frontier - 1, frontier, 2 * BlockLen, 3*BlockLen + 3, n}
+	check := func(stage string) {
+		for _, from := range edges {
+			for _, to := range edges {
+				if to < from {
+					continue
+				}
+				dst := make([]float64, to-from)
+				for k := range dst {
+					dst[k] = -1 // every slot must be overwritten
+				}
+				b.CopyRange(from, dst)
+				assertBits(t, fmt.Sprintf("%s [%d,%d)", stage, from, to), dst, want[from:to])
+			}
+		}
 	}
-	if got := b.At(BlockLen + 5); !math.IsNaN(got) {
-		t.Fatalf("unwritten slot = %v, want NaN", got)
-	}
+	check("open")
+	b.Seal()
+	check("sealed")
 }
 
 func TestBuilderOutOfOrderPanics(t *testing.T) {
@@ -178,14 +190,12 @@ func TestSharedMissingBlocks(t *testing.T) {
 	if c.EncodedSize() > 256 {
 		t.Fatalf("40-block sparse grid encoded to %d bytes; missing-block sharing broken", c.EncodedSize())
 	}
-	for i := 0; i < n-1; i += BlockLen / 3 {
-		if !math.IsNaN(c.At(i)) {
-			t.Fatalf("slot %d should be missing", i)
-		}
+	want := make([]float64, n)
+	for i := range want {
+		want[i] = Missing
 	}
-	if got := c.At(n - 1); got != 3.5 {
-		t.Fatalf("At(n-1) = %v, want 3.5", got)
-	}
+	want[n-1] = 3.5
+	assertRoundTrip(t, want, c)
 }
 
 // TestBuilderNoAllocSteadyState pins the per-sample write path and the

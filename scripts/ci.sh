@@ -9,7 +9,8 @@
 #              campaign engine's determinism tests double as its race
 #              exerciser (8 workers over shared world state)
 #   pins       the two pinned -result-sha campaigns print their
-#              digests and exit 0
+#              digests and exit 0, and the paper run's whole stdout
+#              and its 14 figure files hash as pinned
 #   bench 1x   smoke-runs every benchmark once so they cannot bit-rot,
 #              then compares ns/op against the committed
 #              BENCH_campaign.json (warn-only: smoke timings are noisy)
@@ -270,7 +271,20 @@ check_pin() {
   echo "pinned digest OK: $*"
 }
 check_pin eb70ececc60a47080822fcdac0b6fb274350acaa744d1accfa7f2c21bde3a7e0 \
-  -scale 0.08 -days 255
+  -scale 0.08 -days 255 -csvdir "$PIN_TMP/figs"
+# The paper run's whole output is pinned too: its stdout (tables,
+# comparisons, digest; it holds no path) and its figure CSVs and SVGs,
+# hashed as one sorted sha256sum listing.
+check_sum() {
+  local what="$1" want="$2" got="$3"
+  [ "$got" = "$want" ] \
+    || { echo "FAIL: paper run $what: sha256 '$got', want '$want'"; exit 1; }
+  echo "pinned paper output OK: $what"
+}
+check_sum stdout ff12a2a21ef1ca0493c47743abd0683521cd5eec60b9f21e2a965a72284eb953 \
+  "$(sha256sum <"$PIN_TMP/out" | cut -d' ' -f1)"
+check_sum "figure files" c062eb59f33400a6049cb15a4d2e7d8e062568de215ee67733586862bbea696b \
+  "$(cd "$PIN_TMP/figs" && sha256sum * | sha256sum | cut -d' ' -f1)"
 check_pin 12e41ff4bf109a4f5309aedf22daa34d8374ec01b272258e867f4a0534dca110 \
   -scale 10 -days 7 -faults -budget 0.5
 rm -rf "$PIN_TMP"
