@@ -6,17 +6,19 @@
 //
 // A checkpoint file is a small framed container: an 8-byte magic, the
 // payload length, and an IEEE CRC32 of the payload, then the payload:
-// one gob message holding everything but the shard arenas' page bytes
-// (their lengths only), followed by those pages raw, as they stand in
-// the arenas. gob carries float64s by bit pattern, so a round-tripped
-// snapshot is exactly the state that was captured — the bit-identity
-// invariant survives serialization. Files are written atomically
+// a header and one gob value per VP, which hold everything but the
+// shard arenas' page bytes (the header carries their lengths only),
+// followed by those pages raw, as they stand in the arenas. gob
+// carries float64s by bit pattern, so a round-tripped snapshot is
+// exactly the state that was captured — the bit-identity invariant
+// survives serialization. Files are written atomically
 // (temp + rename) and named by their barrier instant; LoadLatest walks
 // newest-first and transparently falls back past truncated or corrupt
 // files, which is exactly what a SIGKILL mid-write leaves behind.
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -45,8 +47,10 @@ import (
 // drops the loss collectors' streamed rate grid (the batch list is the
 // one loss store) and the tuning copy in each budget tap's state.
 // Format 6 stores the arenas as fixed pages written raw after the gob
-// message, which carries only their lengths.
-const Format = 6
+// message, which carries only their lengths. Format 7 splits that
+// message into a header and one gob value per VP, so the encoder's
+// buffer grows to the largest VP, not to the whole snapshot.
+const Format = 7
 
 // magic identifies a checkpoint file.
 const magic = "AFXCKPT1"
@@ -104,18 +108,19 @@ type Snapshot struct {
 	Budget *budget.SchedulerCheckpoint
 	// Arenas holds each shard's tschunk pages (tschunk.Arena.State),
 	// shard order: every collector's sealed blocks. They are not part
-	// of the gob message; Write appends the page bytes raw after it.
+	// of the gob values; Write appends the page bytes raw after them.
 	Arenas [][][]byte
 }
 
-// message is the gob part of a checkpoint payload: the snapshot with
-// each arena page replaced by its length. It has no field named
-// Arenas, so older files, whose Arenas were single slabs, still decode
-// as far as the format check.
-type message struct {
+// header is the first gob value of a checkpoint payload: the snapshot
+// with its VPs replaced by their count (the VPStates follow it, one
+// gob value each) and each arena page by its length. It has no field
+// named VPs or Arenas, so older files, whose one message carried both,
+// still decode as far as the format check.
+type header struct {
 	Manifest Manifest
 	Barrier  simclock.Time
-	VPs      []VPState
+	NumVPs   int
 	Budget   *budget.SchedulerCheckpoint
 	PageLens [][]int
 }
@@ -132,20 +137,21 @@ func fileName(t simclock.Time) string {
 
 // Write serializes snap into dir atomically (temp file + rename), then
 // prunes all but the newest keepNewest snapshots. The payload streams
-// to the file: the gob message straight from gob's own buffer, then
-// the arena pages as they stand, never concatenated or re-encoded. It
-// returns the payload size in bytes — the figure the checkpoint
-// benchmark reports.
+// to the file: the header and then each VP as its own gob value, so
+// gob's buffer, which one encoder reuses across values, grows only to
+// the largest VP; then the arena pages as they stand, never
+// concatenated or re-encoded. It returns the payload size in bytes —
+// the figure the checkpoint benchmark reports.
 func Write(dir string, snap *Snapshot) (int, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	msg := message{Manifest: snap.Manifest, Barrier: snap.Barrier, VPs: snap.VPs, Budget: snap.Budget,
+	hdr := header{Manifest: snap.Manifest, Barrier: snap.Barrier, NumVPs: len(snap.VPs), Budget: snap.Budget,
 		PageLens: make([][]int, len(snap.Arenas))}
 	for i, pages := range snap.Arenas {
-		msg.PageLens[i] = make([]int, len(pages))
+		hdr.PageLens[i] = make([]int, len(pages))
 		for j, p := range pages {
-			msg.PageLens[i][j] = len(p)
+			hdr.PageLens[i][j] = len(p)
 		}
 	}
 
@@ -155,7 +161,7 @@ func Write(dir string, snap *Snapshot) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	size, err := writePayload(f, &msg, snap.Arenas)
+	size, err := writePayload(f, &hdr, snap)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -175,21 +181,34 @@ func Write(dir string, snap *Snapshot) (int, error) {
 }
 
 // writePayload writes the payload after a header-sized gap, then fills
-// the header in, and returns the payload length.
-func writePayload(f *os.File, msg *message, arenas [][][]byte) (int, error) {
+// the file header in, and returns the payload length. A buffer
+// gathers gob's small values (type definitions, VPs with few links),
+// so a world of thousands of VPs is not one write call each; values
+// and pages larger than the buffer pass through it uncopied.
+func writePayload(f *os.File, hdr *header, snap *Snapshot) (int, error) {
 	if _, err := f.Seek(int64(headerLen), io.SeekStart); err != nil {
 		return 0, err
 	}
-	fr := &frame{w: f}
-	if err := gob.NewEncoder(fr).Encode(msg); err != nil {
+	bw := bufio.NewWriter(f)
+	fr := &frame{w: bw}
+	enc := gob.NewEncoder(fr)
+	if err := enc.Encode(hdr); err != nil {
 		return 0, fmt.Errorf("encoding snapshot: %w", err)
 	}
-	for _, pages := range arenas {
+	for i := range snap.VPs {
+		if err := enc.Encode(&snap.VPs[i]); err != nil {
+			return 0, fmt.Errorf("encoding snapshot: %w", err)
+		}
+	}
+	for _, pages := range snap.Arenas {
 		for _, p := range pages {
 			if _, err := fr.Write(p); err != nil {
 				return 0, err
 			}
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
 	}
 	_, err := f.WriteAt(fr.header(), 0)
 	return fr.n, err
@@ -281,9 +300,9 @@ func LoadLatest(dir string, want *Manifest) (*Snapshot, error) {
 }
 
 // decodeSnapshot parses one file's bytes. ok=false flags recoverable
-// damage: truncation, a bad CRC, a payload gob cannot decode, or page
-// lengths that do not split the bytes after the gob message. The
-// decoded pages alias data.
+// damage: truncation, a bad CRC, a payload gob cannot decode, fewer
+// VPs than the header counts, or page lengths that do not split the
+// bytes after the gob values. The decoded pages alias data.
 func decodeSnapshot(data []byte) (*Snapshot, bool) {
 	if len(data) < headerLen || string(data[:len(magic)]) != magic {
 		return nil, false
@@ -298,21 +317,33 @@ func decodeSnapshot(data []byte) (*Snapshot, bool) {
 		return nil, false
 	}
 	// A bytes.Reader is an io.ByteReader, so gob reads exactly the
-	// message and leaves the pages unread.
+	// header and VP values and leaves the pages unread.
 	r := bytes.NewReader(payload)
-	var msg message
-	if err := gob.NewDecoder(r).Decode(&msg); err != nil {
+	dec := gob.NewDecoder(r)
+	var hdr header
+	if err := dec.Decode(&hdr); err != nil || hdr.NumVPs < 0 {
 		return nil, false // CRC race with format drift: treat as damage
 	}
-	arenas, ok := splitPages(msg.PageLens, payload, len(payload)-r.Len())
+	snap := &Snapshot{Manifest: hdr.Manifest, Barrier: hdr.Barrier, Budget: hdr.Budget}
+	// The VP list grows one decoded value at a time, never from the
+	// count: each Decode consumes payload, so a crafted count runs out
+	// of bytes and fails here.
+	for range hdr.NumVPs {
+		var vs VPState
+		if err := dec.Decode(&vs); err != nil {
+			return nil, false
+		}
+		snap.VPs = append(snap.VPs, vs)
+	}
+	arenas, ok := splitPages(hdr.PageLens, payload, len(payload)-r.Len())
 	if !ok {
 		return nil, false
 	}
-	return &Snapshot{Manifest: msg.Manifest, Barrier: msg.Barrier, VPs: msg.VPs, Budget: msg.Budget,
-		Arenas: arenas}, true
+	snap.Arenas = arenas
+	return snap, true
 }
 
-// splitPages cuts the payload after its msgLen-byte gob message into
+// splitPages cuts the payload after its msgLen bytes of gob values into
 // the arena pages lens describes. The lengths must be at most a page
 // each and add up to exactly the bytes left, and the page count is
 // bounded before any page list is allocated: the pages' slice headers
@@ -342,11 +373,4 @@ func splitPages(lens [][]int, payload []byte, msgLen int) ([][][]byte, bool) {
 		}
 	}
 	return arenas, true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,12 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"afrixp/internal/analysis"
 	"afrixp/internal/budget"
 	"afrixp/internal/loss"
+	"afrixp/internal/prober"
 	"afrixp/internal/simclock"
 	"afrixp/internal/tschunk"
 )
@@ -50,10 +52,11 @@ func arenaPages(n int) [][]byte {
 	return a.State()
 }
 
-// snapAt builds a small but fully-populated snapshot: NaN-holed float
-// payloads (the bit pattern gob must preserve), an encoded open
-// builder block, an optional loss collector, a budget checkpoint, and
-// three shard arenas: two of one short page each and an empty one.
+// snapAt builds a small but fully-populated snapshot: three VPs, the
+// second with no links, NaN-holed float payloads (the bit pattern gob
+// must preserve), an encoded open builder block, loss collectors, a
+// budget checkpoint, and three shard arenas: two of one short page
+// each and an empty one.
 func snapAt(barrier simclock.Time) *Snapshot {
 	nan := math.NaN()
 	return &Snapshot{
@@ -73,6 +76,15 @@ func snapAt(barrier simclock.Time) *Snapshot {
 						Skipped: 1, Missed: 2,
 					}},
 			},
+		}, {
+			RoundsScheduled: 9,
+		}, {
+			RoundsScheduled: 17,
+			Prober:          prober.CheckpointState{Seq: 5, NonceCount: 11},
+			Links: []LinkState{{
+				Collector: analysis.CollectorState{FarB: openBlockState(0.5, 0.75), MissedRounds: 6},
+				Loss:      &loss.CollectorState{Open: true, Cur: loss.Batch{Start: barrier, Sent: 3}},
+			}},
 		}},
 		Budget: &budget.SchedulerCheckpoint{Next: barrier.Add(1), Recomputes: 5, SpendFrac: 0.5},
 		Arenas: [][][]byte{arenaPages(300), arenaPages(20), nil},
@@ -118,6 +130,19 @@ func TestWriteLoadRoundtrip(t *testing.T) {
 	l := got.VPs[0].Links[1].Loss
 	if l == nil || l.Batches[0].Lost != 4 || l.Skipped != 1 || l.Missed != 2 {
 		t.Fatalf("loss state not preserved: %+v", l)
+	}
+	if len(got.VPs) != 3 || got.VPs[1].RoundsScheduled != 9 || len(got.VPs[1].Links) != 0 {
+		t.Fatalf("VP sequence not preserved: %d VPs, the second %+v", len(got.VPs), got.VPs[1])
+	}
+	vp := got.VPs[2]
+	if vp.RoundsScheduled != 17 || vp.Prober != snap.VPs[2].Prober || len(vp.Links) != 1 {
+		t.Fatalf("third VP not preserved: %+v", vp)
+	}
+	if v := decode(vp.Links[0].Collector.FarB); v[0] != 0.5 || v[1] != 0.75 || vp.Links[0].Collector.MissedRounds != 6 {
+		t.Fatalf("third VP's collector not preserved: %+v", vp.Links[0].Collector)
+	}
+	if l := vp.Links[0].Loss; l == nil || !l.Open || l.Cur.Sent != 3 || got.VPs[0].Links[0].Loss != nil {
+		t.Fatalf("loss bindings not preserved: %+v, %+v", l, got.VPs[0].Links[0].Loss)
 	}
 	if got.Budget == nil || got.Budget.Recomputes != 5 || got.Budget.SpendFrac != 0.5 {
 		t.Fatalf("budget state not preserved: %+v", got.Budget)
@@ -368,11 +393,23 @@ type v5Snapshot struct {
 	Arenas   [][]byte
 }
 
-// Files of the older formats decode into the current shape (gob skips
+// v6Message mirrors the Format-6 payload's one gob message: every VP
+// in it, then the arena page lengths.
+type v6Message struct {
+	Manifest Manifest
+	Barrier  simclock.Time
+	VPs      []VPState
+	Budget   *budget.SchedulerCheckpoint
+	PageLens [][]int
+}
+
+// Files of the older formats decode into the current header (gob skips
 // the fields that are gone), so each must reach the format check and
 // fail there with the Format-2 error, never restore a mismatched shape.
 // A Format-5 file has no page lengths and no bytes after its gob
-// message, so it splits into no pages and reaches the check as well.
+// message, so it splits into no pages and reaches the check as well. A
+// Format-6 message carries its VPs in a field the header does not have,
+// so it decodes as a header counting no VPs, not as damage.
 func TestFormat3FileIsHardError(t *testing.T) {
 	nan := math.NaN()
 	olds := []struct {
@@ -409,6 +446,12 @@ func TestFormat3FileIsHardError(t *testing.T) {
 			}}}}},
 			Arenas: [][]byte{{0xde, 0xad}, {}},
 		}},
+		{6, &v6Message{
+			Manifest: Manifest{Format: 6, ConfigHash: "cfg", WorldFingerprint: "world"},
+			Barrier:  1000,
+			VPs:      snapAt(1000).VPs,
+			Budget:   &budget.SchedulerCheckpoint{Next: 2000, Recomputes: 5},
+		}},
 	}
 	for _, old := range olds {
 		var payload bytes.Buffer
@@ -434,7 +477,7 @@ func TestFormat3FileIsHardError(t *testing.T) {
 	}
 }
 
-// TestSplitPagesBounds: the page lengths after the gob message must
+// TestSplitPagesBounds: the page lengths after the gob values must
 // be at most a page each and split the bytes left exactly, and no
 // page count allocates beyond the payload, whatever the lengths say.
 func TestSplitPagesBounds(t *testing.T) {
@@ -463,8 +506,8 @@ func TestSplitPagesBounds(t *testing.T) {
 	}
 }
 
-// TestWriteFramesPagesRaw: the file is the header, one gob message and
-// then every arena page byte for byte, in order.
+// TestWriteFramesPagesRaw: the file is the file header, the gob header
+// and VP values, and then every arena page byte for byte, in order.
 func TestWriteFramesPagesRaw(t *testing.T) {
 	dir := t.TempDir()
 	snap := snapAt(1000)
@@ -497,10 +540,11 @@ func TestWriteFramesPagesRaw(t *testing.T) {
 // allocate without bound: gob caps each up-front slice allocation
 // (internal/saferio, 10 MiB) and grows it only as elements actually
 // decode from the input, and splitPages bounds the page count by the
-// payload. The seed is a real Format-6 payload whose two short pages
-// follow its gob message; a seed of full pages would spend each exec
-// copying and checksumming 64 KiB pages instead of reaching the
-// decoder.
+// payload. A crafted VP count cannot either: the VP list grows one
+// decoded value at a time. The seed is a real Format-7 payload, a
+// header and three VP values, whose two short pages follow; a seed of
+// full pages would spend each exec copying and checksumming 64 KiB
+// pages instead of reaching the decoder.
 func FuzzReadSnapshot(f *testing.F) {
 	dir := f.TempDir()
 	if _, err := Write(dir, snapAt(1000)); err != nil {
@@ -520,4 +564,82 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("decodeSnapshot returned ok=%v with snapshot %v", ok, snap)
 		}
 	})
+}
+
+// encodeHeader returns a payload of hdr alone, gob-encoded.
+func encodeHeader(t *testing.T, hdr header) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	return payload.Bytes()
+}
+
+// TestCraftedVPCountIsDamage: a header that counts 1<<40 VPs with
+// nothing after it runs out of payload at the first VP. It is damage,
+// and the count drives no allocation; a negative count is damage too.
+func TestCraftedVPCountIsDamage(t *testing.T) {
+	m := Manifest{Format: Format, ConfigHash: "cfg", WorldFingerprint: "world"}
+	for _, n := range []int{1 << 40, -1} {
+		payload := encodeHeader(t, header{Manifest: m, Barrier: 1000, NumVPs: n})
+		file := append(frameHeader(payload), payload...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		snap, ok := decodeSnapshot(file)
+		runtime.ReadMemStats(&after)
+		if ok || snap != nil {
+			t.Fatalf("count %d: decoded %+v, want damage", n, snap)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Fatalf("count %d: decoding allocated %d bytes", n, b)
+		}
+	}
+}
+
+// TestWriteAllocsBoundedByLargestVP: Write encodes the header and each
+// VP as its own gob value through one encoder, whose buffer keeps its
+// capacity between values. A Write therefore allocates in proportion
+// to the largest VP, not to the whole snapshot; encoded as one message,
+// this snapshot cost several times its whole size.
+func TestWriteAllocsBoundedByLargestVP(t *testing.T) {
+	const vps, links = 64, 32
+	rng := rand.New(rand.NewSource(1))
+	snap := snapAt(1000)
+	snap.VPs = make([]VPState, vps)
+	for i := range snap.VPs {
+		snap.VPs[i].Links = make([]LinkState, links)
+		for j := range snap.VPs[i].Links {
+			vals := make([]float64, 40)
+			for k := range vals {
+				vals[k] = rng.Float64()
+			}
+			snap.VPs[i].Links[j].Collector.NearB = openBlockState(vals...)
+		}
+	}
+	var one bytes.Buffer
+	if err := gob.NewEncoder(&one).Encode(&snap.VPs[0]); err != nil {
+		t.Fatal(err)
+	}
+	vpSize := one.Len()
+	if vpSize < 8<<10 {
+		t.Fatalf("one VP encodes to %d bytes, want about 10 KB", vpSize)
+	}
+	dir := t.TempDir()
+	if _, err := Write(dir, snap); err != nil { // warm gob's type cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := Write(dir, snap)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := int(after.TotalAlloc - before.TotalAlloc)
+	if limit := 3*vpSize + 64<<10; alloc > limit {
+		t.Fatalf("Write of a %d-byte payload (%d VPs of %d bytes) allocated %d bytes, want at most %d",
+			n, vps, vpSize, alloc, limit)
+	}
+	t.Logf("Write of a %d-byte payload (%d VPs of %d bytes) allocated %d bytes", n, vps, vpSize, alloc)
 }

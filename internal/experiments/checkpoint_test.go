@@ -8,11 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"afrixp/internal/analysis"
 	"afrixp/internal/budget"
 	"afrixp/internal/checkpoint"
 	"afrixp/internal/faults"
+	"afrixp/internal/loss"
 	"afrixp/internal/scenario"
 	"afrixp/internal/simclock"
+	"afrixp/internal/tschunk"
 )
 
 // ckptInterval is the 4-day mid-2016 window every determinism test
@@ -187,5 +190,98 @@ func TestResumeFromEmptyDirStartsFresh(t *testing.T) {
 	cfg.ResumeFrom = t.TempDir()
 	if a, b := summarizeResult(ref), summarizeResult(Run(cfg)); a != b {
 		t.Errorf("fresh-start resume differs from plain run\n%s", firstDiff(a, b))
+	}
+}
+
+// writeSnapshot writes snap into a fresh directory and returns the
+// file's bytes.
+func writeSnapshot(t *testing.T, snap *checkpoint.Snapshot) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := checkpoint.Write(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.bin"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("want one checkpoint file, have %v (%v)", names, err)
+	}
+	data, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCaptureReuseMatchesFresh: capture refills one snapshot across
+// barriers. Before each capture every slot the reused snapshot holds,
+// to the capacity of its slices, is poisoned; between captures VPs
+// discover links, so link slices grow. The refilled snapshot must
+// still write the same file as one built from nothing.
+func TestCaptureReuseMatchesFresh(t *testing.T) {
+	cfg := ckptCampaignCfg(1, 4096, 2).withDefaults()
+	e := newEngine(cfg)
+	for _, vr := range e.res.VPs {
+		e.discover(vr, cfg.Campaign.Start, false)
+	}
+	e.startProbing()
+	defer e.pool.close()
+
+	poison := func(snap *checkpoint.Snapshot) {
+		snap.Budget = nil
+		vps := snap.VPs[:cap(snap.VPs)]
+		for vi := range vps {
+			vps[vi].RoundsDown = -1
+			slots := vps[vi].Links[:cap(vps[vi].Links)]
+			for li := range slots {
+				slots[li] = checkpoint.LinkState{
+					Collector: analysis.CollectorState{FullNearB: tschunk.BuilderState{N: -1, CurBlock: []byte{1}},
+						FullFarB: tschunk.BuilderState{N: -1}, MissedRounds: -1},
+					Loss: &loss.CollectorState{Skipped: -1},
+				}
+			}
+		}
+	}
+	links := func() []int {
+		n := make([]int, len(e.res.VPs))
+		for i, vr := range e.res.VPs {
+			n[i] = len(vr.records)
+		}
+		return n
+	}
+	captures, grew, lossSlots := 0, false, 0
+	var last []int
+	next := cfg.Campaign.Start
+	open := func(t0 simclock.Time) {
+		e.open(t0)
+		if t0 < next {
+			return
+		}
+		next = t0.Add(12 * time.Hour)
+		reused := e.snap
+		e.snap = checkpoint.Snapshot{}
+		want := writeSnapshot(t, e.capture(t0))
+		e.snap = reused
+		poison(&e.snap)
+		if got := writeSnapshot(t, e.capture(t0)); !bytes.Equal(got, want) {
+			t.Fatalf("barrier %v: the refilled snapshot writes %d bytes that differ from a fresh one's %d",
+				t0, len(got), len(want))
+		}
+		now := links()
+		for i := range now {
+			grew = grew || (last != nil && now[i] > last[i])
+		}
+		for _, vs := range e.snap.VPs {
+			for _, ls := range vs.Links {
+				if ls.Loss != nil {
+					lossSlots++
+				}
+			}
+		}
+		last = now
+		captures++
+	}
+	cfg.Campaign.StepBatches(cfg.Step, cfg.BatchSteps, open, e.quiescent, e.flush)
+	if captures < 4 || !grew || lossSlots == 0 {
+		t.Fatalf("vacuous: %d captures, link set grew %v, %d loss slots", captures, grew, lossSlots)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -60,6 +61,10 @@ type engine struct {
 	// accrues until the snapshot's barrier restores the state.
 	resume   *checkpoint.Snapshot
 	ckptNext simclock.Time
+	// snap is the snapshot capture refills at every checkpoint
+	// instant: its VP and link slices keep their capacity across
+	// barriers.
+	snap checkpoint.Snapshot
 
 	hooks []hook
 	pool  *workerPool
@@ -638,20 +643,22 @@ func (e *engine) checkpoint(t simclock.Time) {
 	}
 }
 
-// capture snapshots the engine's measurement state at barrier t.
+// capture snapshots the engine's measurement state at barrier t into
+// e.snap, reusing its VP and link slices. Every VP and link slot is
+// overwritten whole, since a VP's link set can change between
+// barriers. The snapshot aliases live state: write it before probing
+// resumes.
 func (e *engine) capture(t simclock.Time) *checkpoint.Snapshot {
-	snap := &checkpoint.Snapshot{
-		Manifest: e.manifest,
-		Barrier:  t,
-		VPs:      make([]checkpoint.VPState, len(e.res.VPs)),
-		Budget:   e.sched.Checkpoint(),
-	}
+	snap := &e.snap
+	snap.Manifest, snap.Barrier, snap.Budget = e.manifest, t, e.sched.Checkpoint()
+	snap.VPs = slices.Grow(snap.VPs[:0], len(e.res.VPs))[:len(e.res.VPs)]
 	for si, vr := range e.res.VPs {
-		vs := checkpoint.VPState{
+		vs := &snap.VPs[si]
+		*vs = checkpoint.VPState{
 			RoundsScheduled: vr.RoundsScheduled,
 			RoundsDown:      vr.RoundsDown,
 			Prober:          vr.Prober.Checkpoint(),
-			Links:           make([]checkpoint.LinkState, len(vr.records)),
+			Links:           slices.Grow(vs.Links[:0], len(vr.records))[:len(vr.records)],
 		}
 		for li, lr := range vr.records {
 			vs.Links[li] = checkpoint.LinkState{Collector: lr.Collector.Checkpoint()}
@@ -660,8 +667,8 @@ func (e *engine) capture(t simclock.Time) *checkpoint.Snapshot {
 				vs.Links[li].Loss = &lc
 			}
 		}
-		snap.VPs[si] = vs
 	}
+	snap.Arenas = snap.Arenas[:0]
 	for _, a := range e.arenas {
 		snap.Arenas = append(snap.Arenas, a.State())
 	}
