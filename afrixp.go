@@ -30,7 +30,17 @@
 //	session, _ := p.NewTSLP(vp.CaseLinks["QCELL-NETPAGE"])
 //	sample := session.Round(afrixp.Date(2016, 3, 9).Add(13 * time.Hour))
 //
-// or run the paper's entire campaign and regenerate its tables:
+// collect a window of rounds and run the §5.2 analysis over it — one
+// Sweeper per goroutine is the one entry to the pipeline, at one
+// threshold (AnalyzeLink) or across Table 1's sweep (AnalyzeLinkSweep):
+//
+//	col := afrixp.NewCollector(session, afrixp.CollectorConfig{Campaign: window})
+//	window.Steps(5*time.Minute, func(t afrixp.Time) { world.AdvanceTo(t); col.Round(t) })
+//	verdict := afrixp.NewSweeper().AnalyzeLink(col.Series(), afrixp.DefaultAnalysisConfig())
+//
+// or run the paper's entire campaign and regenerate its tables (the
+// cmd/repro command does this, and with -out writes the report,
+// figures and warts archive into a directory):
 //
 //	campaign := afrixp.RunCampaign(afrixp.CampaignConfig{Days: 60})
 //	afrixp.Table1Report(campaign).Render(os.Stdout)

@@ -55,7 +55,7 @@ func TestProbeAndAnalyzeEndToEnd(t *testing.T) {
 		w.AdvanceTo(tm)
 		col.Round(tm)
 	})
-	v := AnalyzeLink(col.Series(), DefaultAnalysisConfig())
+	v := NewSweeper().AnalyzeLink(col.Series(), DefaultAnalysisConfig())
 	if !v.Congested {
 		t.Fatalf("NETPAGE congestion not detected via the facade: %+v", v)
 	}

@@ -1,9 +1,9 @@
 // Command replay re-runs the congestion analysis offline over a
-// warts-format measurement archive (as written by cmd/observatory or
-// any prober with warts output) — the workflow of an analyst who has
-// the Ark uploads but not the network.
+// warts-format measurement archive (as written by repro -out through
+// analysis.ToWarts, or by any prober with warts output) — the workflow
+// of an analyst who has the Ark uploads but not the network.
 //
-//	observatory -out ./run -days 60 -scale 0.2
+//	repro -out ./run -days 60 -scale 0.2
 //	replay -warts ./run/measurements.warts -days 60
 package main
 

@@ -1,18 +1,19 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation from a simulated campaign and prints paper-vs-measured
-// comparisons.
+// Command repro runs the simulated measurement campaign, regenerates
+// every table and figure of the paper's evaluation from it and prints
+// paper-vs-measured comparisons, or writes the campaign's artifacts —
+// report, figures and raw measurement archive — into a directory.
 //
 // Usage:
 //
 //	repro [-days N] [-scale F] [-gen-seed N] [-shards N] [-seed N]
-//	      [-csvdir DIR] [-quiet]
+//	      [-csvdir DIR] [-out DIR] [-quiet]
 //	      [-faults] [-fault-seed N] [-budget F] [-budget-seed N]
 //	      [-budget-table] [-scale-sweep]
 //	      [-checkpoint-dir DIR] [-checkpoint-every DUR] [-resume]
 //	      [-result-sha]
 //	      [-table1] [-table2] [-figs] [-headline] [-bdrmap] [-waveforms]
 //	      [-asrank] [-whatif] [-cpuprofile FILE] [-memprofile FILE]
-//	      [-metrics FILE] [-metrics-addr HOST:PORT]
+//	      [-metrics FILE] [-metrics-addr HOST:PORT] [-metrics-linger DUR]
 //
 // -scale ≤ 1 scales the authored paper world's synthetic populations
 // (existing invocations are unchanged); -scale > 1 generates a
@@ -56,14 +57,28 @@
 // /links, /links/{id}, /alerts (since-cursor, ?wait=1 long-polls),
 // and /stream (SSE barrier feed from the online level-shift
 // detectors). Telemetry and observatory are strictly read-side:
-// results are unchanged by them.
+// results are unchanged by them. -metrics-linger keeps the endpoint up
+// after the run so scrapers can collect the final state; while it
+// lingers the observatory republishes its final barrier on /stream
+// once a second.
 //
-// With no selection flags, everything is produced. The default run
-// covers the paper's full 13-month campaign at scale 1.0; use -days
-// and -scale for quick looks.
+// -out DIR writes the campaign's artifacts, the way the paper's
+// measurement infrastructure archived a campaign: report.txt (Tables
+// 1 and 2, the headline fractions, bdrmap coverage, and the fault,
+// budget, observatory and telemetry summaries the run has), each
+// figure's CSV, SVG and text plot, and measurements.warts, one warts
+// TSLP record per collected sample (cmd/replay re-analyzes it):
+//
+//	repro -out ./run -days 90 -scale 0.25
+//
+// With no selection flags, everything is printed — unless -out is
+// given, when only the selected sections are. The default run covers
+// the paper's full 13-month campaign at scale 1.0; use -days and
+// -scale for quick looks.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -73,11 +88,13 @@ import (
 	"time"
 
 	"afrixp"
+	"afrixp/internal/analysis"
 	"afrixp/internal/budget"
 	"afrixp/internal/experiments"
 	"afrixp/internal/profiling"
 	"afrixp/internal/report"
 	"afrixp/internal/scenario"
+	"afrixp/internal/warts"
 )
 
 // main delegates to run so that every deferred flush — CPU/heap
@@ -101,6 +118,7 @@ func run() error {
 		doSweep     = flag.Bool("scale-sweep", false, "run the 1×/10×/100× scale sweep (throughput, bytes/link, peak RSS) and print the table")
 		seed        = flag.Uint64("seed", 0, "world seed (0 = default)")
 		csvDir      = flag.String("csvdir", "", "when set, write figure CSVs into this directory")
+		outDir      = flag.String("out", "", "write the campaign's artifacts (report.txt, figure CSV/SVG/text plots, measurements.warts) into this directory")
 		quiet       = flag.Bool("quiet", false, "suppress progress output")
 		noLoss      = flag.Bool("no-loss", false, "skip the 1 pps loss campaigns")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "probing/analysis worker goroutines (results are identical for any value)")
@@ -122,6 +140,7 @@ func run() error {
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsOut  = flag.String("metrics", "", "write a campaign telemetry snapshot (JSON) to this file at exit")
 		metricsAddr = flag.String("metrics-addr", "", "serve live telemetry at http://ADDR/metrics during the run")
+		linger      = flag.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint up this long after the run completes")
 		ckptDir     = flag.String("checkpoint-dir", "", "snapshot the campaign's measurement state into this directory at batch barriers")
 		ckptEvery   = flag.Duration("checkpoint-every", 0, "virtual-time cadence between checkpoints (0 = default 24h; only with -checkpoint-dir)")
 		doResume    = flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir (bit-identical to an uninterrupted run)")
@@ -166,10 +185,29 @@ func run() error {
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "telemetry: live at http://%s/metrics\n", srv.Addr())
 			fmt.Fprintf(os.Stderr, "observatory: live at http://%s/links /alerts /stream\n", srv.Addr())
+			if *linger > 0 {
+				// Linger before the deferred Close so a scraper (or the
+				// CI smoke test) can read the post-run state. While
+				// lingering, republish the observatory's final barrier
+				// once a second: ObserveBarrier at an unchanged barrier
+				// feeds no slots and raises no alerts, but it does emit
+				// an SSE heartbeat, so a /stream subscriber that
+				// connects after the campaign finished still sees
+				// barrier events instead of a silent socket.
+				defer func() {
+					fmt.Fprintf(os.Stderr, "telemetry: lingering %v on http://%s/metrics\n",
+						*linger, srv.Addr())
+					deadline := time.Now().Add(*linger)
+					for time.Now().Before(deadline) {
+						time.Sleep(time.Second)
+						live.ObserveBarrier(live.Barrier())
+					}
+				}()
+			}
 		}
 	}
 
-	all := !(*doTable1 || *doTable2 || *doFigs || *doHead || *doBdrmap || *doWaves || *doRels || *doWhatIf)
+	all := *outDir == "" && !(*doTable1 || *doTable2 || *doFigs || *doHead || *doBdrmap || *doWaves || *doRels || *doWhatIf)
 
 	var progress io.Writer = os.Stderr
 	if *quiet {
@@ -189,6 +227,11 @@ func run() error {
 		return nil
 	}
 
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return fmt.Errorf("mkdir: %w", err)
+		}
+	}
 	fmt.Fprintf(os.Stderr, "building world (scale %.2f) and running campaign...\n", *scale)
 	start := time.Now()
 	c := afrixp.RunCampaign(afrixp.CampaignConfig{
@@ -295,6 +338,11 @@ func run() error {
 			fmt.Fprintln(out)
 		}
 	}
+	if *outDir != "" {
+		if err := writeArtifacts(*outDir, c, *doFaults, *budgetFrac, live, tele); err != nil {
+			return err
+		}
+	}
 	if all || *doFigs {
 		for _, fig := range afrixp.Figures(c) {
 			if err := fig.Render(out, 100, 14); err != nil {
@@ -309,6 +357,92 @@ func run() error {
 			}
 		}
 	}
+	return nil
+}
+
+// writeArtifacts writes the campaign's report, figure files and warts
+// measurement archive into dir and prints where they went.
+func writeArtifacts(dir string, c *afrixp.Campaign, faults bool, budgetFrac float64,
+	live *afrixp.Observatory, tele *afrixp.Telemetry) error {
+	var rf bytes.Buffer
+	afrixp.Table1Report(c).Render(&rf)
+	fmt.Fprintln(&rf)
+	afrixp.Table2Report(c).Render(&rf)
+	fmt.Fprintln(&rf)
+	rows, frac := afrixp.Headline(c)
+	for _, r := range rows {
+		fmt.Fprintf(&rf, "%s: %d/%d links congested (%.1f%%)\n",
+			r.VP, r.Congested, r.Links, 100*r.Fraction)
+	}
+	fmt.Fprintf(&rf, "overall congested fraction: %.1f%% (paper: 2.2%%)\n", 100*frac)
+	fmt.Fprintf(&rf, "bdrmap mean coverage: %.1f%% (paper: 96.2%%)\n",
+		100*afrixp.BdrmapAccuracy(c))
+	if faults {
+		fmt.Fprintf(&rf, "\nfault plan (%d episodes): per-VP uptime and sample yield\n",
+			len(c.Faults.Faults))
+		for _, y := range c.Yields() {
+			fmt.Fprintf(&rf, "%s: uptime %.1f%%, sample yield %.1f%% (%d rounds, %d missed, %d skipped, %d links)\n",
+				y.VP, 100*y.Uptime, 100*y.SampleYield, y.Rounds, y.Missed, y.Skipped, y.Links)
+		}
+	}
+	if budgetFrac > 0 {
+		rounds, skipped := c.BudgetRounds()
+		fmt.Fprintf(&rf, "probe budget %.0f%%: %d rounds sent, %d skipped (%.1f%% of schedule)\n",
+			100*budgetFrac, rounds, skipped,
+			100*float64(rounds)/float64(rounds+skipped))
+	}
+	if live != nil {
+		fmt.Fprintf(&rf, "\nstreaming observatory: %d links watched, %d alerts raised through %s\n",
+			live.NumLinks(), live.TotalAlerts(), live.Barrier())
+	}
+	if tele != nil {
+		fmt.Fprintln(&rf)
+		tele.WriteReport(&rf)
+	}
+	reportPath := filepath.Join(dir, "report.txt")
+	if err := os.WriteFile(reportPath, rf.Bytes(), 0o666); err != nil {
+		return err
+	}
+
+	// Figures: CSV and SVG, plus a text plot.
+	for _, fig := range afrixp.Figures(c) {
+		if err := writeCSV(dir, fig); err != nil {
+			return err
+		}
+		if err := writeFile(filepath.Join(dir, fig.ID+".txt"), func(w io.Writer) error {
+			return fig.Render(w, 120, 16)
+		}); err != nil {
+			return err
+		}
+	}
+
+	// Raw measurement archive: one warts record per collected sample.
+	archive := filepath.Join(dir, "measurements.warts")
+	records := 0
+	if err := writeFile(archive, func(w io.Writer) error {
+		wr, err := warts.NewWriter(w)
+		if err != nil {
+			return err
+		}
+		for _, vr := range c.VPs {
+			for _, lr := range vr.SortedLinks() {
+				n, err := analysis.ToWarts(wr, vr.VP.Monitor, lr.Collector.Series())
+				records += n
+				if err != nil {
+					return err
+				}
+			}
+		}
+		return wr.Flush()
+	}); err != nil {
+		return err
+	}
+
+	t := &report.Table{Title: "campaign artifacts", Header: []string{"artifact", "path"}}
+	t.AddRow("report", reportPath)
+	t.AddRow("warts archive", fmt.Sprintf("%s (%d records)", archive, records))
+	t.AddRow("figure CSVs", filepath.Join(dir, "fig*.csv"))
+	t.Render(os.Stdout)
 	return nil
 }
 
@@ -358,19 +492,23 @@ func writeCSV(dir string, fig experiments.Figure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, fig.ID+".csv"))
+	if err := writeFile(filepath.Join(dir, fig.ID+".csv"), fig.WriteCSV); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dir, fig.ID+".svg"), func(w io.Writer) error {
+		return fig.WriteSVG(w, 960, 380)
+	})
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := fig.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("write %s: %w", path, err)
 	}
-	f.Close()
-	svg, err := os.Create(filepath.Join(dir, fig.ID+".svg"))
-	if err != nil {
-		return err
-	}
-	defer svg.Close()
-	return fig.WriteSVG(svg, 960, 380)
+	return f.Close()
 }

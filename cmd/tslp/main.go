@@ -64,7 +64,7 @@ func main() {
 
 	cfg := afrixp.DefaultAnalysisConfig()
 	cfg.ThresholdMs = *thr
-	v := afrixp.AnalyzeLink(col.Series(), cfg)
+	v := afrixp.NewSweeper().AnalyzeLink(col.Series(), cfg)
 
 	fmt.Printf("link %s from %s (%s), %d days at 5-minute rounds\n\n",
 		target, vp.ID, vp.Monitor, *days)

@@ -42,7 +42,7 @@ func main() {
 		world.AdvanceTo(t)
 		col1.Round(t)
 	})
-	v1 := afrixp.AnalyzeLink(col1.Series(), afrixp.DefaultAnalysisConfig())
+	v1 := afrixp.NewSweeper().AnalyzeLink(col1.Series(), afrixp.DefaultAnalysisConfig())
 	fmt.Println("=== phase 1 (transit serving the GGC) ===")
 	near, far := col1.FullRes()
 	report.ASCIIPlot(os.Stdout, []string{"far", "near"}, []rune{'o', '.'}, 90, 12, far, near)

@@ -84,8 +84,9 @@ func main() {
 	})
 
 	flagged, diurnal := 0, 0
+	sw := afrixp.NewSweeper()
 	for _, p := range sessions {
-		v := afrixp.AnalyzeLink(p.col.Series(), afrixp.DefaultAnalysisConfig())
+		v := sw.AnalyzeLink(p.col.Series(), afrixp.DefaultAnalysisConfig())
 		if v.Flagged {
 			flagged++
 			if v.Diurnal.Diurnal {

@@ -50,20 +50,21 @@ func main() {
 	fmt.Printf("weekend P95 far RTT: %.1f ms (paper: ~15 ms)\n",
 		timeseries.Quantile(wkend, 0.95))
 
-	v1 := afrixp.AnalyzeLink(sliceSeries(col, campaign.Start, upgrade), afrixp.DefaultAnalysisConfig())
+	sw := afrixp.NewSweeper()
+	v1 := sw.AnalyzeLink(sliceSeries(col, campaign.Start, upgrade), afrixp.DefaultAnalysisConfig())
 	fmt.Printf("verdict: congested=%v A_w=%.1f ms Δt_UD=%v (paper: 10.7 ms, 6h22m)\n\n",
 		v1.Congested, v1.AW, v1.DeltaTUD.Round(time.Minute))
 
 	fmt.Println("=== phase 2 (after the 2016-04-28 upgrade to 1 Gbps) ===")
 	fmt.Printf("phase-2 P95 far RTT: %.1f ms (paper: mostly below 10 ms)\n",
 		timeseries.Quantile(phase2.Present(), 0.95))
-	v2 := afrixp.AnalyzeLink(sliceSeries(col, upgrade, campaign.End), afrixp.DefaultAnalysisConfig())
+	v2 := sw.AnalyzeLink(sliceSeries(col, upgrade, campaign.End), afrixp.DefaultAnalysisConfig())
 	fmt.Printf("verdict: congested=%v — the diurnal pattern disappeared\n\n", v2.Congested)
 
 	// Whole-window classification: congestion that stops well before
 	// the end of the series is *transient* (mitigated), the paper's
 	// category for this link.
-	vAll := afrixp.AnalyzeLink(col.Series(), afrixp.DefaultAnalysisConfig())
+	vAll := sw.AnalyzeLink(col.Series(), afrixp.DefaultAnalysisConfig())
 	fmt.Printf("whole-window classification: %s (paper: transient, fixed by upgrade)\n", vAll.Class)
 
 	ann, _ := world.Interviews.Find(vp.ID, target)

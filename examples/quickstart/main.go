@@ -44,7 +44,7 @@ func main() {
 
 	// The paper's §5.2 pipeline: level shifts ≥10 ms lasting ≥30 min,
 	// flat near end, recurring diurnal pattern.
-	verdict := afrixp.AnalyzeLink(collector.Series(), afrixp.DefaultAnalysisConfig())
+	verdict := afrixp.NewSweeper().AnalyzeLink(collector.Series(), afrixp.DefaultAnalysisConfig())
 	fmt.Printf("flagged:   %v\n", verdict.Flagged)
 	fmt.Printf("near flat: %v\n", verdict.NearFlat)
 	fmt.Printf("diurnal:   %v (amplitude %.1f ms)\n",

@@ -23,8 +23,8 @@ type Config struct {
 	// ThresholdMs is the level-shift magnitude threshold (Table 1
 	// sweeps 5/10/15/20; the paper settles on 10).
 	ThresholdMs float64
-	// LevelShift is the base level-shift configuration; its
-	// ThresholdMs is overridden per analysis.
+	// LevelShift is the level-shift configuration; the threshold is
+	// ThresholdMs, or each of a sweep's thresholds.
 	LevelShift levelshift.Config
 	// Diurnal configures the recurring-pattern detector.
 	Diurnal diurnal.Config
@@ -101,29 +101,11 @@ type Verdict struct {
 	DeltaTUD simclock.Duration
 }
 
-// AnalyzeLink runs the full per-link pipeline at cfg.ThresholdMs — the
-// single-threshold case of AnalyzeLinkSweep.
-func AnalyzeLink(ls LinkSeries, cfg Config) Verdict {
-	return NewSweeper().AnalyzeLink(ls, cfg)
-}
-
-// AnalyzeLinkSweep runs the per-link pipeline across a threshold sweep
-// (Table 1's 5/10/15/20 ms sensitivity analysis), detecting once and
-// classifying per threshold. The far and near series each get one
-// level-shift detection (windowed rank-CUSUM bootstrap — the analysis
-// hot spot) and one diurnal fold per distinct event window; each
-// threshold then pays only the cheap classification: magnitude
-// filtering, elevation runs, event assembly, and the diurnal gates.
-// Verdicts are bit-identical to len(thresholds) independent
-// AnalyzeLink calls. cfg.ThresholdMs is ignored; thresholds rules.
-func AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []float64) []Verdict {
-	return NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
-}
-
-// Sweeper runs link analyses reusing one rank-CUSUM detector's scratch
-// buffers across calls. Campaign engines keep one Sweeper per analysis
-// worker and feed it links; results are bit-identical to fresh
-// per-call detectors. Not safe for concurrent use.
+// Sweeper runs the per-link §5.2 pipeline, reusing one rank-CUSUM
+// detector and its working memory across calls. Campaign engines keep
+// one Sweeper per analysis worker and feed it links; results do not
+// depend on what the sweeper analyzed before, so a fresh Sweeper per
+// link gives the same verdicts. Not safe for concurrent use.
 type Sweeper struct {
 	det     *cusum.Detector
 	farScr  levelshift.Scratch
@@ -157,21 +139,28 @@ func NewSweeper() *Sweeper {
 	return &Sweeper{det: cusum.NewDetector(cusum.Config{})}
 }
 
-// AnalyzeLink is the package-level AnalyzeLink reusing the sweeper's
-// detector scratch across calls.
+// AnalyzeLink runs the full per-link pipeline at cfg.ThresholdMs — the
+// single-threshold case of AnalyzeLinkSweep.
 func (sw *Sweeper) AnalyzeLink(ls LinkSeries, cfg Config) Verdict {
 	return sw.AnalyzeLinkSweep(ls, cfg, []float64{cfg.ThresholdMs})[0]
 }
 
-// AnalyzeLinkSweep is the package-level AnalyzeLinkSweep reusing the
-// sweeper's detector scratch across calls.
+// AnalyzeLinkSweep runs the per-link pipeline across a threshold sweep
+// (Table 1's 5/10/15/20 ms sensitivity analysis), detecting once and
+// classifying per threshold. The far and near series each get one
+// level-shift detection (windowed rank-CUSUM bootstrap — the analysis
+// hot spot) and one diurnal fold per distinct event window; each
+// threshold then pays only the cheap classification: magnitude
+// filtering, elevation runs, event assembly, and the diurnal gates.
+// Verdicts are bit-identical to len(thresholds) AnalyzeLink calls.
+// cfg.ThresholdMs is ignored; thresholds rules.
 func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []float64) []Verdict {
 	sw.stats.Sweeps++
 	// Detection phase, once per end: candidates, baseline, and the
 	// aggregated series are all independent of the magnitude threshold.
 	lcfg := cfg.LevelShift
-	farDet := levelshift.DetectScratch(sw.det, ls.Far, lcfg, &sw.farScr)
-	nearDet := levelshift.DetectScratch(sw.det, ls.Near, lcfg, &sw.nearScr)
+	farDet := levelshift.Detect(sw.det, ls.Far, lcfg, &sw.farScr)
+	nearDet := levelshift.Detect(sw.det, ls.Near, lcfg, &sw.nearScr)
 
 	// The diurnal day-folded profile depends on the threshold only
 	// through the event window it is computed over; thresholds that

@@ -9,7 +9,6 @@ import (
 	"afrixp/internal/asrel"
 	"afrixp/internal/bgpsim"
 	"afrixp/internal/diurnal"
-	"afrixp/internal/loss"
 	"afrixp/internal/netaddr"
 	"afrixp/internal/netsim"
 	"afrixp/internal/prober"
@@ -65,7 +64,7 @@ func flatFn(base, noise float64, seed int64) func(simclock.Time) float64 {
 
 func TestCongestedLinkVerdict(t *testing.T) {
 	ls := synth(21, diurnalFn(2, 25, 9, 17, 0.5, 1), flatFn(1, 0.3, 2))
-	v := AnalyzeLink(ls, DefaultConfig())
+	v := NewSweeper().AnalyzeLink(ls, DefaultConfig())
 	if !v.Flagged || !v.NearFlat || !v.Diurnal.Diurnal || !v.Congested {
 		t.Fatalf("verdict: %+v", v)
 	}
@@ -85,7 +84,7 @@ func TestNearShiftDisqualifies(t *testing.T) {
 	fn := diurnalFn(2, 25, 9, 17, 0.5, 3)
 	fn2 := diurnalFn(2, 25, 9, 17, 0.5, 4)
 	ls := synth(21, fn, fn2)
-	v := AnalyzeLink(ls, DefaultConfig())
+	v := NewSweeper().AnalyzeLink(ls, DefaultConfig())
 	if v.NearFlat {
 		t.Fatal("shifting near end must not be flat")
 	}
@@ -113,7 +112,7 @@ func TestNoisyRegimeLinkFlaggedNotCongested(t *testing.T) {
 		return level + math.Abs(0.4*rng.NormFloat64())
 	}
 	ls := synth(30, far, flatFn(1, 0.3, 6))
-	v := AnalyzeLink(ls, DefaultConfig())
+	v := NewSweeper().AnalyzeLink(ls, DefaultConfig())
 	if !v.Flagged {
 		t.Fatalf("regime noise should trip the threshold: %+v", v.Far.Events)
 	}
@@ -135,7 +134,7 @@ func TestTransientClassification(t *testing.T) {
 		return clean(tm)
 	}
 	ls := synth(40, far, flatFn(1, 0.3, 9))
-	v := AnalyzeLink(ls, DefaultConfig())
+	v := NewSweeper().AnalyzeLink(ls, DefaultConfig())
 	if !v.Congested {
 		t.Fatalf("phase-1 congestion missed: %+v", v)
 	}
@@ -147,12 +146,12 @@ func TestTransientClassification(t *testing.T) {
 func TestAsymmetryDisqualifies(t *testing.T) {
 	ls := synth(21, diurnalFn(2, 25, 9, 17, 0.5, 10), flatFn(1, 0.3, 11))
 	cfg := DefaultConfig()
-	v := AnalyzeLink(ls, cfg)
+	v := NewSweeper().AnalyzeLink(ls, cfg)
 	if !v.Congested {
 		t.Fatal("baseline must be congested")
 	}
 	// Re-run with the symmetry bit cleared by the caller.
-	v2 := AnalyzeLink(ls, cfg)
+	v2 := NewSweeper().AnalyzeLink(ls, cfg)
 	v2.Symmetric = false
 	v2.Congested = v2.Flagged && v2.NearFlat && v2.Diurnal.Diurnal && v2.Symmetric
 	if v2.Congested {
@@ -223,7 +222,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 	col := NewCollector(ts, CollectorConfig{Campaign: campaign, FullResWindow: figWindow})
 	campaign.Steps(5*time.Minute, col.Round)
 
-	v := AnalyzeLink(col.Series(), DefaultConfig())
+	v := NewSweeper().AnalyzeLink(col.Series(), DefaultConfig())
 	if !v.Congested {
 		t.Fatalf("live congested link not detected: flagged=%v diurnal=%+v nearFlat=%v",
 			v.Flagged, v.Diurnal, v.NearFlat)
@@ -253,31 +252,8 @@ func TestCollectorIdleLinkNotCongested(t *testing.T) {
 	campaign := simclock.Interval{Start: 0, End: simclock.Time(14 * 24 * time.Hour)}
 	col := NewCollector(ts, CollectorConfig{Campaign: campaign})
 	campaign.Steps(5*time.Minute, col.Round)
-	if v := AnalyzeLink(col.Series(), DefaultConfig()); v.Flagged || v.Congested {
+	if v := NewSweeper().AnalyzeLink(col.Series(), DefaultConfig()); v.Flagged || v.Congested {
 		t.Fatalf("idle link flagged: %+v", v)
-	}
-}
-
-func TestRunLossCampaign(t *testing.T) {
-	w := buildLive(t)
-	// Constant 20% overload → ~1/6 loss on the far direction.
-	w.port.Queue = queue.NewFluid(queue.Config{
-		CapacityBps: 100e6, BufferDrain: 20 * time.Millisecond,
-		Load: trafficmodel.Constant(120e6),
-	})
-	p := prober.New(w.nw, w.vp, prober.Config{})
-	ts, err := p.NewTSLP(prober.LinkTarget{Near: w.near, Far: w.far})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv := simclock.Interval{Start: 0, End: simclock.Time(6 * time.Hour)}
-	batches := RunLossCampaign(ts, iv, 10*time.Minute)
-	if len(batches) != 36 {
-		t.Fatalf("batches = %d", len(batches))
-	}
-	sum := loss.Summarize(batches)
-	if sum.MeanRate < 8 || sum.MeanRate > 25 {
-		t.Fatalf("mean loss = %v%%, want ~16%%", sum.MeanRate)
 	}
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"time"
 
-	"afrixp/internal/loss"
 	"afrixp/internal/prober"
 	"afrixp/internal/simclock"
 	"afrixp/internal/timeseries"
@@ -345,24 +344,4 @@ func (c *Collector) RestoreCheckpoint(st CollectorState) {
 	c.farLostRounds = st.FarLostRounds
 	c.missedRounds = st.MissedRounds
 	c.skippedRounds = st.SkippedRounds
-}
-
-// RunLossCampaign drives 1 pps loss probing over an interval at the
-// paper's cadence — continuous batches of 100 probes — returning the
-// far-end batches. To keep virtual cost proportional to information,
-// probes are issued in one 100-probe batch per batchEvery (default
-// 10 min), which matches the paper's effective batch granularity.
-func RunLossCampaign(ts *prober.TSLP, iv simclock.Interval, batchEvery simclock.Duration) []loss.Batch {
-	if batchEvery <= 0 {
-		batchEvery = 10 * time.Minute
-	}
-	var col loss.Collector
-	iv.Steps(batchEvery, func(t simclock.Time) {
-		for i := 0; i < loss.BatchSize; i++ {
-			at := t.Add(time.Duration(i) * time.Second)
-			_, farLost := ts.LossRound(at)
-			col.Record(at, farLost)
-		}
-	})
-	return col.Batches()
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"afrixp/internal/netaddr"
@@ -12,6 +13,50 @@ import (
 	"afrixp/internal/timeseries"
 	"afrixp/internal/warts"
 )
+
+// ToWarts archives one link's collected series as warts TSLP records,
+// the inverse of FromWarts: one record per grid slot, near samples
+// first, each stamped with its slot's time and addressed to the far
+// end, answered with time-exceeded by the near end or with an echo
+// reply by the far end. A missing slot is a lost probe. It returns the
+// number of records written.
+//
+// Warts stores whole microseconds, so an RTT is archived to the
+// microsecond below its collected nanoseconds. The collected value is
+// milliseconds, float64(rtt)/1e6; scaling it back by 1e6 can land a
+// hair below a whole nanosecond, so it is rounded, not truncated —
+// truncation archived some whole-microsecond RTTs 1 µs low.
+func ToWarts(w *warts.Writer, vp string, ls LinkSeries) (int, error) {
+	records := 0
+	emit := func(s *timeseries.Series, responder netaddr.Addr, respType uint8) error {
+		var werr error
+		s.Each(func(base int, vals []float64) {
+			for i, v := range vals {
+				if werr != nil {
+					return
+				}
+				rec := warts.Record{Type: warts.TypeTSLP, VP: vp, At: s.TimeAt(base + i),
+					Target: ls.Target.Far, Responder: responder, RespType: respType}
+				if timeseries.IsMissing(v) {
+					rec.Lost = true
+				} else {
+					rec.RTT = time.Duration(math.Round(v * float64(time.Millisecond)))
+				}
+				if werr = w.Write(&rec); werr == nil {
+					records++
+				}
+			}
+		})
+		return werr
+	}
+	if err := emit(ls.Near, ls.Target.Near, packet.ICMPTimeExceeded); err != nil {
+		return records, fmt.Errorf("analysis: archiving warts: %w", err)
+	}
+	if err := emit(ls.Far, ls.Target.Far, packet.ICMPEchoReply); err != nil {
+		return records, fmt.Errorf("analysis: archiving warts: %w", err)
+	}
+	return records, nil
+}
 
 // FromWarts reconstructs per-link TSLP series from an archived warts
 // stream — the offline-analysis path: Ark monitors upload warts

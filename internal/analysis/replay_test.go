@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"afrixp/internal/netaddr"
 	"afrixp/internal/prober"
 	"afrixp/internal/queue"
 	"afrixp/internal/simclock"
@@ -42,7 +45,7 @@ func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveSeries := col.Series()
-	live := AnalyzeLink(liveSeries, DefaultConfig())
+	live := NewSweeper().AnalyzeLink(liveSeries, DefaultConfig())
 	if !live.Congested {
 		t.Fatal("live analysis should detect congestion")
 	}
@@ -78,8 +81,79 @@ func TestWartsReplayMatchesLiveAnalysis(t *testing.T) {
 				t.Fatalf("%s series differs from the live collector's", p.name)
 			}
 		}
-		if v := AnalyzeLink(ls, DefaultConfig()); !reflect.DeepEqual(v, live) {
+		if v := NewSweeper().AnalyzeLink(ls, DefaultConfig()); !reflect.DeepEqual(v, live) {
 			t.Fatalf("replay verdict %+v\nlive verdict %+v", v, live)
+		}
+	}
+}
+
+// TestToWartsRoundTrip archives links whose RTTs are whole
+// microseconds or random nanoseconds, with lost slots, and replays the
+// archive: every slot comes back as the collected RTT truncated to the
+// whole microseconds warts stores, bit for bit.
+func TestToWartsRoundTrip(t *testing.T) {
+	campaign := simclock.Interval{Start: 0, End: simclock.Time(10 * 24 * time.Hour)}
+	n := campaign.NumSteps(DefaultAggStep)
+	rng := rand.New(rand.NewSource(3))
+	var buf bytes.Buffer
+	ww, err := warts.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[prober.LinkTarget][2][]float64)
+	for l, wholeMicros := range []bool{true, false} {
+		target := prober.LinkTarget{Near: netaddr.AddrFrom4(10, 0, byte(l), 1), Far: netaddr.AddrFrom4(10, 0, byte(l), 2)}
+		var collected, archived [2][]float64
+		for e := range collected {
+			collected[e], archived[e] = make([]float64, n), make([]float64, n)
+			for i := range collected[e] {
+				if rng.Intn(10) == 0 {
+					collected[e][i], archived[e][i] = timeseries.Missing, timeseries.Missing
+					continue
+				}
+				rtt := time.Duration(1 + rng.Int63n(int64(300*time.Millisecond)))
+				if wholeMicros {
+					rtt = rtt.Truncate(time.Microsecond) + time.Microsecond
+				}
+				// The collector's conversion, and the archive's resolution.
+				collected[e][i] = float64(rtt) / float64(time.Millisecond)
+				archived[e][i] = float64(rtt.Truncate(time.Microsecond)) / float64(time.Millisecond)
+			}
+		}
+		want[target] = archived
+		ls := LinkSeries{Target: target,
+			Near: timeseries.FromValues(campaign.Start, DefaultAggStep, collected[0]),
+			Far:  timeseries.FromValues(campaign.Start, DefaultAggStep, collected[1])}
+		if records, err := ToWarts(ww, "mon", ls); err != nil || records != 2*n {
+			t.Fatalf("link %d: wrote %d records (%v), want %d", l, records, err, 2*n)
+		}
+	}
+	if err := ww.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := warts.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := FromWarts(rd, campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed["mon"]) != len(want) {
+		t.Fatalf("replayed %d links, want %d", len(replayed["mon"]), len(want))
+	}
+	for target, archived := range want {
+		ls, ok := replayed["mon"][target]
+		if !ok {
+			t.Fatalf("link %v missing from the replay", target)
+		}
+		for e, s := range []*timeseries.Series{ls.Near, ls.Far} {
+			got := seriesValues(s)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(archived[e][i]) {
+					t.Fatalf("link %v end %d slot %d: replayed %v, want %v", target, e, i, got[i], archived[e][i])
+				}
+			}
 		}
 	}
 }

@@ -80,7 +80,7 @@ const (
 var streamDiurnal = diurnal.Config{MinDays: 3, MinAmplitudeMs: streamThresholdMs * 0.8}
 
 // StreamDetector is the incremental per-link counterpart of
-// AnalyzeLink: fed one finalized aggregated slot at a time it keeps
+// Sweeper.AnalyzeLink: fed one finalized aggregated slot at a time it keeps
 // (1) a rank-CUSUM over the far end for robust level-shift evidence,
 // (2) a frozen-baseline magnitude estimate, (3) an EWMA-CUSUM over
 // the near end to reject shifts upstream of the link, and (4) an

@@ -78,14 +78,14 @@ func TestAnalyzeLinkSweepBitIdentical(t *testing.T) {
 	thresholds := []float64{5, 10, 15, 20}
 	for name, ls := range sweepLinkSeries(t) {
 		cfg := DefaultConfig()
-		swept := AnalyzeLinkSweep(ls, cfg, thresholds)
+		swept := NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
 		if len(swept) != len(thresholds) {
 			t.Fatalf("%s: %d verdicts for %d thresholds", name, len(swept), len(thresholds))
 		}
 		for k, thr := range thresholds {
 			one := cfg
 			one.ThresholdMs = thr
-			want := summarizeVerdict(AnalyzeLink(ls, one))
+			want := summarizeVerdict(NewSweeper().AnalyzeLink(ls, one))
 			got := summarizeVerdict(swept[k])
 			if got != want {
 				t.Errorf("%s @ %g ms: sweep verdict diverges from AnalyzeLink\nsweep: %s\nsolo:  %s",
@@ -104,7 +104,7 @@ func TestSweeperReuseAcrossLinks(t *testing.T) {
 	sw := NewSweeper()
 	for name, ls := range sweepLinkSeries(t) {
 		reused := sw.AnalyzeLinkSweep(ls, cfg, thresholds)
-		fresh := AnalyzeLinkSweep(ls, cfg, thresholds)
+		fresh := NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
 		for k := range thresholds {
 			if a, b := summarizeVerdict(reused[k]), summarizeVerdict(fresh[k]); a != b {
 				t.Errorf("%s @ %g ms: reused sweeper diverges\nreused: %s\nfresh:  %s",
@@ -121,11 +121,11 @@ func TestSweepNearFlatOverride(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NearFlatMs = 50 // near shifts of ~25 ms now count as flat
 	thresholds := []float64{5, 10}
-	swept := AnalyzeLinkSweep(ls, cfg, thresholds)
+	swept := NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
 	for k, thr := range thresholds {
 		one := cfg
 		one.ThresholdMs = thr
-		want := AnalyzeLink(ls, one)
+		want := NewSweeper().AnalyzeLink(ls, one)
 		if swept[k].NearFlat != want.NearFlat {
 			t.Fatalf("thr %g: NearFlat %t != %t", thr, swept[k].NearFlat, want.NearFlat)
 		}
@@ -138,7 +138,7 @@ func TestSweepNearFlatOverride(t *testing.T) {
 // TestSweepEmptyThresholds keeps the degenerate call well-defined.
 func TestSweepEmptyThresholds(t *testing.T) {
 	ls := synth(7, flatFn(2, 0.4, 20), flatFn(1, 0.3, 21))
-	if got := AnalyzeLinkSweep(ls, DefaultConfig(), nil); len(got) != 0 {
+	if got := NewSweeper().AnalyzeLinkSweep(ls, DefaultConfig(), nil); len(got) != 0 {
 		t.Fatalf("nil thresholds produced %d verdicts", len(got))
 	}
 }
@@ -166,11 +166,11 @@ func TestSweepNaNHeavyMatchesSingleShot(t *testing.T) {
 
 	thresholds := []float64{5, 10, 15, 20}
 	cfg := DefaultConfig()
-	swept := AnalyzeLinkSweep(ls, cfg, thresholds)
+	swept := NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
 	for k, thr := range thresholds {
 		one := cfg
 		one.ThresholdMs = thr
-		want := summarizeVerdict(AnalyzeLink(ls, one))
+		want := summarizeVerdict(NewSweeper().AnalyzeLink(ls, one))
 		if got := summarizeVerdict(swept[k]); got != want {
 			t.Errorf("NaN-heavy series @ %g ms: sweep diverges from single-shot\nsweep: %s\nsolo:  %s",
 				thr, got, want)

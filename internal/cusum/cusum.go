@@ -27,15 +27,11 @@ type Config struct {
 	// change point. Default 2.
 	MinSegment int
 	// UseRanks switches to the rank-based (non-parametric) variant
-	// the paper uses. Default is true in Detect; DetectRaw keeps raw
-	// values.
+	// the paper uses; false keeps raw values.
 	UseRanks bool
-	// MinMagnitude, when positive, drops change points whose level
-	// change (in original units) is smaller — the paper's magnitude
-	// threshold that suppresses detections caused by measurement
-	// noise. Weakest-first removal re-merges the adjacent segments.
-	MinMagnitude float64
-	// Seed makes the bootstrap deterministic.
+	// Seed makes the bootstrap deterministic. The detector itself
+	// ignores it (AppendCandidates takes each window's seed); callers
+	// derive their window seeds from it.
 	Seed int64
 }
 
@@ -64,10 +60,10 @@ type ChangePoint struct {
 }
 
 // Candidate is a change point accepted by the bootstrap significance
-// test but not yet filtered by MinMagnitude. Candidates depend only on
+// test but not yet filtered by magnitude. Candidates depend only on
 // the series, the detector configuration, and the seed — never on the
 // magnitude threshold — which is what lets a threshold sweep detect
-// once and filter many times (ApplyMagnitude).
+// once and filter many times (ApplyMagnitudeInto).
 type Candidate struct {
 	// Index is the first sample of the new level.
 	Index int
@@ -78,29 +74,14 @@ type Candidate struct {
 // Magnitude returns the signed level change.
 func (cp ChangePoint) Magnitude() float64 { return cp.After - cp.Before }
 
-// Detect runs rank-based recursive change-point detection over xs and
-// returns the accepted change points in index order.
-func Detect(xs []float64, cfg Config) []ChangePoint {
-	cfg = cfg.withDefaults()
-	cfg.UseRanks = true
-	return NewDetector(cfg).Detect(xs, cfg.Seed)
-}
-
-// DetectRaw runs the same analysis on raw values (no rank transform).
-func DetectRaw(xs []float64, cfg Config) []ChangePoint {
-	cfg = cfg.withDefaults()
-	cfg.UseRanks = false
-	return NewDetector(cfg).Detect(xs, cfg.Seed)
-}
-
 // Detector runs repeated change-point detections with one set of
 // reusable scratch buffers (rank transform, bootstrap shuffle copy,
-// candidate lists). The level-shift analyzer calls Detect once per
-// detection window per link per threshold — reusing the scratch removes
-// the dominant allocation cost of a campaign's analysis phase. Results
-// are bit-identical to the package-level Detect/DetectRaw: reseeding the
-// generator produces the same stream as constructing it from the same
-// seed, and every buffer is fully overwritten per call.
+// candidate lists). The level-shift analyzer calls AppendCandidates
+// once per detection window per link — reusing the scratch removes the
+// dominant allocation cost of a campaign's analysis phase. Results do
+// not depend on what the detector ran before: reseeding the generator
+// produces the same stream as constructing it from the same seed, and
+// every buffer is fully overwritten per call.
 //
 // A Detector is not safe for concurrent use; fan-out callers create one
 // per goroutine.
@@ -149,7 +130,7 @@ const (
 const intChartMax = 1 << 20
 
 // NewDetector builds a reusable detector. cfg.Seed is ignored — each
-// Detect call takes its own seed.
+// AppendCandidates call takes its own seed.
 func NewDetector(cfg Config) *Detector {
 	return &Detector{cfg: cfg.withDefaults()}
 }
@@ -161,29 +142,12 @@ func (d *Detector) Reconfigure(cfg Config) {
 	d.cfg = cfg.withDefaults()
 }
 
-// Detect runs the recursive change-point analysis over xs with the
-// given bootstrap seed, honoring cfg.UseRanks as configured. The
-// returned slice is freshly allocated (safe to retain); everything else
-// comes from scratch buffers. Detect is exactly Candidates followed by
-// ApplyMagnitude at cfg.MinMagnitude.
-func (d *Detector) Detect(xs []float64, seed int64) []ChangePoint {
-	return ApplyMagnitude(xs, d.Candidates(xs, seed), d.cfg.MinMagnitude)
-}
-
-// Candidates runs the expensive, threshold-independent phase —
-// segmentation plus bootstrap significance — and returns the accepted
-// candidates sorted by index. cfg.MinMagnitude is deliberately ignored:
-// the caller filters with ApplyMagnitude, once per magnitude threshold,
-// over one shared candidate list. The returned slice is freshly
-// allocated (safe to retain across further Candidates calls).
-func (d *Detector) Candidates(xs []float64, seed int64) []Candidate {
-	return d.AppendCandidates(nil, xs, seed)
-}
-
-// AppendCandidates is Candidates appending into dst — the arena
-// variant for sweep callers that batch every detection window's
-// candidates into one reusable buffer instead of one allocation per
-// window.
+// AppendCandidates runs the expensive, threshold-independent phase —
+// segmentation plus bootstrap significance — over xs with the given
+// bootstrap seed and appends the accepted candidates to dst, sorted by
+// index. Sweep callers batch every detection window's candidates into
+// one reusable buffer and filter them with ApplyMagnitudeInto, once
+// per magnitude threshold.
 func (d *Detector) AppendCandidates(dst []Candidate, xs []float64, seed int64) []Candidate {
 	work := xs
 	if d.cfg.UseRanks {
@@ -207,24 +171,16 @@ func (d *Detector) AppendCandidates(dst []Candidate, xs []float64, seed int64) [
 	return dst
 }
 
-// ApplyMagnitude is the cheap per-threshold phase: it removes, weakest
-// first, candidates whose level change across adjacent segments falls
-// below minMag (re-merging the segments after each removal) and
-// materializes the survivors as ChangePoints with Before/After levels
-// under the final segmentation. Pure — the same candidate list can be
-// filtered at any number of thresholds. cands must be sorted by Index
-// (as Candidates returns them).
-func ApplyMagnitude(xs []float64, cands []Candidate, minMag float64) []ChangePoint {
-	out, _ := ApplyMagnitudeInto(nil, nil, xs, cands, minMag)
-	return out
-}
-
-// ApplyMagnitudeInto is ApplyMagnitude appending survivors into dst,
-// with keptBuf as reusable index scratch. It returns the appended
-// slice and the (possibly grown) scratch for the next call. The sweep
-// analyzer filters the same candidates at several thresholds per link;
-// threading one dst/keptBuf pair through removes two allocations per
-// (window, threshold) pair.
+// ApplyMagnitudeInto is the cheap per-threshold phase: it removes,
+// weakest first, candidates whose level change across adjacent
+// segments falls below minMag (re-merging the segments after each
+// removal) and appends the survivors to dst as ChangePoints with
+// Before/After levels under the final segmentation. cands must be
+// sorted by Index (as AppendCandidates leaves them). keptBuf is
+// reusable index scratch; it returns the appended slice and the
+// (possibly grown) scratch for the next call. Pure in its inputs — the
+// sweep analyzer filters the same candidates at several thresholds per
+// link.
 func ApplyMagnitudeInto(dst []ChangePoint, keptBuf []int, xs []float64, cands []Candidate, minMag float64) ([]ChangePoint, []int) {
 	kept := keptBuf[:0]
 	for _, c := range cands {

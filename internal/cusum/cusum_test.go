@@ -18,9 +18,22 @@ func step(n1 int, v1 float64, n2 int, v2 float64, noise float64, seed int64) []f
 	return out
 }
 
+// detect is the whole rank-CUSUM analysis over xs: the candidates of a
+// fresh rank-mode detector seeded with cfg.Seed, filtered at minMag.
+func detect(xs []float64, cfg Config, minMag float64) []ChangePoint {
+	cfg.UseRanks = true
+	return detectWith(NewDetector(cfg), xs, cfg.Seed, minMag)
+}
+
+// detectWith is detect on a caller's detector, as configured.
+func detectWith(d *Detector, xs []float64, seed int64, minMag float64) []ChangePoint {
+	cps, _ := ApplyMagnitudeInto(nil, nil, xs, d.AppendCandidates(nil, xs, seed), minMag)
+	return cps
+}
+
 func TestDetectSingleStep(t *testing.T) {
 	xs := step(100, 2, 100, 30, 0.5, 1)
-	cps := Detect(xs, Config{Seed: 7})
+	cps := detect(xs, Config{Seed: 7}, 0)
 	if len(cps) != 1 {
 		t.Fatalf("detected %d change points, want 1: %+v", len(cps), cps)
 	}
@@ -42,7 +55,7 @@ func TestDetectNoChangeOnFlat(t *testing.T) {
 	for i := range xs {
 		xs[i] = 10 + rng.NormFloat64()
 	}
-	cps := Detect(xs, Config{Seed: 3})
+	cps := detect(xs, Config{Seed: 3}, 0)
 	if len(cps) != 0 {
 		t.Fatalf("flat noise produced %d change points: %+v", len(cps), cps)
 	}
@@ -51,7 +64,7 @@ func TestDetectNoChangeOnFlat(t *testing.T) {
 func TestDetectUpThenDown(t *testing.T) {
 	// The level-shift pattern: baseline, congestion plateau, baseline.
 	xs := append(step(80, 2, 60, 20, 0.3, 4), step(0, 0, 80, 2, 0.3, 5)...)
-	cps := Detect(xs, Config{Seed: 9})
+	cps := detect(xs, Config{Seed: 9}, 0)
 	if len(cps) != 2 {
 		t.Fatalf("want up+down, got %d: %+v", len(cps), cps)
 	}
@@ -69,7 +82,7 @@ func TestDetectMultipleLevels(t *testing.T) {
 	for _, l := range levels {
 		xs = append(xs, step(60, l, 0, 0, 0.4, int64(l))...)
 	}
-	cps := Detect(xs, Config{Seed: 11, MinMagnitude: 3})
+	cps := detect(xs, Config{Seed: 11}, 3)
 	if len(cps) != 4 {
 		t.Fatalf("want 4 change points, got %d", len(cps))
 	}
@@ -87,7 +100,7 @@ func TestRankRobustnessToOutliers(t *testing.T) {
 	for i := 10; i < len(xs); i += 37 {
 		xs[i] = 900 // ICMP stragglers
 	}
-	cps := Detect(xs, Config{Seed: 13})
+	cps := detect(xs, Config{Seed: 13}, 0)
 	if len(cps) == 0 {
 		t.Fatal("rank-based detector should survive outliers")
 	}
@@ -104,25 +117,25 @@ func TestRankRobustnessToOutliers(t *testing.T) {
 
 func TestDetectRawFindsStep(t *testing.T) {
 	xs := step(100, 1, 100, 50, 0.1, 8)
-	cps := DetectRaw(xs, Config{Seed: 5})
+	cps := detectWith(NewDetector(Config{}), xs, 5, 0)
 	if len(cps) != 1 || cps[0].Index < 95 || cps[0].Index > 105 {
 		t.Fatalf("raw detect: %+v", cps)
 	}
 }
 
 func TestDetectShortSeries(t *testing.T) {
-	if got := Detect([]float64{1, 2, 3}, Config{}); len(got) != 0 {
+	if got := detect([]float64{1, 2, 3}, Config{}, 0); len(got) != 0 {
 		t.Fatal("series shorter than 2*MinSegment must yield nothing")
 	}
-	if got := Detect(nil, Config{}); len(got) != 0 {
+	if got := detect(nil, Config{}, 0); len(got) != 0 {
 		t.Fatal("nil series must yield nothing")
 	}
 }
 
 func TestDetectDeterminism(t *testing.T) {
 	xs := step(200, 3, 200, 18, 1.0, 10)
-	a := Detect(xs, Config{Seed: 42})
-	b := Detect(xs, Config{Seed: 42})
+	a := detect(xs, Config{Seed: 42}, 0)
+	b := detect(xs, Config{Seed: 42}, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed must give identical detections")
 	}
@@ -130,7 +143,7 @@ func TestDetectDeterminism(t *testing.T) {
 
 func TestMinSegmentRespected(t *testing.T) {
 	xs := step(5, 0, 300, 10, 0.2, 12)
-	cps := Detect(xs, Config{MinSegment: 20, Seed: 1})
+	cps := detect(xs, Config{MinSegment: 20, Seed: 1}, 0)
 	for _, cp := range cps {
 		if cp.Index < 20 || cp.Index > len(xs)-20 {
 			t.Fatalf("change point %d violates MinSegment", cp.Index)
@@ -140,7 +153,7 @@ func TestMinSegmentRespected(t *testing.T) {
 
 func TestBeforeAfterUseOriginalUnits(t *testing.T) {
 	xs := step(100, 2, 100, 30, 0.2, 14)
-	cps := Detect(xs, Config{Seed: 2})
+	cps := detect(xs, Config{Seed: 2}, 0)
 	if len(cps) != 1 {
 		t.Fatalf("got %d cps", len(cps))
 	}
@@ -153,11 +166,11 @@ func TestBeforeAfterUseOriginalUnits(t *testing.T) {
 
 func TestMinMagnitudeFilter(t *testing.T) {
 	// A 2-unit wiggle between two 30-unit shifts must be filtered at
-	// MinMagnitude 10 while the real shifts survive.
+	// a magnitude threshold of 10 while the real shifts survive.
 	var xs []float64
 	xs = append(xs, step(80, 5, 80, 35, 0.3, 20)...)
 	xs = append(xs, step(80, 37, 80, 5, 0.3, 21)...)
-	filtered := Detect(xs, Config{Seed: 30, MinMagnitude: 10})
+	filtered := detect(xs, Config{Seed: 30}, 10)
 	if len(filtered) != 2 {
 		t.Fatalf("want 2 surviving shifts, got %d: %+v", len(filtered), filtered)
 	}
@@ -166,7 +179,7 @@ func TestMinMagnitudeFilter(t *testing.T) {
 			t.Fatalf("sub-threshold shift survived: %+v", cp)
 		}
 	}
-	unfiltered := Detect(xs, Config{Seed: 30})
+	unfiltered := detect(xs, Config{Seed: 30}, 0)
 	if len(unfiltered) < 3 {
 		t.Fatalf("unfiltered run should also see the wiggle, got %d", len(unfiltered))
 	}
@@ -189,46 +202,13 @@ func TestRanksMatchDetectorScratch(t *testing.T) {
 	}
 }
 
-func TestCandidatesPlusApplyMagnitudeEqualsDetect(t *testing.T) {
-	// The two-phase API must reproduce Detect bit for bit at every
-	// magnitude threshold — the contract the threshold sweep relies on.
-	xs := append(step(80, 5, 80, 35, 0.3, 20), step(80, 37, 80, 5, 0.3, 21)...)
-	for _, minMag := range []float64{0, 2.5, 5, 10, 20} {
-		cfg := Config{Seed: 30, MinMagnitude: minMag}
-		want := Detect(xs, cfg)
-
-		dcfg := cfg
-		dcfg.UseRanks = true
-		d := NewDetector(dcfg)
-		cands := d.Candidates(xs, cfg.Seed)
-		got := ApplyMagnitude(xs, cands, minMag)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("minMag %v: two-phase %+v != Detect %+v", minMag, got, want)
-		}
-	}
-}
-
-func TestCandidatesIgnoreMinMagnitude(t *testing.T) {
-	// Candidate detection is threshold-independent: the same list comes
-	// back whatever MinMagnitude says.
-	xs := step(100, 2, 100, 30, 0.5, 1)
-	a := NewDetector(Config{UseRanks: true}).Candidates(xs, 7)
-	b := NewDetector(Config{UseRanks: true, MinMagnitude: 50}).Candidates(xs, 7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("candidates vary with MinMagnitude: %+v vs %+v", a, b)
-	}
-	if len(a) == 0 {
-		t.Fatal("no candidates on a clean step")
-	}
-}
-
 func TestReconfigureKeepsScratch(t *testing.T) {
 	xs := step(100, 2, 100, 30, 0.5, 1)
 	d := NewDetector(Config{UseRanks: true})
-	before := d.Detect(xs, 7)
-	d.Reconfigure(Config{UseRanks: true, MinMagnitude: 5})
-	after := d.Detect(xs, 7)
-	want := Detect(xs, Config{Seed: 7, MinMagnitude: 5})
+	before := detectWith(d, xs, 7, 0)
+	d.Reconfigure(Config{UseRanks: true, Bootstraps: 50})
+	after := detectWith(d, xs, 7, 5)
+	want := detect(xs, Config{Seed: 7, Bootstraps: 50}, 5)
 	if !reflect.DeepEqual(after, want) {
 		t.Fatalf("reconfigured detector: %+v, want %+v", after, want)
 	}
@@ -271,7 +251,7 @@ func BenchmarkDetectYearHourly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Detect(xs, Config{Bootstraps: 50, Seed: 1})
+		detect(xs, Config{Bootstraps: 50, Seed: 1}, 0)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestQuickRanksMonotoneInvariance(t *testing.T) {
 
 // Property: one candidate list filtered at increasing magnitude
 // thresholds yields monotonically fewer change points, and each
-// filtered list equals a from-scratch Detect at that threshold.
+// filtered list equals a from-scratch detection at that threshold.
 func TestQuickApplyMagnitudeSweep(t *testing.T) {
 	f := func(seed int64, n8 uint8, mag uint8) bool {
 		n := int(n8%150) + 50
@@ -91,15 +91,15 @@ func TestQuickApplyMagnitudeSweep(t *testing.T) {
 			xs[i] = v + rng.NormFloat64()
 		}
 		d := NewDetector(Config{UseRanks: true})
-		cands := d.Candidates(xs, seed)
+		cands := d.AppendCandidates(nil, xs, seed)
 		prevLen := len(cands) + 1
 		for _, minMag := range []float64{0, 3, 9, 27} {
-			got := ApplyMagnitude(xs, cands, minMag)
+			got, _ := ApplyMagnitudeInto(nil, nil, xs, cands, minMag)
 			if len(got) > prevLen {
 				return false
 			}
 			prevLen = len(got)
-			want := Detect(xs, Config{Seed: seed, MinMagnitude: minMag})
+			want := detect(xs, Config{Seed: seed}, minMag)
 			if len(got) != len(want) {
 				return false
 			}
@@ -117,7 +117,7 @@ func TestQuickApplyMagnitudeSweep(t *testing.T) {
 }
 
 // Property: detected change points are strictly increasing, inside
-// the series, and magnitudes respect MinMagnitude.
+// the series, and magnitudes respect the threshold.
 func TestQuickDetectInvariants(t *testing.T) {
 	f := func(seed int64, n8 uint8, shiftAt uint8, mag uint8) bool {
 		n := int(n8%200) + 40
@@ -135,7 +135,7 @@ func TestQuickDetectInvariants(t *testing.T) {
 			}
 			xs[i] = v + rng.NormFloat64()
 		}
-		cps := Detect(xs, Config{Seed: seed, MinMagnitude: 3})
+		cps := detect(xs, Config{Seed: seed}, 3)
 		prev := -1
 		for _, cp := range cps {
 			if cp.Index <= prev || cp.Index <= 0 || cp.Index >= n {

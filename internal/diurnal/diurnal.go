@@ -65,22 +65,6 @@ type Verdict struct {
 	DaysEvaluated int
 }
 
-// Detect runs the analysis: Fold's threshold-independent profile
-// statistics gated by cfg's amplitude/consistency/day floors (Decide).
-func Detect(s *timeseries.Series, cfg Config) Verdict {
-	return Fold(s, cfg).Decide(cfg)
-}
-
-// Fold computes the threshold-independent statistics — the day-folded
-// profile's amplitude, peak hour, and day-to-day consistency — leaving
-// the Diurnal decision false. The amplitude gate (MinAmplitudeMs) is
-// the only input that varies across a Table-1 threshold sweep, so one
-// Fold serves every threshold via Decide.
-func Fold(s *timeseries.Series, cfg Config) Verdict {
-	var scr Scratch
-	return FoldWith(s, cfg, &scr)
-}
-
 // Scratch is reusable working memory for FoldWith: the per-bin and
 // per-(day, bin) sums and counts, the profile buffers, the quantile
 // buffer, and the correlation pair buffers. One scratch per sweep
@@ -94,8 +78,12 @@ type Scratch struct {
 	xs, ys           []float64
 }
 
-// FoldWith is Fold through caller-owned scratch; results are
-// bit-identical to Fold.
+// FoldWith computes the threshold-independent statistics — the
+// day-folded profile's amplitude, peak hour, and day-to-day
+// consistency — through caller-owned scratch, leaving the Diurnal
+// decision false. The amplitude gate (MinAmplitudeMs) is the only input
+// that varies across a Table-1 threshold sweep, so one fold serves
+// every threshold via Decide.
 //
 // One pass over the series (one decode of each compressed block)
 // accumulates every present sample into its time-of-day bin and into
@@ -228,14 +216,9 @@ func (v Verdict) Decide(cfg Config) Verdict {
 	return v
 }
 
-// correlate computes the Pearson correlation between two profiles over
-// bins present in both, requiring at least minBins shared bins.
-func correlate(a, b []float64, minBins int) (float64, bool) {
-	var scr Scratch
-	return correlateWith(a, b, minBins, &scr)
-}
-
-// correlateWith is correlate through scratch pair buffers.
+// correlateWith computes the Pearson correlation between two profiles
+// over bins present in both, requiring at least minBins shared bins,
+// through scratch pair buffers.
 func correlateWith(a, b []float64, minBins int, scr *Scratch) (float64, bool) {
 	xs, ys := scr.xs[:0], scr.ys[:0]
 	defer func() { scr.xs, scr.ys = xs[:0], ys[:0] }()

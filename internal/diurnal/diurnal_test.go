@@ -29,6 +29,17 @@ func series(days int, fn func(day int, hour float64) float64) *timeseries.Series
 	return timeseries.FromValues(0, 5*time.Minute, grid(days, fn))
 }
 
+// fold is FoldWith through fresh scratch.
+func fold(s *timeseries.Series, cfg Config) Verdict { return FoldWith(s, cfg, &Scratch{}) }
+
+// detect is the whole analysis: a fresh fold gated by Decide.
+func detect(s *timeseries.Series, cfg Config) Verdict { return fold(s, cfg).Decide(cfg) }
+
+// correlate is correlateWith through fresh scratch.
+func correlate(a, b []float64, minBins int) (float64, bool) {
+	return correlateWith(a, b, minBins, &Scratch{})
+}
+
 func TestCleanDiurnalDetected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := series(14, func(_ int, h float64) float64 {
@@ -38,7 +49,7 @@ func TestCleanDiurnalDetected(t *testing.T) {
 		}
 		return v + math.Abs(0.5*rng.NormFloat64())
 	})
-	v := Detect(s, Config{})
+	v := detect(s, Config{})
 	if !v.Diurnal {
 		t.Fatalf("clean diurnal not detected: %+v", v)
 	}
@@ -58,7 +69,7 @@ func TestFlatSeriesRejected(t *testing.T) {
 	s := series(14, func(int, float64) float64 {
 		return 3 + math.Abs(0.8*rng.NormFloat64())
 	})
-	if v := Detect(s, Config{}); v.Diurnal {
+	if v := detect(s, Config{}); v.Diurnal {
 		t.Fatalf("flat series detected diurnal: %+v", v)
 	}
 }
@@ -80,7 +91,7 @@ func TestRandomRegimeShiftsRejected(t *testing.T) {
 		}
 		vs[i] = level + math.Abs(0.5*rng.NormFloat64())
 	}
-	v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
+	v := detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
 	if v.Diurnal {
 		t.Fatalf("random regimes detected as diurnal: %+v", v)
 	}
@@ -107,7 +118,7 @@ func TestWeekdayWeekendAmplitudeStillDiurnal(t *testing.T) {
 		}
 		vs[i] = v + math.Abs(0.5*rng.NormFloat64())
 	}
-	v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
+	v := detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{})
 	if !v.Diurnal {
 		t.Fatalf("amplitude-modulated diurnal rejected: %+v", v)
 	}
@@ -127,7 +138,7 @@ func TestLossySeriesTolerated(t *testing.T) {
 			vs[i] = timeseries.Missing
 		}
 	}
-	if v := Detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{}); !v.Diurnal {
+	if v := detect(timeseries.FromValues(0, 5*time.Minute, vs), Config{}); !v.Diurnal {
 		t.Fatalf("lossy diurnal rejected: %+v", v)
 	}
 }
@@ -141,7 +152,7 @@ func TestTooFewDaysRejected(t *testing.T) {
 		}
 		return v + math.Abs(0.3*rng.NormFloat64())
 	})
-	if v := Detect(s, Config{MinDays: 5}); v.Diurnal {
+	if v := detect(s, Config{MinDays: 5}); v.Diurnal {
 		t.Fatalf("3-day series accepted: %+v", v)
 	}
 }
@@ -155,17 +166,17 @@ func TestSmallAmplitudeRejected(t *testing.T) {
 		}
 		return v + math.Abs(0.2*rng.NormFloat64())
 	})
-	if v := Detect(s, Config{MinAmplitudeMs: 8}); v.Diurnal {
+	if v := detect(s, Config{MinAmplitudeMs: 8}); v.Diurnal {
 		t.Fatalf("3 ms amplitude accepted: %+v", v)
 	}
 }
 
 func TestEmptySeries(t *testing.T) {
-	if v := Detect(timeseries.FromValues(0, time.Minute, nil), Config{}); v.Diurnal {
+	if v := detect(timeseries.FromValues(0, time.Minute, nil), Config{}); v.Diurnal {
 		t.Fatal("empty series accepted")
 	}
 	s := series(1, func(int, float64) float64 { return timeseries.Missing })
-	if v := Detect(s, Config{}); v.Diurnal {
+	if v := detect(s, Config{}); v.Diurnal {
 		t.Fatal("all-missing series accepted")
 	}
 }
@@ -184,9 +195,11 @@ func TestCorrelateEdgeCases(t *testing.T) {
 }
 
 func TestFoldDecideMatchesDetect(t *testing.T) {
-	// Detect is exactly Fold gated by Decide, and the folded statistics
-	// are independent of the amplitude gate — the property the analysis
-	// threshold sweep exploits by folding once per link.
+	// One fold gated by Decide at each amplitude threshold matches a
+	// fresh fold and decision at that threshold, and the folded
+	// statistics are independent of the amplitude gate — the property
+	// the analysis threshold sweep exploits by folding once per link.
+	// The shared scratch has folded another series first.
 	rng := rand.New(rand.NewSource(31))
 	s := series(10, func(_ int, h float64) float64 {
 		v := 2.0
@@ -195,17 +208,19 @@ func TestFoldDecideMatchesDetect(t *testing.T) {
 		}
 		return v + math.Abs(0.4*rng.NormFloat64())
 	})
-	fold := Fold(s, Config{})
+	var scr Scratch
+	FoldWith(series(3, func(int, float64) float64 { return 7 }), Config{}, &scr)
+	shared := FoldWith(s, Config{}, &scr)
 	for _, minAmp := range []float64{4, 8, 12, 16} {
 		cfg := Config{MinAmplitudeMs: minAmp}
-		want := Detect(s, cfg)
-		got := fold.Decide(cfg)
+		want := detect(s, cfg)
+		got := shared.Decide(cfg)
 		if got != want {
-			t.Fatalf("minAmp %v: Fold+Decide %+v != Detect %+v", minAmp, got, want)
+			t.Fatalf("minAmp %v: shared fold+Decide %+v != fresh %+v", minAmp, got, want)
 		}
-		if refold := Fold(s, cfg); refold != fold {
+		if refold := FoldWith(s, cfg, &scr); refold != shared {
 			t.Fatalf("minAmp %v: folded statistics vary with the gate: %+v vs %+v",
-				minAmp, refold, fold)
+				minAmp, refold, shared)
 		}
 	}
 }
@@ -219,10 +234,10 @@ func TestFoldLeavesDecisionFalse(t *testing.T) {
 		}
 		return v + math.Abs(0.3*rng.NormFloat64())
 	})
-	if Fold(s, Config{}).Diurnal {
-		t.Fatal("Fold must not decide; Decide does")
+	if fold(s, Config{}).Diurnal {
+		t.Fatal("FoldWith must not decide; Decide does")
 	}
-	if !Fold(s, Config{}).Decide(Config{}).Diurnal {
+	if !fold(s, Config{}).Decide(Config{}).Diurnal {
 		t.Fatal("gated fold should confirm the clean diurnal")
 	}
 }
@@ -256,8 +271,8 @@ func TestFoldGapNormalization(t *testing.T) {
 	}
 	gappy := timeseries.FromValues(0, 5*time.Minute, vs)
 
-	v := Fold(gappy, Config{})
-	if want := Fold(full, Config{}).AmplitudeMs; v.AmplitudeMs != want {
+	v := fold(gappy, Config{})
+	if want := fold(full, Config{}).AmplitudeMs; v.AmplitudeMs != want {
 		t.Fatalf("amplitude %v with gaps, %v without: fold normalization leaks missing bins",
 			v.AmplitudeMs, want)
 	}

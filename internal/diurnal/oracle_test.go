@@ -160,5 +160,5 @@ func TestFoldRejectsFractionalSecondBins(t *testing.T) {
 		}
 	}()
 	s := timeseries.FromValues(0, time.Minute, []float64{1})
-	Fold(s, Config{BinWidth: 1500 * time.Millisecond})
+	fold(s, Config{BinWidth: 1500 * time.Millisecond})
 }

@@ -5,7 +5,7 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// StreamFold is the incremental counterpart of Fold: it consumes one
+// StreamFold is the incremental counterpart of FoldWith: it consumes one
 // aggregated (time, value) bin at a time and maintains the day-folded
 // profile statistics online — per-bin running means for the overall
 // profile, the current day's partial profile, and a running mean of
@@ -15,7 +15,7 @@ import (
 // suspected level shift to confirmed congestion mid-campaign instead
 // of at campaign end.
 //
-// The statistics are an online approximation of Fold's, not a
+// The statistics are an online approximation of FoldWith's, not a
 // bit-identical replay: each completed day correlates against the
 // overall profile *as of that day*, where the batch fold correlates
 // every day against the final profile. The approximation only steers
@@ -135,7 +135,7 @@ func (f *StreamFold) Profile(dst []float64) []float64 {
 }
 
 // Snapshot computes the profile statistics accumulated so far, leaving
-// the Diurnal decision to Decide exactly like the batch Fold. Days
+// the Diurnal decision to Decide exactly like the batch FoldWith. Days
 // evaluated counts *completed* days — the open day joins when its
 // first next-day sample arrives. Allocation-free.
 func (f *StreamFold) Snapshot() Verdict {

@@ -28,7 +28,7 @@ func halfHour(i int) simclock.Time { return simclock.Time(time.Duration(i) * 30 
 func TestStreamFoldMatchesBatchAmplitude(t *testing.T) {
 	vs := diurnalValues(6, 24)
 	cfg := Config{MinDays: 3}
-	batch := Fold(timeseries.FromValues(0, 30*time.Minute, vs), cfg)
+	batch := fold(timeseries.FromValues(0, 30*time.Minute, vs), cfg)
 
 	f := NewStreamFold(cfg)
 	for i := 0; i < len(vs); i++ {

@@ -78,9 +78,6 @@ func budgetRecall(res *Result) (truth, detected int, meanDelay simclock.Duration
 	return truth, detected, meanDelay
 }
 
-// attemptedRounds sums per-link rounds attempted and budget-skipped.
-func attemptedRounds(res *Result) (rounds, skipped int) { return res.BudgetRounds() }
-
 // table1Fidelity compares flagged-link counts cell by cell (per VP ×
 // threshold, "All VPs" row excluded) between a budgeted and the
 // full-rate campaign.
@@ -150,7 +147,7 @@ func RunBudgetSweep(base Config, fractions []float64) []BudgetPoint {
 	}
 
 	full := run(fractions[0])
-	fullRounds, _ := attemptedRounds(full)
+	fullRounds, _ := full.BudgetRounds()
 	fullTruth, fullDetected, _ := budgetRecall(full)
 
 	points := make([]BudgetPoint, 0, len(fractions))
@@ -163,7 +160,7 @@ func RunBudgetSweep(base Config, fractions []float64) []BudgetPoint {
 		if frac > 1 {
 			p.Fraction = 1
 		}
-		p.Rounds, p.Skipped = attemptedRounds(res)
+		p.Rounds, p.Skipped = res.BudgetRounds()
 		if fullRounds > 0 {
 			p.SentFrac = float64(p.Rounds) / float64(fullRounds)
 		}

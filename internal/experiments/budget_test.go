@@ -34,7 +34,7 @@ func TestBudgetCampaignBitIdentical(t *testing.T) {
 	perStep := runBudgetCampaign(1, 1, 0.5, 7)
 
 	// Non-vacuity: the budget must actually have withheld probes.
-	rounds, skipped := attemptedRounds(perStep)
+	rounds, skipped := perStep.BudgetRounds()
 	if skipped == 0 {
 		t.Fatal("budget=0.5 campaign skipped no rounds; bit-identity check is vacuous")
 	}
@@ -83,7 +83,7 @@ func TestBudgetAwkwardBatchSizesBitIdentical(t *testing.T) {
 // budgets must send monotonically less.
 func TestBudgetReducesProbes(t *testing.T) {
 	full := runShortCampaignCfg(2, 0)
-	fullRounds, _ := attemptedRounds(full)
+	fullRounds, _ := full.BudgetRounds()
 	// Every link runs at full rate until the first recompute barrier
 	// (the exploration window: 6 h of this 96 h campaign), so the
 	// achievable spend is frac outside that window plus full rate
@@ -92,7 +92,7 @@ func TestBudgetReducesProbes(t *testing.T) {
 	prev := fullRounds + 1
 	for _, frac := range []float64{0.5, 0.25, 0.1} {
 		res := runBudgetCampaign(2, 0, frac, 7)
-		rounds, skipped := attemptedRounds(res)
+		rounds, skipped := res.BudgetRounds()
 		if skipped == 0 {
 			t.Fatalf("budget=%.2f skipped no rounds", frac)
 		}
@@ -120,7 +120,7 @@ func TestFullBudgetCampaignMatchesUnscheduled(t *testing.T) {
 		Workers:  8,
 	})
 	want := summarizeResult(plain)
-	rounds, _ := attemptedRounds(plain)
+	rounds, _ := plain.BudgetRounds()
 	if rounds == 0 {
 		t.Fatal("unscheduled campaign attempted no rounds; parity check is vacuous")
 	}
@@ -131,7 +131,7 @@ func TestFullBudgetCampaignMatchesUnscheduled(t *testing.T) {
 			t.Errorf("budget=%g campaign diverges from the unscheduled run\n%s",
 				frac, firstDiff(want, got))
 		}
-		if _, skipped := attemptedRounds(res); skipped != 0 {
+		if _, skipped := res.BudgetRounds(); skipped != 0 {
 			t.Errorf("budget=%g skipped %d rounds; a full budget must skip none", frac, skipped)
 		}
 		for _, y := range res.Yields() {

@@ -445,7 +445,7 @@ func Run(cfg Config) *Result {
 
 // Reanalyze re-runs the per-link threshold-sweep analysis, fanning the
 // links out across the given number of workers. Each link runs the
-// whole Table-1 sweep (analysis.AnalyzeLinkSweep): the windowed
+// whole Table-1 sweep (analysis.Sweeper.AnalyzeLinkSweep): the windowed
 // rank-CUSUM detection and the diurnal fold run once per link end and
 // every threshold reuses them. Each worker threads one
 // analysis.Sweeper, so detector scratch is reused across its links too.

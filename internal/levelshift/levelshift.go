@@ -17,11 +17,10 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// Config tunes the analysis.
+// Config tunes the analysis. The magnitude threshold is not part of
+// it: Detection.AtThreshold takes it, so one detection serves a whole
+// threshold sweep.
 type Config struct {
-	// ThresholdMs is the minimum elevation above baseline (in ms) for
-	// a segment to count as shifted. The paper defaults to 10 ms.
-	ThresholdMs float64
 	// MinDuration is the minimum event length; the paper uses 30 min.
 	MinDuration simclock.Duration
 	// AggregateTo pre-aggregates the series with a minimum filter to
@@ -35,7 +34,6 @@ type Config struct {
 // DefaultConfig returns the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		ThresholdMs: 10,
 		MinDuration: 30 * time.Minute,
 		AggregateTo: 30 * time.Minute,
 		Cusum:       cusum.Config{Bootstraps: 60, Confidence: 0.95, MinSegment: 2},
@@ -126,13 +124,6 @@ func (r Result) MeanDuration() simclock.Duration {
 	return sum / simclock.Duration(n)
 }
 
-// Analyze runs the full §5.2 pipeline on a series: the
-// threshold-independent detection phase (Detect) followed by
-// classification at cfg.ThresholdMs (Detection.AtThreshold).
-func Analyze(s *timeseries.Series, cfg Config) Result {
-	return Detect(s, cfg).AtThreshold(cfg.ThresholdMs)
-}
-
 // Detection is the threshold-independent half of the analysis: the
 // aggregated series, the NaN-compacted samples with their grid
 // mapping, the global baseline, and the per-window CUSUM candidate
@@ -154,7 +145,7 @@ type Detection struct {
 	// percentile of the compacted samples.
 	Baseline float64
 
-	cfg  Config          // captured analysis config (ThresholdMs unused)
+	cfg  Config          // captured analysis config
 	ccfg cusum.Config    // the windows' detector configuration
 	det  *cusum.Detector // computes candidates on demand
 	scr  *Scratch        // compacted samples, candidate arena, work buffers
@@ -168,7 +159,7 @@ type Detection struct {
 // exact-size copy. A sweep worker threads one Scratch per series role
 // across every link it analyzes; nothing retained by Result aliases
 // it. A Detection is only valid until its Scratch is reused by a later
-// DetectScratch call.
+// Detect call.
 type Scratch struct {
 	vals      []float64 // present samples, NaNs compacted away
 	slots     []int     // vals[i] came from the analyzed series' grid slot slots[i]
@@ -185,9 +176,9 @@ type Scratch struct {
 
 // window is one detection window's screen bound and candidates.
 type window struct {
-	// magBound bounds every level change ApplyMagnitude can compute in
-	// the window: its value range plus a rounding margin for the
-	// segment means (flatBound).
+	// magBound bounds every level change ApplyMagnitudeInto can
+	// compute in the window: its value range plus a rounding margin
+	// for the segment means (flatBound).
 	magBound float64
 	// from, to delimit the window's candidates in Scratch.cands; from
 	// is negative until they are computed.
@@ -209,7 +200,7 @@ func (wd *window) median(scr *Scratch, win []float64) float64 {
 }
 
 // flatBound returns an upper bound on |mean(a) − mean(b)|, as
-// ApplyMagnitude computes it, for any two runs a and b of vs. Exact
+// ApplyMagnitudeInto computes it, for any two runs a and b of vs. Exact
 // means lie in [lo, hi]. Summing k ≤ n values of magnitude at most M
 // and dividing by k moves a mean by at most about k·M·2⁻⁵³, and the
 // subtraction adds one more rounding, so the computed difference stays
@@ -234,42 +225,26 @@ func (scr *Scratch) median(vs []float64) float64 {
 	return timeseries.QuantileSorted(scr.sortBuf, 0.5)
 }
 
-// Detect runs the detection phase on a series; cfg.ThresholdMs is
-// ignored (that is AtThreshold's parameter).
+// Detect runs the threshold-independent detection phase on a series,
+// through a caller-owned cusum.Detector and working memory — campaign
+// fan-outs thread one detector and one Scratch per series role per
+// worker across every link they analyze. The detector is reconfigured
+// from cfg, so its prior configuration does not matter, and neither
+// does anything earlier calls left in det or scr.
 //
 // Detection is windowed: the CUSUM chart of a year-long periodic
 // signal is not significant against bootstrap shuffles (the shuffled
 // random walk out-ranges the periodic one), so — as TSLP analyses do
 // in practice — the detector segments one-day windows independently
-// and elevation runs are merged across window boundaries. The
-// baseline is the global 10th percentile of the (min-filtered)
+// and elevation runs are merged across window boundaries. Each window
+// reseeds its bootstrap with cfg.Cusum.Seed plus the window's offset.
+// The baseline is the global 10th percentile of the (min-filtered)
 // series, i.e. the uncongested floor.
-func Detect(s *timeseries.Series, cfg Config) *Detection {
-	// One detector for all windows: its scratch buffers (rank
-	// transform, bootstrap shuffle) are the analysis phase's dominant
-	// allocations. Each window reseeds, so results match per-window
-	// cusum.Detect calls bit for bit.
-	ccfg := cfg.Cusum
-	ccfg.UseRanks = true // the paper's non-parametric variant
-	return DetectWith(cusum.NewDetector(ccfg), s, cfg)
-}
-
-// DetectWith is Detect reusing a caller-owned cusum.Detector's scratch
-// buffers — campaign fan-outs thread one detector per worker across
-// every link they analyze. The detector is reconfigured from cfg, so
-// its prior configuration does not matter; results are bit-identical
-// to Detect.
-func DetectWith(det *cusum.Detector, s *timeseries.Series, cfg Config) *Detection {
-	return DetectScratch(det, s, cfg, &Scratch{})
-}
-
-// DetectScratch is DetectWith with caller-owned working memory: the
-// compaction buffers and the per-window candidate arena come from scr
-// instead of fresh allocations. The returned Detection reads through
-// scr and is invalidated by the next DetectScratch call with the same
-// scratch; its AtThreshold calls run det, so they share det's
-// goroutine. Results are bit-identical to Detect.
-func DetectScratch(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *Scratch) *Detection {
+//
+// The returned Detection reads through scr and is invalidated by the
+// next Detect call with the same scratch; its AtThreshold calls run
+// det, so they share det's goroutine.
+func Detect(det *cusum.Detector, s *timeseries.Series, cfg Config, scr *Scratch) *Detection {
 	work := s
 	if cfg.AggregateTo > 0 && cfg.AggregateTo > s.Step {
 		factor := int(cfg.AggregateTo / s.Step)
@@ -336,8 +311,8 @@ func (d *Detection) candidates(w, lo, hi int) []cusum.Candidate {
 // AtThreshold runs the cheap per-threshold classification phase:
 // magnitude-filter the shared candidates, classify elevated segments,
 // merge elevation runs, and assemble events. O(n) plus the magnitude
-// filter — no bootstrap. Bit-identical to Analyze with
-// cfg.ThresholdMs = thresholdMs.
+// filter — no bootstrap. The result does not depend on which
+// thresholds were asked before, or in what order.
 func (d *Detection) AtThreshold(thresholdMs float64) Result {
 	res := Result{Series: d.Series}
 	scr := d.scr
@@ -463,19 +438,6 @@ func exact[T any](s []T) []T {
 		return nil
 	}
 	return append(make([]T, 0, len(s)), s...)
-}
-
-// offsetShifts rebases change-point indices from window space into the
-// compacted series. AtThreshold inlines this into its scratch loop;
-// the helper remains as the reference the two-phase equivalence test
-// rebuilds the single-shot pipeline from.
-func offsetShifts(cps []cusum.ChangePoint, off int) []cusum.ChangePoint {
-	out := make([]cusum.ChangePoint, len(cps))
-	for i, cp := range cps {
-		cp.Index += off
-		out[i] = cp
-	}
-	return out
 }
 
 // filterShort drops events shorter than minDur (open-ended events are

@@ -54,10 +54,16 @@ func diurnalSeries(days int, baseline, magnitude float64, startHour, endHour int
 	return timeseries.FromValues(0, 5*time.Minute, diurnalValues(days, baseline, magnitude, startHour, endHour, noise, seed))
 }
 
+// analyze is the whole §5.2 pipeline at one threshold: a detection
+// through a fresh detector and scratch, classified at thresholdMs.
+func analyze(s *timeseries.Series, cfg Config, thresholdMs float64) Result {
+	return detect(s, cfg).AtThreshold(thresholdMs)
+}
+
 func TestFlatSeriesNotFlagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := fiveMinute(7*288, func(int) float64 { return 2 + math.Abs(0.5*rng.NormFloat64()) })
-	res := Analyze(s, DefaultConfig())
+	res := analyze(s, DefaultConfig(), 10)
 	if res.Flagged() {
 		t.Fatalf("flat series flagged: %+v", res.Events)
 	}
@@ -67,7 +73,7 @@ func TestDiurnalCongestionDetected(t *testing.T) {
 	// 10 days, 28 ms plateau from 09:00 to 17:00 — the GIXA–GHANATEL
 	// shape. Expect ~10 events of ~8h duration and ~28 ms magnitude.
 	s := diurnalSeries(10, 2, 28, 9, 17, 0.5, 2)
-	res := Analyze(s, DefaultConfig())
+	res := analyze(s, DefaultConfig(), 10)
 	if !res.Flagged() {
 		t.Fatal("congested series not flagged")
 	}
@@ -95,9 +101,7 @@ func TestThresholdSensitivity(t *testing.T) {
 		threshold float64
 		flagged   bool
 	}{{5, true}, {10, true}, {15, false}, {20, false}} {
-		cfg := DefaultConfig()
-		cfg.ThresholdMs = tc.threshold
-		res := Analyze(s, cfg)
+		res := analyze(s, DefaultConfig(), tc.threshold)
 		if res.Flagged() != tc.flagged {
 			t.Errorf("threshold %v ms: flagged=%v, want %v (A_w %v)",
 				tc.threshold, res.Flagged(), tc.flagged, res.AW())
@@ -116,7 +120,7 @@ func TestShortBlipsFiltered(t *testing.T) {
 		return v
 	})
 	cfg := DefaultConfig()
-	res := Analyze(s, cfg)
+	res := analyze(s, cfg, 10)
 	if res.Flagged() {
 		t.Fatalf("15-minute blips flagged as congestion: %+v", res.Events)
 	}
@@ -133,7 +137,7 @@ func TestOpenEndedSustainedCongestion(t *testing.T) {
 		}
 		return v + math.Abs(0.4*rng.NormFloat64())
 	})
-	res := Analyze(s, DefaultConfig())
+	res := analyze(s, DefaultConfig(), 10)
 	if len(res.Events) != 1 {
 		t.Fatalf("events = %d, want 1", len(res.Events))
 	}
@@ -154,7 +158,7 @@ func TestMissingSamplesTolerated(t *testing.T) {
 			vs[i] = timeseries.Missing
 		}
 	}
-	res := Analyze(timeseries.FromValues(0, 5*time.Minute, vs), DefaultConfig())
+	res := analyze(timeseries.FromValues(0, 5*time.Minute, vs), DefaultConfig(), 10)
 	if !res.Flagged() {
 		t.Fatal("lossy congested series not flagged")
 	}
@@ -164,11 +168,11 @@ func TestMissingSamplesTolerated(t *testing.T) {
 }
 
 func TestEmptyAndTinySeries(t *testing.T) {
-	if Analyze(timeseries.FromValues(0, time.Minute, nil), DefaultConfig()).Flagged() {
+	if analyze(timeseries.FromValues(0, time.Minute, nil), DefaultConfig(), 10).Flagged() {
 		t.Fatal("empty series flagged")
 	}
 	s := timeseries.FromValues(0, 5*time.Minute, []float64{1, timeseries.Missing, timeseries.Missing})
-	if Analyze(s, DefaultConfig()).Flagged() {
+	if analyze(s, DefaultConfig(), 10).Flagged() {
 		t.Fatal("tiny series flagged")
 	}
 }
@@ -217,13 +221,13 @@ func TestAggregationRespectsStep(t *testing.T) {
 	s := diurnalSeries(5, 2, 25, 9, 17, 0.5, 8)
 	cfg := DefaultConfig()
 	cfg.AggregateTo = 30 * time.Minute
-	res := Analyze(s, cfg)
+	res := analyze(s, cfg, 10)
 	if res.Series.Step != 30*time.Minute {
 		t.Fatalf("analyzed step = %v", res.Series.Step)
 	}
 	// Aggregation to a width below the native step keeps the series.
 	cfg.AggregateTo = time.Minute
-	res = Analyze(s, cfg)
+	res = analyze(s, cfg, 10)
 	if res.Series.Step != 5*time.Minute {
 		t.Fatal("sub-native aggregation must be a no-op")
 	}

@@ -11,7 +11,7 @@ import (
 	"afrixp/internal/timeseries"
 )
 
-// seqMean is the sequential mean ApplyMagnitude computes.
+// seqMean is the sequential mean ApplyMagnitudeInto computes.
 func seqMean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
@@ -54,10 +54,8 @@ func TestScreenKeepsRoundedUpShift(t *testing.T) {
 	s := timeseries.FromValues(0, 30*time.Minute, win)
 	cfg := DefaultConfig()
 	thr := 2 * mag
-	got := Detect(s, cfg).AtThreshold(thr)
-	ref := cfg
-	ref.ThresholdMs = thr
-	if want := analyzeReference(s, ref); !resultsBitIdentical(got, want) || len(want.Shifts) != 1 {
+	got := detect(s, cfg).AtThreshold(thr)
+	if want := analyzeReference(s, cfg, thr); !resultsBitIdentical(got, want) || len(want.Shifts) != 1 {
 		t.Fatalf("range %g, change %g: got %d shifts, want %d (exactly 1)", win[47]-win[0], mag, len(got.Shifts), len(want.Shifts))
 	}
 }
@@ -109,7 +107,7 @@ func screenSeries(rng *rand.Rand, days int, gapFrac float64) *timeseries.Series 
 
 // boundaryThresholds returns thresholds whose minMag lands on, and one
 // ulp either side of, each window's range and each level change
-// ApplyMagnitude computes for the window's candidates.
+// ApplyMagnitudeInto computes for the window's candidates.
 func boundaryThresholds(s *timeseries.Series, cfg Config) []float64 {
 	var vals []float64
 	for _, v := range values(s) {
@@ -131,7 +129,8 @@ func boundaryThresholds(s *timeseries.Series, cfg Config) []float64 {
 			lowest, highest = min(lowest, v), max(highest, v)
 		}
 		add(highest - lowest)
-		for _, cp := range cusum.ApplyMagnitude(win, det.Candidates(win, ccfg.Seed+int64(lo)), 0) {
+		cps, _ := cusum.ApplyMagnitudeInto(nil, nil, win, det.AppendCandidates(nil, win, ccfg.Seed+int64(lo)), 0)
+		for _, cp := range cps {
 			add(math.Abs(cp.Magnitude()))
 		}
 	}
@@ -153,8 +152,8 @@ func TestQuickScreenMatchesUnscreened(t *testing.T) {
 		cfg.Cusum.Seed = seed % 100
 		far := screenSeries(rng, days, float64(gap8%20)/100)
 		near := screenSeries(rng, days, float64(gap8%7)/100)
-		farDet := DetectScratch(det, far, cfg, &farScr)
-		nearDet := DetectScratch(det, near, cfg, &nearScr)
+		farDet := Detect(det, far, cfg, &farScr)
+		nearDet := Detect(det, near, cfg, &nearScr)
 
 		thresholds := append([]float64{1e-9, 0.01, 5, 10, 15, 20}, boundaryThresholds(far, cfg)...)
 		thresholds = append(thresholds, boundaryThresholds(near, cfg)...)
@@ -165,9 +164,7 @@ func TestQuickScreenMatchesUnscreened(t *testing.T) {
 			if k%2 == 1 {
 				s, d = near, nearDet
 			}
-			ref := cfg
-			ref.ThresholdMs = thr
-			if !resultsBitIdentical(d.AtThreshold(thr), analyzeReference(s, ref)) {
+			if !resultsBitIdentical(d.AtThreshold(thr), analyzeReference(s, cfg, thr)) {
 				t.Logf("seed=%d days=%d: threshold %v (ask %d) diverged", seed, days, thr, k)
 				return false
 			}

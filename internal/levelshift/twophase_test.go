@@ -13,11 +13,12 @@ import (
 
 // analyzeReference is the original single-shot §5.2 pipeline, kept
 // verbatim as the oracle for the two-phase Detect/AtThreshold path. It
-// re-runs the full windowed CUSUM (via the package-level cusum.Detect,
-// with MinMagnitude folded into the detector config) at its one
-// threshold — exactly what Analyze did before detection and
-// classification were split.
-func analyzeReference(s *timeseries.Series, cfg Config) Result {
+// re-runs the full windowed CUSUM (via cusumDetect, with the magnitude
+// filter folded into each window's detection) at its one threshold —
+// exactly what the single-shot analysis did before detection and
+// classification were split. The threshold, once a Config field, is a
+// parameter.
+func analyzeReference(s *timeseries.Series, cfg Config, thresholdMs float64) Result {
 	work := s
 	if cfg.AggregateTo > 0 && cfg.AggregateTo > s.Step {
 		factor := int(cfg.AggregateTo / s.Step)
@@ -45,7 +46,7 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 		}
 	}
 	ccfg := cfg.Cusum
-	ccfg.MinMagnitude = cfg.ThresholdMs / 2
+	minMag := thresholdMs / 2
 
 	elevation := make([]float64, len(vals))
 	for lo := 0; lo < len(vals); lo += winSamples {
@@ -56,7 +57,7 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 		win := vals[lo:hi]
 		wcfg := ccfg
 		wcfg.Seed = ccfg.Seed + int64(lo)
-		cps := cusum.Detect(win, wcfg)
+		cps := cusumDetect(win, wcfg, minMag)
 		res.Shifts = append(res.Shifts, offsetShifts(cps, lo)...)
 		bounds := []int{0}
 		for _, cp := range cps {
@@ -69,7 +70,7 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 				continue
 			}
 			level := timeseries.Quantile(win[a:b], 0.5)
-			if level-base >= cfg.ThresholdMs {
+			if level-base >= thresholdMs {
 				for i := lo + a; i < lo+b; i++ {
 					elevation[i] = level - base
 				}
@@ -78,12 +79,12 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 	}
 
 	for i := 0; i < len(vals); {
-		if vals[i]-base < cfg.ThresholdMs {
+		if vals[i]-base < thresholdMs {
 			i++
 			continue
 		}
 		j := i
-		for j < len(vals) && vals[j]-base >= cfg.ThresholdMs {
+		for j < len(vals) && vals[j]-base >= thresholdMs {
 			j++
 		}
 		if j-i >= 2 {
@@ -119,6 +120,31 @@ func analyzeReference(s *timeseries.Series, cfg Config) Result {
 	}
 	res.Events = filterShort(events, cfg.MinDuration)
 	return res
+}
+
+// cusumDetect is the single-shot rank-CUSUM detection the oracle was
+// written against: a fresh rank-mode detector's candidates under
+// cfg.Seed, filtered at minMag.
+func cusumDetect(xs []float64, cfg cusum.Config, minMag float64) []cusum.ChangePoint {
+	cfg.UseRanks = true
+	cps, _ := cusum.ApplyMagnitudeInto(nil, nil, xs, cusum.NewDetector(cfg).AppendCandidates(nil, xs, cfg.Seed), minMag)
+	return cps
+}
+
+// offsetShifts rebases change-point indices from window space into the
+// compacted series, as the single-shot pipeline did.
+func offsetShifts(cps []cusum.ChangePoint, off int) []cusum.ChangePoint {
+	out := make([]cusum.ChangePoint, len(cps))
+	for i, cp := range cps {
+		cp.Index += off
+		out[i] = cp
+	}
+	return out
+}
+
+// detect is Detect through a fresh detector and scratch.
+func detect(s *timeseries.Series, cfg Config) *Detection {
+	return Detect(cusum.NewDetector(cusum.Config{}), s, cfg, &Scratch{})
 }
 
 // resultsBitIdentical compares two Results at the IEEE-bit level
@@ -224,12 +250,10 @@ func TestQuickTwoPhaseMatchesSingleShot(t *testing.T) {
 		cfg.Cusum.Seed = seed % 1000
 		s := propertySeries(seed, days, gapFrac, shape)
 
-		det := Detect(s, cfg)
+		det := detect(s, cfg)
 		thresholds := []float64{5, 10, 15, 20, float64(thr8%25) + 1}
 		for _, thr := range thresholds {
-			ref := cfg
-			ref.ThresholdMs = thr
-			want := analyzeReference(s, ref)
+			want := analyzeReference(s, cfg, thr)
 			if !resultsBitIdentical(det.AtThreshold(thr), want) {
 				t.Logf("mismatch: seed=%d days=%d shape=%d gap=%.2f thr=%g",
 					seed, days, shape%4, gapFrac, thr)
@@ -254,27 +278,26 @@ func TestTwoPhaseTinyAndEmptySeries(t *testing.T) {
 		fiveMinute(50, func(int) float64 { return timeseries.Missing }),
 	}
 	for ci, s := range cases {
-		det := Detect(s, cfg)
+		det := detect(s, cfg)
 		for _, thr := range []float64{5, 10, 20} {
-			ref := cfg
-			ref.ThresholdMs = thr
-			if !resultsBitIdentical(det.AtThreshold(thr), analyzeReference(s, ref)) {
+			if !resultsBitIdentical(det.AtThreshold(thr), analyzeReference(s, cfg, thr)) {
 				t.Fatalf("case %d thr %g: degenerate series diverged", ci, thr)
 			}
 		}
 	}
 }
 
-// TestDetectWithSharedDetector checks that one reused detector
-// produces the same Detection as a fresh one per call, across series
-// of different lengths (scratch carry-over must not leak).
+// TestDetectWithSharedDetector checks that one reused detector and
+// scratch produce the same Detection as fresh ones per call, across
+// series of different lengths (scratch carry-over must not leak).
 func TestDetectWithSharedDetector(t *testing.T) {
 	shared := cusum.NewDetector(cusum.Config{})
+	var scr Scratch
 	cfg := DefaultConfig()
 	for trial := 0; trial < 6; trial++ {
 		s := propertySeries(int64(trial+1), trial%4+2, 0.1, uint8(trial))
-		a := DetectWith(shared, s, cfg)
-		b := Detect(s, cfg)
+		a := Detect(shared, s, cfg, &scr)
+		b := detect(s, cfg)
 		for _, thr := range []float64{5, 10, 15, 20} {
 			if !resultsBitIdentical(a.AtThreshold(thr), b.AtThreshold(thr)) {
 				t.Fatalf("trial %d thr %g: shared-detector detection diverged", trial, thr)

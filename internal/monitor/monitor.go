@@ -93,6 +93,9 @@ type Alert struct {
 type Monitor struct {
 	cfg    Config
 	target prober.LinkTarget
+	// sw runs every daily evaluation, reusing its detector and working
+	// memory.
+	sw *analysis.Sweeper
 
 	// ring buffers of aggregated 30-min minima over the window.
 	near, far    *ring
@@ -114,6 +117,7 @@ func New(target prober.LinkTarget, cfg Config) *Monitor {
 	return &Monitor{
 		cfg:    cfg,
 		target: target,
+		sw:     analysis.NewSweeper(),
 		near:   newRing(bins, 30*time.Minute),
 		far:    newRing(bins, 30*time.Minute),
 	}
@@ -167,7 +171,7 @@ func (m *Monitor) evaluate(at simclock.Time) []Alert {
 	// Online variant: the window is short, so diurnal confirmation
 	// needs fewer days than the offline default.
 	cfg.Diurnal.MinDays = 3
-	v := analysis.AnalyzeLink(analysis.LinkSeries{Target: m.target, Near: nearS, Far: farS}, cfg)
+	v := m.sw.AnalyzeLink(analysis.LinkSeries{Target: m.target, Near: nearS, Far: farS}, cfg)
 
 	hot := v.Flagged && v.NearFlat && v.Diurnal.Diurnal
 	var alerts []Alert

@@ -43,7 +43,7 @@ func TestSampleCtxBatchMatchesPerStep(t *testing.T) {
 	}
 	wB.nw.AdvanceQueuesBatch(steps)
 	for i, at := range steps {
-		wA.nw.AdvanceQueues(at)
+		wA.nw.AdvanceQueuesBatch([]simclock.Time{at})
 		ctxB.SetStep(i)
 		// Several probes per step, spilling past the step boundary the
 		// way loss batches do, so the forward-integration path runs.

@@ -44,7 +44,7 @@ func TestICMPDownSilencesResponder(t *testing.T) {
 		if _, ok := pp.Sample(tc.at); ok != tc.want {
 			t.Fatalf("Sample at %v: ok=%t, want %t", tc.at, ok, tc.want)
 		}
-		w.nw.AdvanceQueues(tc.at)
+		w.nw.AdvanceQueuesBatch([]simclock.Time{tc.at})
 		if _, ok := pp.SampleCtx(ctx, tc.at); ok != tc.want {
 			t.Fatalf("SampleCtx at %v: ok=%t, want %t", tc.at, ok, tc.want)
 		}

@@ -356,39 +356,19 @@ func (nw *Network) SetGateway(n *Node, ifc *Iface) {
 // bump invalidates cached FIBs and probe paths after topology changes.
 func (nw *Network) bump() { nw.version++ }
 
-// AdvanceQueues moves every fluid queue's integration frontier to t.
-// It is the single-writer half of the parallel probing protocol:
-// campaign engines call it once per step (with the world clock already
-// at t), after which concurrent workers observe the network through
-// the frozen read path (ProbePath.SampleCtx) without mutating any
-// shared state. Queues are independent, so the iteration order is
-// immaterial.
-func (nw *Network) AdvanceQueues(t simclock.Time) {
-	adv := func(p *Pipe) {
-		if p != nil && p.Queue != nil {
-			p.Queue.Advance(t)
-		}
-	}
-	for _, l := range nw.links {
-		adv(l.Pipes[0])
-		adv(l.Pipes[1])
-	}
-	for _, lan := range nw.lans {
-		for i := range lan.Attachments {
-			adv(lan.Attachments[i].ToFabric)
-			adv(lan.Attachments[i].FromFabric)
-		}
-	}
-}
-
 // AdvanceQueuesBatch moves every fluid queue's integration frontier
 // through the given step times in order, recording per-step frontier
 // states (queue.Fluid.AdvanceBatch) so workers can observe any step of
 // the batch via the frozen-step read path (ProbeCtx.SetStep +
-// ProbePath.SampleCtx). It is the batched form of AdvanceQueues: one
-// call per quiescent run of steps instead of one per step. The final
-// frontier position is the last step, exactly as len(steps) successive
-// AdvanceQueues calls would leave it.
+// ProbePath.SampleCtx), or the last step via the live frontier. It is
+// the single-writer half of the parallel probing protocol: campaign
+// engines call it once per quiescent run of steps (with the world
+// clock already advanced), after which concurrent workers observe the
+// network through the frozen read path without mutating any shared
+// state. The final frontier position is the last step, exactly as
+// advancing each queue to each step in turn would leave it; a one-step
+// batch is a plain advance. Queues are independent, so the iteration
+// order is immaterial.
 func (nw *Network) AdvanceQueuesBatch(steps []simclock.Time) {
 	adv := func(p *Pipe) {
 		if p != nil && p.Queue != nil {

@@ -274,10 +274,10 @@ func (c *ProbeCtx) RestoreNonceCount(n uint64) { c.count = n }
 // (shared ICMP rate-limit buckets, when present, are serialized under
 // a lock — worlds probing such responders from multiple VPs trade
 // cross-worker bit-determinism for the shared budget; the paper world
-// has none). Callers must have advanced the world's queues to the
-// current step barrier via Network.AdvanceQueues, or published the
-// containing batch via Network.AdvanceQueuesBatch and pointed the
-// context at the step being replayed with SetStep.
+// has none). Callers must have published the containing batch via
+// Network.AdvanceQueuesBatch and pointed the context at the step being
+// replayed with SetStep, or left it on the live frontier after a batch
+// ending at the current step.
 //
 // It walks the path's compiled legs (leg), so a run of static pipes
 // costs one add, and a path with no dynamic pipe skips the walk; the

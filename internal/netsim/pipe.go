@@ -66,7 +66,7 @@ func (p *Pipe) Traverse(t simclock.Time, n uint64) (simclock.Time, bool) {
 // nonce stream) observe identical conditions regardless of ordering.
 // The queue read resumes from ctx's cursor for the queue, which changes
 // its cost but never its result. The campaign engine pairs it with
-// Network.AdvanceQueues or AdvanceQueuesBatch at each barrier.
+// Network.AdvanceQueuesBatch at each barrier.
 func (p *Pipe) traverseFrozen(ctx *ProbeCtx, t simclock.Time) (simclock.Time, bool) {
 	n := ctx.nonce()
 	if p.Up != nil && !p.Up(t) {

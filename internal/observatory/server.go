@@ -29,7 +29,7 @@ func (s *Service) Mount(mux *http.ServeMux) {
 }
 
 // Handler returns a standalone handler serving the API at the mux
-// root — what the tests and cmd/observatory use.
+// root — what the tests and the benchmark's API reader use.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Mount(mux)

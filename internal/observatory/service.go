@@ -15,7 +15,7 @@
 //     emissions are ordered by (slot time, link id) — so the log is
 //     bit-identical across Workers × BatchSteps × Shards.
 //   - End-of-campaign verdicts are the engine's own: after its batch
-//     sweep (analysis.AnalyzeLinkSweep) the engine hands each link's
+//     sweep (analysis.Sweeper.AnalyzeLinkSweep) the engine hands each link's
 //     verdicts over (SetLinkVerdicts), and Finalize sweeps only links
 //     nobody handed verdicts to. A fresh service fed the same
 //     collectors and swept by Finalize must reach the same verdicts —
@@ -319,7 +319,7 @@ func covers(verdicts map[float64]analysis.Verdict, thresholds []float64) bool {
 
 // Finalize completes the end-of-campaign verdicts: every watched link
 // whose handed-in verdicts (SetLinkVerdicts) miss a threshold is swept
-// (analysis.AnalyzeLinkSweep over its sealed series — the same pure
+// (analysis.Sweeper.AnalyzeLinkSweep over its sealed series — the same pure
 // function over the same input as the engine's Reanalyze, so the
 // verdicts are bit-identical to the engine's; DESIGN.md §16). The
 // engine hands every link over first, so its Finalize sweeps nothing;

@@ -168,7 +168,7 @@ func TestTSLPRound(t *testing.T) {
 			t.Fatalf("far RTT = %v, want ≥28ms", s.FarRTT)
 		}
 	}
-	if got := ts.FarHopCount(); got != 2 {
+	if got := len(ts.farPath.HopAddrs); got != 2 {
 		t.Fatalf("far hop count = %d", got)
 	}
 }

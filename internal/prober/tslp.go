@@ -211,7 +211,3 @@ func (ts *TSLP) LossRound(t simclock.Time) (nearLost, farLost bool) {
 	}
 	return !nearOK, !farOK
 }
-
-// FarHopCount returns the forward hop count to the far end, useful for
-// diagnostics.
-func (ts *TSLP) FarHopCount() int { return len(ts.farPath.HopAddrs) }

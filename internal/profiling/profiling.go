@@ -16,7 +16,7 @@ import (
 // Start begins a CPU profile when cpuPath is non-empty. The returned
 // stop function ends the CPU profile and, when memPath is non-empty,
 // writes a heap profile; call it exactly once on the way out. Defer it
-// inside a run() error function (as cmd/repro and cmd/observatory do)
+// inside a run() error function (as cmd/repro does)
 // rather than alongside os.Exit calls: an os.Exit skips deferred
 // stops, losing the profile on exactly the failing runs one most
 // wants to profile.

@@ -165,7 +165,7 @@ func (c advanceCase) run() error {
 			perStepAdvance(ref, t)
 			ref.SetBufferDrain(t, op.Drain)
 		default:
-			q.Advance(t)
+			q.advance(t)
 			perStepAdvance(ref, t)
 		}
 		if err := sameState(q, ref); err != nil {

@@ -250,7 +250,7 @@ func TestCursorInvalidatedByChanges(t *testing.T) {
 	}{
 		{"capacity", -1, func(q *Fluid) { q.SetCapacity(sec(300), 1e9) }},
 		{"buffer", -1, func(q *Fluid) { q.SetBufferDrain(sec(300), 5*time.Millisecond) }},
-		{"advance", -1, func(q *Fluid) { q.Advance(sec(330)) }},
+		{"advance", -1, func(q *Fluid) { q.advance(sec(330)) }},
 		{"batch", -1, func(q *Fluid) { q.AdvanceBatch([]simclock.Time{sec(300), sec(330)}) }},
 		// A batch that moves no frontier still re-bases its steps: step
 		// 0 was sec(0) and is now sec(300).

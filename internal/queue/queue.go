@@ -275,14 +275,8 @@ func (q *Fluid) stepBy(occ, offered, dropped, bps, sec float64) (float64, float6
 	return next, offered, dropped
 }
 
-// Advance moves the integration frontier to t. It is the single-writer
-// half of the parallel campaign protocol: the campaign engine advances
-// every queue once per probing step, then concurrent workers observe
-// the step through ObserveFrozenCursor without mutating anything.
-func (q *Fluid) Advance(t simclock.Time) { q.advance(t) }
-
 // AdvanceBatch advances the integration frontier through each step
-// time in order — exactly as len(steps) successive Advance calls would
+// time in order — exactly as len(steps) successive advances would
 // — while recording the frontier state after every step. The recorded
 // states let ObserveFrozenCursor later reproduce, for any step in the
 // batch, precisely what a read of the live frontier would have
@@ -410,12 +404,6 @@ func (q *Fluid) DelayAt(t simclock.Time) simclock.Duration {
 func (q *Fluid) LossAt(t simclock.Time) float64 {
 	q.advance(t)
 	return q.lossFrac
-}
-
-// Occupancy returns the buffer occupancy in bits at time t.
-func (q *Fluid) Occupancy(t simclock.Time) float64 {
-	q.advance(t)
-	return q.occupancy
 }
 
 // Utilization returns offered load over capacity at time t (can

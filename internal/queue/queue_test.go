@@ -156,8 +156,8 @@ func TestUtilization(t *testing.T) {
 func TestOccupancyMatchesDelay(t *testing.T) {
 	q := NewFluid(Config{CapacityBps: 100e6, BufferDrain: 40 * time.Millisecond,
 		Load: constLoad(130e6)})
-	occ := q.Occupancy(sec(300))
 	d := q.DelayAt(sec(300))
+	occ := q.occupancy
 	if math.Abs(occ/100e6-d.Seconds()) > 1e-6 {
 		t.Fatalf("occupancy %v bits inconsistent with delay %v", occ, d)
 	}

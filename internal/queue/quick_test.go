@@ -76,7 +76,7 @@ func TestQuickBatchObservationMatchesPerStep(t *testing.T) {
 			start = steps[n-1].Add(step)
 			batched.AdvanceBatch(steps)
 			for i, st := range steps {
-				perStep.Advance(st)
+				perStep.advance(st)
 				for _, off := range offsets {
 					at := st.Add(off)
 					d1, l1 := perStep.ObserveFrozenCursor(nil, -1, at)

@@ -103,7 +103,7 @@ func TestGhanatelCongestionDetected(t *testing.T) {
 		w.AdvanceTo(tm)
 		col.Round(tm)
 	})
-	v := analysis.AnalyzeLink(col.Series(), analysis.DefaultConfig())
+	v := analysis.NewSweeper().AnalyzeLink(col.Series(), analysis.DefaultConfig())
 	if !v.Congested {
 		t.Fatalf("GHANATEL phase 1 not detected: flagged=%v nearFlat=%v diurnal=%+v",
 			v.Flagged, v.NearFlat, v.Diurnal)

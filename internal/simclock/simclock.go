@@ -126,9 +126,6 @@ type Clock struct {
 	now Time
 }
 
-// NewClock returns a clock positioned at start.
-func NewClock(start Time) *Clock { return &Clock{now: start} }
-
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 

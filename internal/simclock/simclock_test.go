@@ -173,7 +173,7 @@ func TestDayAgreesWithSecondOfDay(t *testing.T) {
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := NewClock(Date(2016, time.March, 1))
+	c := &Clock{now: Date(2016, time.March, 1)}
 	c.Advance(time.Hour)
 	if got := c.Now().Sub(Date(2016, time.March, 1)); got != time.Hour {
 		t.Fatalf("advance = %v", got)
@@ -190,7 +190,7 @@ func TestClockPanicsOnBackwards(t *testing.T) {
 			t.Fatal("expected panic on negative advance")
 		}
 	}()
-	NewClock(0).Advance(-time.Second)
+	new(Clock).Advance(-time.Second)
 }
 
 func TestClockPanicsOnAdvanceToPast(t *testing.T) {
@@ -199,7 +199,7 @@ func TestClockPanicsOnAdvanceToPast(t *testing.T) {
 			t.Fatal("expected panic on AdvanceTo into past")
 		}
 	}()
-	c := NewClock(Date(2016, time.March, 2))
+	c := &Clock{now: Date(2016, time.March, 2)}
 	c.AdvanceTo(Date(2016, time.March, 1))
 }
 

@@ -330,14 +330,6 @@ func NewWithClock(now func() time.Time) *Telemetry {
 // Start returns the wall-clock instant the telemetry was created.
 func (t *Telemetry) Start() time.Time { return t.start }
 
-// Elapsed returns wall time since creation. Nil-safe (zero).
-func (t *Telemetry) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.now().Sub(t.start)
-}
-
 // BeginSpan opens a phase span at virtual time v. It returns a ref
 // for EndSpan; on a nil receiver or a full span log it drops the span
 // and returns a negative ref. Allocation-free once the log exists.
@@ -381,21 +373,6 @@ func (t *Telemetry) EndSpan(ref SpanRef, v simclock.Time) {
 func (t *Telemetry) AddSpan(phase, label string, vStart, vEnd simclock.Time) {
 	ref := t.BeginSpan(phase, label, vStart)
 	t.EndSpan(ref, vEnd)
-}
-
-// SpanDuration returns the wall duration of a closed span (zero for
-// dropped refs) — engines stamp progress lines with it.
-func (t *Telemetry) SpanDuration(ref SpanRef) time.Duration {
-	if t == nil || ref < 0 {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(ref) >= len(t.spans) {
-		return 0
-	}
-	s := t.spans[ref]
-	return s.WallEnd.Sub(s.WallStart)
 }
 
 // Eventf appends a formatted event at virtual time v and returns the

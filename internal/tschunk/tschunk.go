@@ -259,10 +259,6 @@ func (b *Builder) Len() int { return b.n }
 // Arena.
 func (b *Builder) MemBytes() int { return 8 * cap(b.cur) }
 
-// EncodedLen returns the builder's own encoded bytes so far (shared
-// all-missing blocks counted once).
-func (b *Builder) EncodedLen() int { return b.encLen }
-
 func (b *Builder) resetCur(blk int) {
 	b.curBlk = blk
 	lo := blk * BlockLen

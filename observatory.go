@@ -276,18 +276,15 @@ type AnalysisConfig = analysis.Config
 // threshold, 30-minute minimum event duration.
 func DefaultAnalysisConfig() AnalysisConfig { return analysis.DefaultConfig() }
 
-// AnalyzeLink runs the §5.2 pipeline over one link's collected series.
-func AnalyzeLink(ls analysis.LinkSeries, cfg AnalysisConfig) Verdict {
-	return analysis.AnalyzeLink(ls, cfg)
-}
+// Sweeper runs the §5.2 pipeline over links' collected series:
+// AnalyzeLink at one threshold, AnalyzeLinkSweep across a Table 1
+// threshold sweep (level shifts detected once per link end, classified
+// per threshold). It reuses its detector and working memory across
+// links, so hold one per goroutine.
+type Sweeper = analysis.Sweeper
 
-// AnalyzeLinkSweep runs the per-link pipeline across a threshold sweep
-// (Table 1), detecting level shifts once per link end and classifying
-// per threshold. Verdicts are bit-identical to independent AnalyzeLink
-// calls at each threshold.
-func AnalyzeLinkSweep(ls analysis.LinkSeries, cfg AnalysisConfig, thresholds []float64) []Verdict {
-	return analysis.AnalyzeLinkSweep(ls, cfg, thresholds)
-}
+// NewSweeper builds a link analyzer.
+func NewSweeper() *Sweeper { return analysis.NewSweeper() }
 
 // LinkSeries carries one link's near/far RTT series.
 type LinkSeries = analysis.LinkSeries

@@ -8,6 +8,8 @@
 #   test -race full suite under the race detector — the parallel
 #              campaign engine's determinism tests double as its race
 #              exerciser (8 workers over shared world state)
+#   artifacts  repro -out writes a warts archive that cmd/replay
+#              re-analyzes
 #   pins       the two pinned -result-sha campaigns print their
 #              digests and exit 0, and the paper run's whole stdout
 #              and its 14 figure files hash as pinned
@@ -120,8 +122,8 @@ go test -run '^$' -fuzz '^FuzzDecodeICMP$' -fuzztime 10s -fuzzminimizetime 100x 
 go test -run '^$' -fuzz '^FuzzParseQuote$' -fuzztime 10s -fuzzminimizetime 100x -parallel 1 ./internal/packet/
 
 echo "== /metrics + observatory endpoint smoke =="
-# Start a short observatory run with the live telemetry endpoint and a
-# linger window, poll until /metrics answers, and assert the snapshot
+# Start a short artifact-writing campaign with the live telemetry
+# endpoint and a linger window, poll until /metrics answers, and assert the snapshot
 # carries the instrumented keys end to end (engine counters, probe
 # counters, schema tag). Exercises the full wiring: flag parsing, the
 # HTTP server, the barrier republication, and the deferred shutdown.
@@ -133,7 +135,7 @@ echo "== /metrics + observatory endpoint smoke =="
 METRICS_ADDR="127.0.0.1:18573"
 OBS_OUT="$(mktemp -d)"
 STREAM_OUT="$(mktemp)"
-go run ./cmd/observatory -out "$OBS_OUT" -days 2 -scale 0.05 -no-loss \
+go run ./cmd/repro -out "$OBS_OUT" -days 2 -scale 0.05 -no-loss \
   -metrics-addr "$METRICS_ADDR" -metrics-linger 30s >/dev/null 2>&1 &
 OBS_PID=$!
 # Hold the SSE stream open while the campaign runs: retry until the
@@ -213,6 +215,19 @@ kill "$OBS_PID" 2>/dev/null || true
 wait "$OBS_PID" 2>/dev/null || true
 rm -rf "$OBS_OUT" "$STREAM_OUT"
 echo "metrics + observatory endpoints OK"
+
+echo "== artifact + offline replay smoke =="
+# A short campaign writes its artifacts, and cmd/replay re-runs the
+# analysis over the warts archive it wrote: both must exit 0 and the
+# replay must report at least one link.
+ART_TMP="$(mktemp -d)"
+trap 'rm -rf "$ART_TMP"' EXIT
+go run ./cmd/repro -out "$ART_TMP/run" -days 2 -scale 0.05 -no-loss -headline -quiet >/dev/null
+go run ./cmd/replay -warts "$ART_TMP/run/measurements.warts" -days 2 >"$ART_TMP/replay.txt"
+grep -qF '→' "$ART_TMP/replay.txt" \
+  || { echo "FAIL: replay of the archive printed no link row"; cat "$ART_TMP/replay.txt"; exit 1; }
+rm -rf "$ART_TMP"
+echo "artifacts + replay OK"
 
 echo "== checkpoint-restart smoke (kill -9 mid-campaign, resume, byte-identical) =="
 # An uninterrupted faulted+budgeted campaign prints its result digest;
