@@ -13,8 +13,8 @@
 //     queues driven by diurnal traffic models, ICMP semantics),
 //   - a scamper-like prober (TTL-limited probes, record-route, token
 //     bucket pacing, warts-style output),
-//   - border mapping (bdrmap) with alias resolution, RIR delegations,
-//     and IXP directory datasets in their real file formats,
+//   - border mapping (bdrmap) over RIR delegations and IXP directory
+//     datasets in their real file formats,
 //   - the TSLP analysis: rank-based CUSUM level-shift detection,
 //     diurnal-pattern filtering, loss-rate batches, and sustained/
 //     transient classification,
@@ -102,21 +102,9 @@ type Prober = prober.Prober
 // TSLP is a time-sequence latency probe session on one link.
 type TSLP = prober.TSLP
 
-// ProberConfig tunes a measurement agent.
-type ProberConfig = prober.Config
-
 // NewProber binds a measurement agent to a vantage point.
 func NewProber(w *World, vp *VP) *Prober {
 	return prober.New(w.Net, vp.Node, prober.Config{Name: vp.Monitor})
-}
-
-// NewProberWithConfig is NewProber with explicit configuration
-// (probing rate, warts output, timeout).
-func NewProberWithConfig(w *World, vp *VP, cfg ProberConfig) *Prober {
-	if cfg.Name == "" {
-		cfg.Name = vp.Monitor
-	}
-	return prober.New(w.Net, vp.Node, cfg)
 }
 
 // Node re-exports the simulator node type for topology inspection.

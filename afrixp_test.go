@@ -2,6 +2,7 @@ package afrixp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +95,26 @@ func TestRunCampaignFacade(t *testing.T) {
 	}
 	if _, frac := Headline(c); frac < 0 || frac > 0.5 {
 		t.Fatalf("headline fraction = %v", frac)
+	}
+}
+
+// TestEngineConfigGeneratedWorld pins the translation above Scale 1:
+// a generated world's VPs, the shard count and a fault plan, as the
+// budget sweep's base campaign needs them.
+func TestEngineConfigGeneratedWorld(t *testing.T) {
+	ecfg := CampaignConfig{Scale: 10, Shards: 2, Faults: true}.EngineConfig()
+	if ecfg.BuildWorld == nil {
+		t.Fatal("Scale 10 builds the authored paper world, want a generated one")
+	}
+	w := ecfg.BuildWorld()
+	if len(w.VPs) == 0 || !strings.HasPrefix(w.VPs[0].ID, "GVP") {
+		t.Fatalf("Scale 10 world has no generated VPs: %d VPs", len(w.VPs))
+	}
+	if ecfg.Shards != 2 {
+		t.Fatalf("Shards = %d, want 2", ecfg.Shards)
+	}
+	if ecfg.Faults == nil {
+		t.Fatal("Faults set but the engine config carries no fault plan")
 	}
 }
 

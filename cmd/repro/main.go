@@ -39,7 +39,10 @@
 // unscheduled run — so 100% budgets take the same code path as 99.9%.
 // -budget-table runs the campaign at 100/50/25/10% budgets and prints
 // detection recall, time-to-detect, and Table-1 fidelity per budget
-// point.
+// point; its campaigns are the one a plain run with the same flags
+// would make (world, shards, fault plan). Both sweeps print a table
+// and write nothing else, so they refuse -out, -csvdir,
+// -checkpoint-dir and -resume.
 //
 // -checkpoint-dir DIR snapshots the engine's full measurement state
 // into DIR every -checkpoint-every of virtual campaign time (default
@@ -85,6 +88,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"afrixp"
@@ -147,6 +151,28 @@ func run() error {
 		resultSHA   = flag.Bool("result-sha", false, "print a SHA-256 digest of every campaign observable (bit-level), for comparing runs")
 	)
 	flag.Parse()
+
+	if *doBudgetTab || *doSweep {
+		// A sweep prints its table and writes no artifacts or
+		// checkpoints: refuse the flags it would ignore.
+		var ignored []string
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"-out", *outDir != ""}, {"-csvdir", *csvDir != ""},
+			{"-checkpoint-dir", *ckptDir != ""}, {"-resume", *doResume}} {
+			if f.set {
+				ignored = append(ignored, f.name)
+			}
+		}
+		if len(ignored) > 0 {
+			sweep := "-scale-sweep"
+			if *doBudgetTab {
+				sweep = "-budget-table"
+			}
+			return fmt.Errorf("repro: %s ignores %s", sweep, strings.Join(ignored, ", "))
+		}
+	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -214,9 +240,16 @@ func run() error {
 		progress = nil
 	}
 
+	ccfg := afrixp.CampaignConfig{
+		Seed: *seed, Scale: *scale, GenSeed: *genSeed, Days: *days, StartOffsetDays: *startOff,
+		DisableLoss: *noLoss, Workers: *workers, BatchSteps: *batch, Shards: *shards,
+		Faults: *doFaults, FaultSeed: *faultSeed,
+		Budget: *budgetFrac, BudgetSeed: *budgetSeed,
+		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *doResume,
+		Progress: progress,
+	}
 	if *doBudgetTab {
-		return runBudgetTable(*seed, *scale, *days, *startOff, *noLoss,
-			*workers, *batch, *budgetSeed, progress)
+		return runBudgetTable(ccfg)
 	}
 	if *doSweep {
 		fmt.Fprintln(os.Stderr, "scale sweep: 1× (paper world) + 10×/100× generated worlds...")
@@ -234,14 +267,8 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "building world (scale %.2f) and running campaign...\n", *scale)
 	start := time.Now()
-	c := afrixp.RunCampaign(afrixp.CampaignConfig{
-		Seed: *seed, Scale: *scale, GenSeed: *genSeed, Days: *days, StartOffsetDays: *startOff,
-		DisableLoss: *noLoss, Workers: *workers, BatchSteps: *batch, Shards: *shards,
-		Faults: *doFaults, FaultSeed: *faultSeed,
-		Budget: *budgetFrac, BudgetSeed: *budgetSeed,
-		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *doResume,
-		Progress: progress, Telemetry: tele, Observatory: live,
-	})
+	ccfg.Telemetry, ccfg.Observatory = tele, live
+	c := afrixp.RunCampaign(ccfg)
 	fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Second))
 
 	if *resultSHA {
@@ -446,21 +473,14 @@ func writeArtifacts(dir string, c *afrixp.Campaign, faults bool, budgetFrac floa
 	return nil
 }
 
-// runBudgetTable runs the probe-budget sweep — the full-rate campaign
-// plus budgeted reruns at 50/25/10% — and prints probe spend, ground-
-// truth recall, time-to-detect, and Table-1 fidelity per budget point.
-func runBudgetTable(seed uint64, scale float64, days, startOff int,
-	noLoss bool, workers, batch int, budgetSeed uint64, progress io.Writer) error {
-	base := experiments.Config{
-		Opts:        scenario.Options{Seed: seed, Scale: scale},
-		DisableLoss: noLoss,
-		Workers:     workers,
-		BatchSteps:  batch,
-		Budget:      &budget.Config{Seed: budgetSeed},
-		Progress:    progress,
-		Campaign:    afrixp.CampaignWindow(days, startOff),
-	}
-	fmt.Fprintf(os.Stderr, "budget sweep (scale %.2f): full rate + 50/25/10%% budgets...\n", scale)
+// runBudgetTable runs the probe-budget sweep over cfg's campaign — the
+// full-rate run plus budgeted reruns at 50/25/10% — and prints probe
+// spend, ground-truth recall, time-to-detect, and Table-1 fidelity per
+// budget point.
+func runBudgetTable(cfg afrixp.CampaignConfig) error {
+	base := cfg.EngineConfig()
+	base.Budget = &budget.Config{Seed: cfg.BudgetSeed}
+	fmt.Fprintf(os.Stderr, "budget sweep (scale %.2f): full rate + 50/25/10%% budgets...\n", cfg.Scale)
 	t0 := time.Now()
 	points := experiments.RunBudgetSweep(base, nil)
 	fmt.Fprintf(os.Stderr, "sweep finished in %v\n\n", time.Since(t0).Round(time.Second))

@@ -28,10 +28,6 @@ type Config struct {
 	LevelShift levelshift.Config
 	// Diurnal configures the recurring-pattern detector.
 	Diurnal diurnal.Config
-	// NearFlatMs bounds how much the near-end series may shift before
-	// the link is discarded as "congestion not at the targeted link".
-	// Default: the analysis threshold.
-	NearFlatMs float64
 }
 
 // sustainedTail: congestion whose last event ends within this span of
@@ -87,7 +83,7 @@ type Verdict struct {
 	// Flagged: far end shows qualifying level shifts (a "potentially
 	// congested" link in Table 1 terms).
 	Flagged bool
-	// NearFlat: the near end shows no comparable shifts.
+	// NearFlat: the near end shows no level shift at the threshold.
 	NearFlat bool
 	// Symmetric carries the record-route result when available;
 	// defaults to true when unchecked.
@@ -178,11 +174,10 @@ func (sw *Sweeper) AnalyzeLinkSweep(ls LinkSeries, cfg Config, thresholds []floa
 		v.Far = farDet.AtThreshold(thr)
 		v.Flagged = v.Far.Flagged()
 
-		nearLimit := cfg.NearFlatMs
-		if nearLimit <= 0 {
-			nearLimit = thr
-		}
-		v.Near = nearDet.AtThreshold(nearLimit)
+		// The near end is flat when it shifts by less than the
+		// threshold: larger near shifts put the congestion before the
+		// targeted link.
+		v.Near = nearDet.AtThreshold(thr)
 		v.NearFlat = !v.Near.Flagged()
 
 		dcfg := cfg.Diurnal

@@ -114,27 +114,6 @@ func TestSweeperReuseAcrossLinks(t *testing.T) {
 	}
 }
 
-// TestSweepNearFlatOverride pins that an explicit NearFlatMs applies
-// at every threshold (not just the default nearLimit=thr case).
-func TestSweepNearFlatOverride(t *testing.T) {
-	ls := sweepLinkSeries(t)["near-shifts-too"]
-	cfg := DefaultConfig()
-	cfg.NearFlatMs = 50 // near shifts of ~25 ms now count as flat
-	thresholds := []float64{5, 10}
-	swept := NewSweeper().AnalyzeLinkSweep(ls, cfg, thresholds)
-	for k, thr := range thresholds {
-		one := cfg
-		one.ThresholdMs = thr
-		want := NewSweeper().AnalyzeLink(ls, one)
-		if swept[k].NearFlat != want.NearFlat {
-			t.Fatalf("thr %g: NearFlat %t != %t", thr, swept[k].NearFlat, want.NearFlat)
-		}
-		if !swept[k].NearFlat {
-			t.Fatalf("thr %g: 50 ms NearFlatMs must tolerate 25 ms near shifts", thr)
-		}
-	}
-}
-
 // TestSweepEmptyThresholds keeps the degenerate call well-defined.
 func TestSweepEmptyThresholds(t *testing.T) {
 	ls := synth(7, flatFn(2, 0.4, 20), flatFn(1, 0.3, 21))

@@ -2,10 +2,9 @@
 // paper): from a vantage point it traces toward every routed prefix
 // observed in BGP, then applies ownership heuristics — prefix→AS
 // mappings, AS relationships, RIR delegations, IXP prefix lists, and
-// the VP AS's sibling list — plus alias resolution to infer the
-// interdomain links of the VP's host network: the (near IP, far IP)
-// pairs TSLP will probe, the set of AS neighbors, and which of them
-// are settlement-free peers.
+// the VP AS's sibling list — to infer the interdomain links of the
+// VP's host network: the (near IP, far IP) pairs TSLP will probe, the
+// set of AS neighbors, and which of them are settlement-free peers.
 package bdrmap
 
 import (
@@ -14,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"afrixp/internal/alias"
 	"afrixp/internal/asrel"
 	"afrixp/internal/bgpsim"
 	"afrixp/internal/geo"
@@ -47,8 +45,6 @@ type Config struct {
 	// Siblings lists ASes belonging to the VP's organization; hops in
 	// their space count as inside the VP network.
 	Siblings []asrel.ASN
-	// ResolveAliases enables the Ally pass over border addresses.
-	ResolveAliases bool
 }
 
 const (
@@ -90,9 +86,6 @@ type Result struct {
 	// Peers are neighbors classified as settlement-free peers (IXP
 	// fabric links or peer relationships).
 	Peers []asrel.ASN
-	// BorderGroups are alias-resolved groups of near-side border
-	// addresses (one group ≈ one border router), when enabled.
-	BorderGroups [][]netaddr.Addr
 	// TracesRun counts traceroutes issued.
 	TracesRun int
 }
@@ -195,21 +188,6 @@ func Run(p *prober.Prober, cfg Config, t simclock.Time) (*Result, error) {
 	res.Neighbors = sortedASNs(nset)
 	res.Peers = sortedASNs(pset)
 
-	if cfg.ResolveAliases {
-		borders := make(map[netaddr.Addr]bool)
-		for _, l := range res.Links {
-			borders[l.Near] = true
-		}
-		addrs := make([]netaddr.Addr, 0, len(borders))
-		for a := range borders {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		groups, err := alias.NewResolver(p).Resolve(addrs, at)
-		if err == nil {
-			res.BorderGroups = groups
-		}
-	}
 	return res, nil
 }
 

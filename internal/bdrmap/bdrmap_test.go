@@ -216,21 +216,6 @@ func TestNearEndsInsideVPNetwork(t *testing.T) {
 	}
 }
 
-func TestAliasGroupsBorders(t *testing.T) {
-	w := build(t)
-	cfg := w.cfg
-	cfg.ResolveAliases = true
-	p := prober.New(w.nw, w.vp, prober.Config{})
-	res, err := Run(p, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All near addresses belong to r100: one border router group.
-	if len(res.BorderGroups) != 1 {
-		t.Fatalf("border groups = %v", res.BorderGroups)
-	}
-}
-
 func TestValidateNeighbors(t *testing.T) {
 	res := &Result{Neighbors: []asrel.ASN{200, 300}}
 	frac, missed, spurious := ValidateNeighbors(res, []asrel.ASN{200, 300, 500})
@@ -274,8 +259,7 @@ func TestGroundTruthValidation(t *testing.T) {
 
 // TestMultiBorderRouterVP: a VP AS with two border routers — one
 // holding the IXP port, one holding the transit uplink — must yield
-// two distinct near addresses, which alias resolution then groups
-// into two border routers.
+// two distinct near addresses.
 func TestMultiBorderRouterVP(t *testing.T) {
 	g := asrel.NewGraph()
 	g.AddAS(100, "CONTENT", "IXP-Org")
@@ -325,9 +309,8 @@ func TestMultiBorderRouterVP(t *testing.T) {
 			{IXPName: "X", Addr: ma("196.49.9.10"), ASN: 200}}}
 	cfg := Config{
 		BGP: bgp, Rels: g,
-		RIR:            registry.NewIndex(&registry.File{Registry: "afrinic"}),
-		IXP:            ixpdir.NewIndex(dir),
-		ResolveAliases: true,
+		RIR: registry.NewIndex(&registry.File{Registry: "afrinic"}),
+		IXP: ixpdir.NewIndex(dir),
 	}
 	p := prober.New(nw, vp, prober.Config{})
 	res, err := Run(p, cfg, 0)
@@ -345,10 +328,6 @@ func TestMultiBorderRouterVP(t *testing.T) {
 	}
 	if len(nears) != 2 {
 		t.Fatalf("near addresses = %v, want 2 distinct borders", nears)
-	}
-	if len(res.BorderGroups) != 2 {
-		t.Fatalf("alias resolution grouped borders into %d routers: %v",
-			len(res.BorderGroups), res.BorderGroups)
 	}
 }
 

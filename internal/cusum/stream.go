@@ -30,7 +30,7 @@ const (
 // Everything is pure float arithmetic on the sample sequence: two
 // Streams fed the same values in the same order hold bit-identical
 // state, which is what lets the budget scheduler rank links without
-// breaking campaign determinism.
+// breaking campaign determinism. The zero Stream is an empty tap.
 type Stream struct {
 	n        uint64
 	baseline float64
@@ -38,9 +38,6 @@ type Stream struct {
 	sPos     float64
 	sNeg     float64
 }
-
-// NewStream builds a tap. The zero Stream is the same empty tap.
-func NewStream() Stream { return Stream{} }
 
 // Observe feeds one sample. Allocation-free.
 func (s *Stream) Observe(x float64) {

@@ -11,7 +11,7 @@ import (
 // evidence should relax again once the baseline absorbs the new level.
 func TestStreamDetectsLevelShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	s := NewStream()
+	s := Stream{}
 
 	var flatMax float64
 	for i := 0; i < 500; i++ {
@@ -40,8 +40,8 @@ func TestStreamDetectsLevelShift(t *testing.T) {
 
 func TestStreamNegativeShiftSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	up := NewStream()
-	down := NewStream()
+	up := Stream{}
+	down := Stream{}
 	for i := 0; i < 400; i++ {
 		e := rng.NormFloat64()
 		up.Observe(50 + e)
@@ -64,8 +64,8 @@ func TestStreamNegativeShiftSymmetric(t *testing.T) {
 // budget scheduler's determinism rests on this.
 func TestStreamBitDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := NewStream()
-	b := NewStream()
+	a := Stream{}
+	b := Stream{}
 	for i := 0; i < 1000; i++ {
 		x := 20 + 5*rng.NormFloat64()
 		if i%3 == 0 {
@@ -95,7 +95,7 @@ func TestStreamZeroValueUsable(t *testing.T) {
 }
 
 func TestStreamConstantSeriesNoEvidence(t *testing.T) {
-	s := NewStream()
+	s := Stream{}
 	for i := 0; i < 1000; i++ {
 		s.Observe(25)
 	}
@@ -105,7 +105,7 @@ func TestStreamConstantSeriesNoEvidence(t *testing.T) {
 }
 
 func BenchmarkStreamObserve(b *testing.B) {
-	s := NewStream()
+	s := Stream{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Observe(float64(i&127) * 0.25)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"afrixp/internal/netaddr"
 	"afrixp/internal/queue"
@@ -111,60 +112,44 @@ func (l *leg) walk(ctx *ProbeCtx, t simclock.Time) (simclock.Time, bool) {
 }
 
 // TracePath resolves the trajectory of an echo probe with the given
-// TTL from src toward dst. Routing is time-invariant in the simulator
-// (only pipe conditions vary), so the path can be cached until the
-// topology version changes.
+// TTL from src toward dst. It resolves over the trajectory memo Echo
+// replays, so probes and paths share one route resolver, and copies the
+// memo's pipes and hop addresses into the path, since the next resolve
+// reuses that storage. Routing is time-invariant in the simulator (only
+// pipe conditions vary), so the path can be cached until the topology
+// version changes.
+//
+// It fails where Echo declines: when src owns dst, a step on either leg
+// has no route, or a leg is longer than trajectoryMaxHops. Same
+// single-goroutine contract as Echo: resolve on the coordinator
+// (discovery, the paths barrier hook), never from a probing worker.
 func (nw *Network) TracePath(src *Node, dst netaddr.Addr, ttl int) (*ProbePath, error) {
-	pp := &ProbePath{nw: nw, version: nw.version}
-	cur := src
-	var arrival *Iface
-	remaining := ttl
-
-	for hops := 0; hops < maxWalkHops; hops++ {
-		if cur != src && nw.ownsAddr(cur, dst) {
-			pp.Responder = cur
-			pp.RespAddr = dst
-			break
-		}
-		if cur != src {
-			if remaining <= 1 {
-				pp.Responder = cur
-				pp.RespAddr = arrival.Addr
-				pp.Expired = true
-				break
-			}
-			remaining--
-		}
-		h, ok := nw.resolveStep(cur, dst)
-		if !ok {
-			return nil, fmt.Errorf("netsim: no route from %s toward %v", cur.Name, dst)
-		}
-		pp.FwdPipes = append(pp.FwdPipes, h.pipeSeq()...)
-		pp.HopAddrs = append(pp.HopAddrs, h.arrival.Addr)
-		cur = nw.nodes[h.arrival.Node]
-		arrival = h.arrival
+	tr := &nw.traj
+	tr.aim(nw, src, dst)
+	if tr.dstOwner == src.ID {
+		return nil, fmt.Errorf("netsim: %s owns probe target %v", src.Name, dst)
 	}
-	if pp.Responder == nil {
-		return nil, fmt.Errorf("netsim: probe toward %v never terminated", dst)
+	j, ok := tr.forward(nw, max(ttl, 1))
+	if !ok {
+		return nil, fmt.Errorf("netsim: no route from %s toward %v", src.Name, dst)
 	}
-
-	// Reverse path: route the response from the responder back to the
-	// prober's source address.
-	back := nw.SrcAddr(src)
-	cur = pp.Responder
-	for hops := 0; hops < maxWalkHops; hops++ {
-		if nw.ownsAddr(cur, back) {
-			pp.compile()
-			return pp, nil
-		}
-		h, ok := nw.resolveStep(cur, back)
-		if !ok {
-			return nil, fmt.Errorf("netsim: no return route from %s toward %v", cur.Name, back)
-		}
-		pp.RevPipes = append(pp.RevPipes, h.pipeSeq()...)
-		cur = nw.nodes[h.arrival.Node]
+	last := tr.fwd[j-1]
+	resp := nw.nodes[last.arrival.Node]
+	if !tr.reverse(nw, resp) {
+		return nil, fmt.Errorf("netsim: no return route from %s toward %v", resp.Name, tr.back)
 	}
-	return nil, fmt.Errorf("netsim: return path toward %v never terminated", back)
+	pp := &ProbePath{nw: nw, version: nw.version,
+		FwdPipes: slices.Clone(tr.fwdPipes[:last.pipeEnd]), RevPipes: slices.Clone(tr.revPipes),
+		Responder: resp, RespAddr: last.arrival.Addr, Expired: true,
+		HopAddrs: make([]netaddr.Addr, j)}
+	for i, s := range tr.fwd[:j] {
+		pp.HopAddrs[i] = s.arrival.Addr
+	}
+	if resp.ID == tr.dstOwner {
+		pp.RespAddr, pp.Expired = dst, false
+	}
+	pp.compile()
+	return pp, nil
 }
 
 // compile builds the path's compiled legs from its pipe sequences.

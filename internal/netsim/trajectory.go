@@ -34,9 +34,10 @@ type EchoResult struct {
 const trajectoryMaxHops = 32
 
 // trajectory memoizes the routing of TTL-limited echoes from one
-// source: the forward steps toward the current target, so the probe
-// with TTL k reuses steps 1..k-1, and each responder's step back toward
-// the source address. resolveStep is a pure function of the node, the
+// source, for Echo's replays and TracePath's paths alike: the forward
+// steps toward the current target, so the probe with TTL k reuses
+// steps 1..k-1, and each responder's step back toward the source
+// address. resolveStep is a pure function of the node, the
 // destination, the topology version and the BGP generation, so within
 // one (source, version, generation) key the memo holds exactly the
 // steps Inject would resolve. A key change resets it and keeps its

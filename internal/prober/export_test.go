@@ -36,7 +36,7 @@ func (p *Prober) oraclePing(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingR
 	if outcome != netsim.Delivered {
 		res.Lost = true
 	} else {
-		rip, pl, derr := packet.DecodeIPv4(resp.Wire)
+		_, pl, derr := packet.DecodeIPv4(resp.Wire)
 		if derr != nil {
 			return PingResult{}, derr
 		}
@@ -46,7 +46,6 @@ func (p *Prober) oraclePing(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingR
 		}
 		res.Responder = resp.From
 		res.RespType = icmp.Type
-		res.RespIPID = rip.ID
 		res.RTT = resp.At.Sub(sendAt)
 		if res.RTT > timeout {
 			res = PingResult{SentAt: sendAt, Lost: true}

@@ -65,7 +65,6 @@ func (tw *oracleTwin) run(t *testing.T, i int, at simclock.Time) *bdrmap.Result 
 	res, err := bdrmap.Run(tw.probes[i], bdrmap.Config{
 		BGP: tw.w.BGP, Rels: tw.w.Graph, RIR: tw.rir, IXP: tw.ixp,
 		Geo: tw.w.GeoDB, RDNS: tw.w.RDNS, Siblings: vp.Siblings,
-		ResolveAliases: true,
 	}, at)
 	if err != nil {
 		t.Fatalf("%s: %v", vp.ID, err)

@@ -140,10 +140,6 @@ type PingResult struct {
 	Responder netaddr.Addr
 	// RespType is the ICMP type of the response.
 	RespType uint8
-	// RespIPID is the IP identification field of the response —
-	// routers draw it from a shared per-box counter, the signal
-	// Ally-style alias resolution uses.
-	RespIPID uint16
 	RTT      simclock.Duration
 	Lost     bool
 }
@@ -171,7 +167,6 @@ func (p *Prober) Ping(dst netaddr.Addr, ttl uint8, t simclock.Time) (PingResult,
 	} else {
 		res.Responder = echo.From
 		res.RespType = echo.Type
-		res.RespIPID = echo.IPID
 		res.RTT = echo.At.Sub(sendAt)
 		if res.RTT > timeout {
 			// Response slower than the timeout counts as loss, as it

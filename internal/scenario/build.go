@@ -18,27 +18,34 @@ import (
 	"afrixp/internal/trafficmodel"
 )
 
-// builder accumulates the world during construction.
-type builder struct {
-	w *World
+// Builder is the world-construction surface: the primitives Paper is
+// written in — AS creation, IXP fabrics, bilateral peering meshes,
+// transit wiring, vantage points, churn events — over address pools
+// that generated worlds (internal/worldgen) widen to hold 10^3–10^4
+// ASes. Not safe for concurrent use; build single-threaded, call
+// World.Net.InvalidateRoutes() once authoring is done, then hand the
+// World to the campaign engine.
+type Builder struct {
+	World *World
+	// ICRef is the intercontinental carrier that events adding
+	// late-joining transit providers hang them off.
+	ICRef *AS
 
-	// Address pools: /16 per AS from the African pool, /24 per IXP
-	// LAN/management network, /30 interconnects carved from the
-	// owning AS's block.
+	// Address pools: /16 per AS, /24 per IXP LAN/management network,
+	// /30 interconnects carved from the owning AS's block.
 	asPool  *netaddr.Allocator
 	ixpPool *netaddr.Allocator
 
 	nextASN asrel.ASN
-	// icRef is an intercontinental carrier used when events add
-	// late-joining transit providers.
-	icRef *asInfo
 }
 
-// asInfo is the built form of one autonomous system.
-type asInfo struct {
-	ASN     asrel.ASN
-	Name    string
-	Prefix  netaddr.Prefix
+// AS is the built form of one autonomous system.
+type AS struct {
+	ASN    asrel.ASN
+	Name   string
+	Prefix netaddr.Prefix
+	// Border is the AS's border router; congestion authoring hangs
+	// slow-ICMP profiles off it.
 	Border  *netsim.Node
 	Host    *netsim.Node // internal host carrying the service address
 	Service netaddr.Addr
@@ -48,14 +55,29 @@ type asInfo struct {
 	p2pPool *netaddr.Allocator
 }
 
-func newBuilder(seed uint64) *builder {
+// BuilderConfig sets a builder's seed and pools. The zero pools are
+// the paper world's: /16 per AS out of 40.0.0.0/6 (1024 ASes), /24 per
+// IXP LAN out of 196.60.0.0/14 (1024 LANs), member ASNs from 328000.
+// Continent-scale worlds widen ASPool so tens of thousands of ASes fit
+// without colliding with the IXP-LAN space.
+type BuilderConfig struct {
+	// Seed drives every deterministic noise process of the world.
+	Seed uint64
+	// ASPool is carved into one /16 block per AS.
+	ASPool netaddr.Prefix
+	// FirstASN seeds the synthetic-ASN allocator (default 328000).
+	FirstASN asrel.ASN
+}
+
+// NewBuilder starts an empty world with the given seed and pools.
+func NewBuilder(cfg BuilderConfig) *Builder {
 	g := asrel.NewGraph()
 	bgp := bgpsim.New(g)
 	w := &World{
-		Seed:       seed,
+		Seed:       cfg.Seed,
 		Graph:      g,
 		BGP:        bgp,
-		Net:        netsim.New(bgp, seed),
+		Net:        netsim.New(bgp, cfg.Seed),
 		IXPs:       make(map[string]*IXPInfo),
 		RIRFile:    &registry.File{Registry: "afrinic", Serial: "20170306"},
 		Directory:  &ixpdir.Directory{},
@@ -63,11 +85,18 @@ func newBuilder(seed uint64) *builder {
 		RDNS:       geo.NewRDNS(),
 		Interviews: interview.NewRegistry(),
 	}
-	return &builder{
-		w:       w,
-		asPool:  netaddr.NewAllocator(netaddr.MustParsePrefix("40.0.0.0/6")),
+	asPool, firstASN := cfg.ASPool, cfg.FirstASN
+	if asPool.Bits <= 0 {
+		asPool = netaddr.MustParsePrefix("40.0.0.0/6")
+	}
+	if firstASN <= 0 {
+		firstASN = 328000
+	}
+	return &Builder{
+		World:   w,
+		asPool:  netaddr.NewAllocator(asPool),
 		ixpPool: netaddr.NewAllocator(netaddr.MustParsePrefix("196.60.0.0/14")),
-		nextASN: 328000,
+		nextASN: firstASN,
 	}
 }
 
@@ -75,23 +104,23 @@ func newBuilder(seed uint64) *builder {
 // generator widens the pool and keeps /16s.
 const asBits = 16
 
-// allocASN hands out synthetic member ASNs.
-func (b *builder) allocASN() asrel.ASN {
+// AllocASN hands out synthetic member ASNs.
+func (b *Builder) AllocASN() asrel.ASN {
 	b.nextASN++
 	return b.nextASN
 }
 
-// addAS creates an AS: graph registration, /16 announcement, border
+// AddAS creates an AS: graph registration, /16 announcement, border
 // router, internal host with service address one hop behind it (so
 // traces into the AS reveal the border's ingress interface), RIR
 // delegation, geolocation, and reverse DNS.
-func (b *builder) addAS(asn asrel.ASN, name, org, cc, city string) *asInfo {
+func (b *Builder) AddAS(asn asrel.ASN, name, org, cc, city string) *AS {
 	prefix := b.asPool.MustAlloc(asBits)
-	b.w.Graph.AddAS(asn, name, asrel.Org(org))
-	b.w.BGP.Announce(asn, prefix)
+	b.World.Graph.AddAS(asn, name, asrel.Org(org))
+	b.World.BGP.Announce(asn, prefix)
 
-	border := b.w.Net.AddNode("br1."+name, asn)
-	host := b.w.Net.AddNode("srv1."+name, asn)
+	border := b.World.Net.AddNode("br1."+name, asn)
+	host := b.World.Net.AddNode("srv1."+name, asn)
 	// The first sixteenth of the block is infrastructure: /30
 	// interconnects (a /20 out of a /16 holds 1024, enough for
 	// Liquid-scale customer counts). The very first /30 is reserved so
@@ -101,47 +130,47 @@ func (b *builder) addAS(asn asrel.ASN, name, org, cc, city string) *asInfo {
 	p2p := netaddr.NewAllocator(netaddr.PrefixFrom(prefix.Addr, asBits+4))
 	p2p.MustAlloc(30) // reserve x.x.0.0/30
 	link := p2p.MustAlloc(30)
-	b.w.Net.ConnectLink(border, host, netsim.LinkSpec{Subnet: link,
+	b.World.Net.ConnectLink(border, host, netsim.LinkSpec{Subnet: link,
 		NameA: geo.InterfaceName("ge0-0", "br1", city, cc, domainOf(name)),
 		NameB: geo.InterfaceName("eth0", "srv1", city, cc, domainOf(name)),
 	})
 	service := prefix.Nth(1) // x.x.0.1: one hop behind the border
-	b.w.Net.AddLoopback(host, service, geo.InterfaceName("lo0", "srv1", city, cc, domainOf(name)))
+	b.World.Net.AddLoopback(host, service, geo.InterfaceName("lo0", "srv1", city, cc, domainOf(name)))
 
-	info := &asInfo{ASN: asn, Name: name, Prefix: prefix, Border: border,
+	info := &AS{ASN: asn, Name: name, Prefix: prefix, Border: border,
 		Host: host, Service: service, CC: cc, City: city,
 		p2pPool: p2p}
-	b.w.RIRFile.Delegations = append(b.w.RIRFile.Delegations,
+	b.World.RIRFile.Delegations = append(b.World.RIRFile.Delegations,
 		registry.Delegation{Registry: "afrinic", CC: cc, Type: "ipv4",
 			Prefix: prefix, Date: simclock.Epoch, Status: "allocated", Opaque: "ORG-" + org},
 		registry.Delegation{Registry: "afrinic", CC: cc, Type: "asn",
 			ASN: asn, Date: simclock.Epoch, Status: "allocated", Opaque: "ORG-" + org})
-	b.w.GeoDB.Add(geo.Entry{Prefix: prefix, Country: cc, City: city})
-	b.w.RDNS.Register(service, geo.InterfaceName("lo0", "srv1", city, cc, domainOf(name)))
+	b.World.GeoDB.Add(geo.Entry{Prefix: prefix, Country: cc, City: city})
+	b.World.RDNS.Register(service, geo.InterfaceName("lo0", "srv1", city, cc, domainOf(name)))
 	return info
 }
 
 func domainOf(name string) string { return name + ".net" }
 
-// addIXP creates an exchange: peering LAN (and optional management
+// AddIXP creates an exchange: peering LAN (and optional management
 // prefix), directory entry, geolocation of the fabric.
-func (b *builder) addIXP(name, cc, region, city string, launched int, ixpAS asrel.ASN, withMgmt bool) *IXPInfo {
+func (b *Builder) AddIXP(name, cc, region, city string, launched int, ixpAS asrel.ASN, withMgmt bool) *IXPInfo {
 	lanPrefix := b.ixpPool.MustAlloc(24)
 	info := &IXPInfo{Name: name, Country: cc, City: city, Region: region, Launched: launched,
 		ASN: ixpAS, Peering: lanPrefix, Members: make(map[asrel.ASN]netaddr.Addr)}
-	info.PeeringLAN = b.w.Net.AddLAN(lanPrefix)
+	info.PeeringLAN = b.World.Net.AddLAN(lanPrefix)
 	if withMgmt {
 		info.Management = b.ixpPool.MustAlloc(24)
 	}
-	b.w.Directory.IXPs = append(b.w.Directory.IXPs, ixpdir.IXP{
+	b.World.Directory.IXPs = append(b.World.Directory.IXPs, ixpdir.IXP{
 		Name: name, Country: cc, Region: region, Launched: launched,
 		PeeringLAN: lanPrefix, Management: info.Management,
 	})
-	b.w.GeoDB.Add(geo.Entry{Prefix: lanPrefix, Country: cc, City: city})
+	b.World.GeoDB.Add(geo.Entry{Prefix: lanPrefix, Country: cc, City: city})
 	if withMgmt {
-		b.w.GeoDB.Add(geo.Entry{Prefix: info.Management, Country: cc, City: city})
+		b.World.GeoDB.Add(geo.Entry{Prefix: info.Management, Country: cc, City: city})
 	}
-	b.w.IXPs[name] = info
+	b.World.IXPs[name] = info
 	return info
 }
 
@@ -181,40 +210,40 @@ func reservePort(x *IXPInfo) {
 	}
 }
 
-// joinIXP attaches an AS's border router to an exchange fabric and
+// JoinIXP attaches an AS's border router to an exchange fabric and
 // records peerings with the existing members, the directory port
 // assignment, and rDNS for the port. It panics with a *LANFullError
 // when the LAN has no address left (BuildPaper recovers it).
-func (b *builder) joinIXP(a *asInfo, x *IXPInfo, spec PortSpec) netaddr.Addr {
+func (b *Builder) JoinIXP(a *AS, x *IXPInfo, spec PortSpec) netaddr.Addr {
 	reservePort(x)
 	slot := len(x.PeeringLAN.Attachments)
 	addr := x.Peering.Nth(uint64(10 + slot))
 	name := geo.InterfaceName(fmt.Sprintf("xe0-%d", slot), "br1",
 		cityOfIXP(x), x.Country, domainOf(a.Name))
-	b.w.Net.AttachToLAN(a.Border, x.PeeringLAN, netsim.AttachSpec{
+	b.World.Net.AttachToLAN(a.Border, x.PeeringLAN, netsim.AttachSpec{
 		Addr: addr, Name: name,
 		FromFabric: spec.FromFabric, ToFabric: spec.ToFabric,
 	})
-	b.w.RDNS.Register(addr, name)
+	b.World.RDNS.Register(addr, name)
 	// Bilateral peering with every current member.
 	for m := range x.Members {
-		b.w.Graph.SetPeer(a.ASN, m)
+		b.World.Graph.SetPeer(a.ASN, m)
 	}
 	x.Members[a.ASN] = addr
 	if !spec.SkipPCH {
-		b.w.Directory.PortAssignments = append(b.w.Directory.PortAssignments,
+		b.World.Directory.PortAssignments = append(b.World.Directory.PortAssignments,
 			ixpdir.PortAssignment{IXPName: x.Name, Addr: addr, ASN: a.ASN})
 	}
 	if spec.SlowICMPLevel > 0 {
-		a.Border.ICMPDelay = slowICMP(b.w.Seed^uint64(a.ASN), spec.SlowICMPLevel)
+		a.Border.ICMPDelay = slowICMP(b.World.Seed^uint64(a.ASN), spec.SlowICMPLevel)
 	}
 	return addr
 }
 
-// leaveIXP disconnects a member: both port pipes go down and the
-// bilateral peerings disappear from the control plane.
-func (b *builder) leaveEvent(a *asInfo, x *IXPInfo, at simclock.Time, why string) {
-	b.w.AddEvent(Event{At: at, Name: fmt.Sprintf("%s leaves %s (%s)", a.Name, x.Name, why),
+// LeaveEvent schedules a member's departure: both port pipes go down
+// and the bilateral peerings disappear from the control plane.
+func (b *Builder) LeaveEvent(a *AS, x *IXPInfo, at simclock.Time, why string) {
+	b.World.AddEvent(Event{At: at, Name: fmt.Sprintf("%s leaves %s (%s)", a.Name, x.Name, why),
 		Apply: func(w *World) {
 			addr := x.Members[a.ASN]
 			for i := range x.PeeringLAN.Attachments {
@@ -234,17 +263,17 @@ func (b *builder) leaveEvent(a *asInfo, x *IXPInfo, at simclock.Time, why string
 		}})
 }
 
-// joinEvent attaches a member at a future date. The port is reserved
+// JoinEvent attaches a member at a future date. The port is reserved
 // now, so a join that would overflow the LAN fails the build with a
 // *LANFullError instead of panicking when it applies; the address is
 // still assigned in join order when it applies.
-func (b *builder) joinEvent(a *asInfo, x *IXPInfo, at simclock.Time, spec PortSpec, onJoin func(addr netaddr.Addr)) {
+func (b *Builder) JoinEvent(a *AS, x *IXPInfo, at simclock.Time, spec PortSpec, onJoin func(addr netaddr.Addr)) {
 	reservePort(x)
 	x.pendingJoins++
-	b.w.AddEvent(Event{At: at, Name: fmt.Sprintf("%s joins %s", a.Name, x.Name),
+	b.World.AddEvent(Event{At: at, Name: fmt.Sprintf("%s joins %s", a.Name, x.Name),
 		Apply: func(w *World) {
 			x.pendingJoins--
-			addr := b.joinIXP(a, x, spec)
+			addr := b.JoinIXP(a, x, spec)
 			w.Net.InvalidateRoutes()
 			if onJoin != nil {
 				onJoin(addr)
@@ -252,13 +281,13 @@ func (b *builder) joinEvent(a *asInfo, x *IXPInfo, at simclock.Time, spec PortSp
 		}})
 }
 
-// transit wires a provider→customer relationship with a /30 carved
+// Transit wires a provider→customer relationship with a /30 carved
 // from the provider's block (providers commonly address customer
 // links), and a data-plane link between border routers.
-func (b *builder) transit(customer, provider *asInfo, pipeDown, pipeUp *netsim.Pipe) (custAddr, provAddr netaddr.Addr) {
-	b.w.Graph.SetProvider(customer.ASN, provider.ASN)
+func (b *Builder) Transit(customer, provider *AS, pipeDown, pipeUp *netsim.Pipe) (custAddr, provAddr netaddr.Addr) {
+	b.World.Graph.SetProvider(customer.ASN, provider.ASN)
 	sub := provider.p2pPool.MustAlloc(30)
-	l := b.w.Net.ConnectLink(provider.Border, customer.Border, netsim.LinkSpec{
+	l := b.World.Net.ConnectLink(provider.Border, customer.Border, netsim.LinkSpec{
 		Subnet: sub,
 		NameA:  geo.InterfaceName("ge1-0", "br1", provider.City, provider.CC, domainOf(provider.Name)),
 		NameB:  geo.InterfaceName("ge1-0", "br1", customer.City, customer.CC, domainOf(customer.Name)),
@@ -266,17 +295,17 @@ func (b *builder) transit(customer, provider *asInfo, pipeDown, pipeUp *netsim.P
 		PipeAtoB: pipeDown, // provider→customer (download direction)
 		PipeBtoA: pipeUp,
 	})
-	provAddr = b.w.Net.Iface(l.A).Addr
-	custAddr = b.w.Net.Iface(l.B).Addr
-	b.w.RDNS.Register(provAddr, geo.InterfaceName("ge1-0", "br1", provider.City, provider.CC, domainOf(provider.Name)))
-	b.w.RDNS.Register(custAddr, geo.InterfaceName("ge1-0", "br1", customer.City, customer.CC, domainOf(customer.Name)))
+	provAddr = b.World.Net.Iface(l.A).Addr
+	custAddr = b.World.Net.Iface(l.B).Addr
+	b.World.RDNS.Register(provAddr, geo.InterfaceName("ge1-0", "br1", provider.City, provider.CC, domainOf(provider.Name)))
+	b.World.RDNS.Register(custAddr, geo.InterfaceName("ge1-0", "br1", customer.City, customer.CC, domainOf(customer.Name)))
 	return custAddr, provAddr
 }
 
-// queueWithPackets builds the standard congested-link queue: fluid
+// QueueWithPackets builds the standard congested-link queue: fluid
 // buffer plus the near-saturation stochastic term for a 1500-byte
 // packet mix.
-func queueWithPackets(capBps float64, drain simclock.Duration, load trafficmodel.Load) *queue.Fluid {
+func QueueWithPackets(capBps float64, drain simclock.Duration, load trafficmodel.Load) *queue.Fluid {
 	return queue.NewFluid(queue.Config{
 		CapacityBps: capBps, BufferDrain: drain, Load: load, PacketBits: 12000,
 	})
@@ -288,38 +317,39 @@ func queueWithPackets(capBps float64, drain simclock.Duration, load trafficmodel
 func congestedPort(capBps float64, drain simclock.Duration, load trafficmodel.Load) *netsim.Pipe {
 	return &netsim.Pipe{
 		Prop:  150 * time.Microsecond,
-		Queue: queueWithPackets(capBps, drain, load),
+		Queue: QueueWithPackets(capBps, drain, load),
 	}
 }
 
-// addVP attaches a probe host to an AS's border router and returns
-// the vantage-point descriptor.
-func (b *builder) addVP(id, monitor string, a *asInfo, ixp string) *VP {
+// AddVP attaches a probe host to an AS's border router, registers the
+// vantage point with the world and returns its descriptor.
+func (b *Builder) AddVP(id, monitor string, a *AS, ixp string) *VP {
 	sub := a.p2pPool.MustAlloc(30)
-	node := b.w.Net.AddNode("vp."+monitor, a.ASN)
-	l := b.w.Net.ConnectLink(node, a.Border, netsim.LinkSpec{Subnet: sub,
+	node := b.World.Net.AddNode("vp."+monitor, a.ASN)
+	l := b.World.Net.ConnectLink(node, a.Border, netsim.LinkSpec{Subnet: sub,
 		NameA: geo.InterfaceName("eth0", "ark-"+monitor, a.City, a.CC, domainOf(a.Name)),
 		NameB: geo.InterfaceName("ge0-9", "br1", a.City, a.CC, domainOf(a.Name)),
 	})
-	b.w.Net.SetGateway(node, b.w.Net.Iface(node.Ifaces[0]))
+	b.World.Net.SetGateway(node, b.World.Net.Iface(node.Ifaces[0]))
 	vp := &VP{ID: id, Monitor: monitor, IXP: ixp, HostAS: a.ASN, Node: node,
-		NearAddr:  b.w.Net.Iface(l.B).Addr,
+		NearAddr:  b.World.Net.Iface(l.B).Addr,
 		CaseLinks: make(map[string]prober.LinkTarget)}
+	b.World.VPs = append(b.World.VPs, vp)
 	return vp
 }
 
 // transitFromCustomerSpace is transit() with the /30 carved from the
 // customer's block — common on large providers' customer links, and
 // the addressing that makes bdrmap's border placement interesting.
-func (b *builder) transitFromCustomerSpace(customer, provider *asInfo) (custAddr, provAddr netaddr.Addr) {
-	b.w.Graph.SetProvider(customer.ASN, provider.ASN)
+func (b *Builder) transitFromCustomerSpace(customer, provider *AS) (custAddr, provAddr netaddr.Addr) {
+	b.World.Graph.SetProvider(customer.ASN, provider.ASN)
 	sub := customer.p2pPool.MustAlloc(30)
-	l := b.w.Net.ConnectLink(provider.Border, customer.Border, netsim.LinkSpec{
+	l := b.World.Net.ConnectLink(provider.Border, customer.Border, netsim.LinkSpec{
 		Subnet: sub,
 		NameA:  geo.InterfaceName("ge2-0", "br1", provider.City, provider.CC, domainOf(provider.Name)),
 		NameB:  geo.InterfaceName("ge0-0", "br1", customer.City, customer.CC, domainOf(customer.Name)),
 	})
-	return b.w.Net.Iface(l.B).Addr, b.w.Net.Iface(l.A).Addr
+	return b.World.Net.Iface(l.B).Addr, b.World.Net.Iface(l.A).Addr
 }
 
 // slowICMP builds a regime-switching control-plane delay: in roughly
@@ -330,16 +360,16 @@ func slowICMP(seed uint64, levelMs float64) func(simclock.Time) simclock.Duratio
 	const block = 5 * time.Hour
 	return func(t simclock.Time) simclock.Duration {
 		idx := uint64(time.Duration(t) / block)
-		u := hashUnit(seed, idx)
+		u := HashUnit(seed, idx)
 		base := 150 * time.Microsecond
 		if u < 0.3 {
 			// Elevated regime: level ± 10 %, plus per-probe jitter.
-			j := hashUnit(seed^0xABCD, uint64(time.Duration(t)/time.Minute))
+			j := HashUnit(seed^0xABCD, uint64(time.Duration(t)/time.Minute))
 			d := levelMs * (0.9 + 0.2*u/0.3)
 			return base + time.Duration(d*float64(time.Millisecond)) +
 				time.Duration(j*float64(500*time.Microsecond))
 		}
-		j := hashUnit(seed^0x1234, uint64(time.Duration(t)/time.Minute))
+		j := HashUnit(seed^0x1234, uint64(time.Duration(t)/time.Minute))
 		return base + time.Duration(j*float64(300*time.Microsecond))
 	}
 }
@@ -365,9 +395,9 @@ func cityOfIXP(x *IXPInfo) string {
 	return "unknown"
 }
 
-// hashUnit is the SplitMix64 unit hash shared by the deterministic
-// noise processes.
-func hashUnit(seed, n uint64) float64 {
+// HashUnit is the SplitMix64 unit hash shared by the deterministic
+// noise processes; worldgen draws every distribution through it.
+func HashUnit(seed, n uint64) float64 {
 	z := seed + n*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB

@@ -89,21 +89,21 @@ func BuildPaper(opts Options) (w *World, err error) {
 // BuildPaper returns an error.
 func Paper(opts Options) *World {
 	opts = opts.withDefaults()
-	b := newBuilder(opts.Seed)
-	w := b.w
+	b := NewBuilder(BuilderConfig{Seed: opts.Seed})
+	w := b.World
 
 	// ------------------------------------------------------------
 	// Global core: two intercontinental carriers and the regional
 	// transit ASes every member ultimately reaches the world through.
 	// ------------------------------------------------------------
-	ic1 := b.addAS(5511, "ic-one", "ICONE", "fr", "paris")
-	ic2 := b.addAS(6453, "ic-two", "ICTWO", "us", "newyork")
-	b.icRef = ic1
-	b.w.Graph.SetPeer(ic1.ASN, ic2.ASN)
+	ic1 := b.AddAS(5511, "ic-one", "ICONE", "fr", "paris")
+	ic2 := b.AddAS(6453, "ic-two", "ICTWO", "us", "newyork")
+	b.ICRef = ic1
+	b.World.Graph.SetPeer(ic1.ASN, ic2.ASN)
 	// The data plane needs a pipe for the IC peering too.
-	b.interconnect(ic1, ic2)
+	b.Interconnect(ic1, ic2)
 
-	regional := map[string]*asInfo{}
+	regional := map[string]*AS{}
 	for _, r := range []struct {
 		cc, city, name string
 	}{
@@ -113,9 +113,9 @@ func Paper(opts Options) *World {
 		{"gm", "banjul", "gamtel"},
 		{"rw", "kigali", "rw-transit"},
 	} {
-		a := b.addAS(b.allocASN(), r.name, orgOf(r.name), r.cc, r.city)
-		b.transit(a, ic1, nil, nil)
-		b.transit(a, ic2, nil, nil)
+		a := b.AddAS(b.AllocASN(), r.name, orgOf(r.name), r.cc, r.city)
+		b.Transit(a, ic1, nil, nil)
+		b.Transit(a, ic2, nil, nil)
 		regional[r.cc] = a
 	}
 
@@ -130,11 +130,11 @@ func Paper(opts Options) *World {
 	return w
 }
 
-// interconnect wires a plain data-plane link mirroring an existing
-// graph edge (used for the IC1–IC2 peering).
-func (b *builder) interconnect(a, c *asInfo) {
+// Interconnect wires a plain data-plane link mirroring an existing
+// graph edge (the IC1–IC2 peering).
+func (b *Builder) Interconnect(a, c *AS) {
 	sub := a.p2pPool.MustAlloc(30)
-	b.w.Net.ConnectLink(a.Border, c.Border, netsim.LinkSpec{Subnet: sub,
+	b.World.Net.ConnectLink(a.Border, c.Border, netsim.LinkSpec{Subnet: sub,
 		Prop: 3 * time.Millisecond})
 }
 
@@ -149,29 +149,29 @@ type memberSpec struct {
 	port    PortSpec
 	leaveAt simclock.Time
 	joinAt  simclock.Time
-	transit *asInfo // upstream; nil = none
+	transit *AS // upstream; nil = none
 }
 
 // populate builds members for an IXP, wiring each to its transit and
 // scheduling join/leave churn. It returns the built infos in order.
-func (b *builder) populate(x *IXPInfo, specs []memberSpec) []*asInfo {
-	out := make([]*asInfo, 0, len(specs))
+func (b *Builder) populate(x *IXPInfo, specs []memberSpec) []*AS {
+	out := make([]*AS, 0, len(specs))
 	for _, s := range specs {
 		asn := s.asn
 		if asn == 0 {
-			asn = b.allocASN()
+			asn = b.AllocASN()
 		}
-		a := b.addAS(asn, s.name, orgOf(s.name), s.cc, s.city)
+		a := b.AddAS(asn, s.name, orgOf(s.name), s.cc, s.city)
 		if s.transit != nil {
-			b.transit(a, s.transit, nil, nil)
+			b.Transit(a, s.transit, nil, nil)
 		}
 		if s.joinAt > 0 {
-			b.joinEvent(a, x, s.joinAt, s.port, nil)
+			b.JoinEvent(a, x, s.joinAt, s.port, nil)
 		} else {
-			b.joinIXP(a, x, s.port)
+			b.JoinIXP(a, x, s.port)
 		}
 		if s.leaveAt > 0 {
-			b.leaveEvent(a, x, s.leaveAt, "membership churn")
+			b.LeaveEvent(a, x, s.leaveAt, "membership churn")
 		}
 		out = append(out, a)
 	}
@@ -180,12 +180,12 @@ func (b *builder) populate(x *IXPInfo, specs []memberSpec) []*asInfo {
 
 // noiseSpecs expands noise bands into member specs with slow-ICMP
 // levels spread deterministically over each band.
-func (b *builder) noiseSpecs(prefix, cc, city string, transit *asInfo, bands []noiseBand) []memberSpec {
+func (b *Builder) noiseSpecs(prefix, cc, city string, transit *AS, bands []noiseBand) []memberSpec {
 	var specs []memberSpec
 	idx := 0
 	for bi, band := range bands {
 		for i := 0; i < band.count; i++ {
-			u := hashUnit(b.w.Seed^uint64(bi)<<8, uint64(idx))
+			u := HashUnit(b.World.Seed^uint64(bi)<<8, uint64(idx))
 			level := band.loMs + u*(band.hiMs-band.loMs)
 			specs = append(specs, memberSpec{
 				name: fmt.Sprintf("%s%03d", prefix, idx), cc: cc, city: city,
@@ -201,15 +201,15 @@ func (b *builder) noiseSpecs(prefix, cc, city string, transit *asInfo, bands []n
 // ------------------------------------------------------------------
 // VP1 — GIXA, Ghana (content-network VP).
 // ------------------------------------------------------------------
-func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
-	w := b.w
-	x := b.addIXP("GIXA", "gh", "West Africa", "accra", 2005, ASGixa, true)
-	content := b.addAS(ASGixa, "gixa", "GIXA", "gh", "accra")
-	b.joinIXP(content, x, PortSpec{})
-	vp := b.addVP("VP1", "gixa-gh", content, "GIXA")
+func buildGIXA(b *Builder, opts Options, ghTransit *AS) {
+	w := b.World
+	x := b.AddIXP("GIXA", "gh", "West Africa", "accra", 2005, ASGixa, true)
+	content := b.AddAS(ASGixa, "gixa", "GIXA", "gh", "accra")
+	b.JoinIXP(content, x, PortSpec{})
+	vp := b.AddVP("VP1", "gixa-gh", content, "GIXA")
 
-	ghanatel := b.addAS(ASGhanatel, "ghanatel", "VODAFONE-GH", "gh", "accra")
-	b.transit(ghanatel, ghTransit, nil, nil)
+	ghanatel := b.AddAS(ASGhanatel, "ghanatel", "VODAFONE-GH", "gh", "accra")
+	b.Transit(ghanatel, ghTransit, nil, nil)
 
 	// --- Case study: the GIXA–GHANATEL 100 Mbps transit link. ---
 	// Congested in both directions: the download pipe carries the GGC
@@ -219,11 +219,11 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 	const capBps = 100e6
 	downLoad := trafficmodel.NewSchedule(trafficmodel.Diurnal{ // phase 1
 		BaseBps: 0.72 * capBps, PeakBps: 1.35 * capBps, PeakHour: 14, Width: 7,
-		WeekendFactor: 0.9, DayJitterFrac: 0.15, NoiseFrac: 0.05, Seed: b.w.Seed ^ 0xD1,
+		WeekendFactor: 0.9, DayJitterFrac: 0.15, NoiseFrac: 0.05, Seed: b.World.Seed ^ 0xD1,
 	}.Load())
 	upLoad := trafficmodel.NewSchedule(trafficmodel.Diurnal{ // phase 1
 		BaseBps: 0.5 * capBps, PeakBps: 1.3 * capBps, PeakHour: 13, Width: 4,
-		WeekendFactor: 0.2, DayJitterFrac: 0.2, NoiseFrac: 0.05, Seed: b.w.Seed ^ 0xD2,
+		WeekendFactor: 0.2, DayJitterFrac: 0.2, NoiseFrac: 0.05, Seed: b.World.Seed ^ 0xD2,
 	}.Load())
 	phase2 := simclock.Date(2016, time.June, 15)
 	shutdown := simclock.Date(2016, time.August, 6)
@@ -233,7 +233,7 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 	// (0–85 % measured).
 	downLoad.At(phase2, trafficmodel.Diurnal{
 		BaseBps: 0.4 * capBps, PeakBps: 4.5 * capBps, PeakHour: 19, Width: 2.5,
-		DayJitterFrac: 0.35, NoiseFrac: 0.1, Seed: b.w.Seed ^ 0xD3,
+		DayJitterFrac: 0.35, NoiseFrac: 0.1, Seed: b.World.Seed ^ 0xD3,
 	}.Load())
 	upLoad.At(phase2, trafficmodel.Constant(0.3*capBps))
 
@@ -254,7 +254,7 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 			pipeUp.Queue.SetBufferDrain(phase2, 12500*time.Microsecond)
 		}})
 
-	_, ghanatelFar := b.transit(content, ghanatel, pipeDown, pipeUp)
+	_, ghanatelFar := b.Transit(content, ghanatel, pipeDown, pipeUp)
 	vp.CaseLinks["GIXA-GHANATEL"] = prober.LinkTarget{Near: vp.NearAddr, Far: ghanatelFar}
 
 	w.AddEvent(Event{At: shutdown, Name: "GIXA–GHANATEL link shut down",
@@ -266,9 +266,9 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 		Name: "GIXA switches to 620 Mbps intercontinental transit",
 		Apply: func(w *World) {
 			w.Graph.RemoveLink(content.ASN, ghanatel.ASN)
-			intercont := b.addAS(b.allocASN(), "intercont", "ICGGC", "pt", "lisbon")
-			b.transit(intercont, b.icRef, nil, nil)
-			b.transit(content, intercont, nil, nil)
+			intercont := b.AddAS(b.AllocASN(), "intercont", "ICGGC", "pt", "lisbon")
+			b.Transit(intercont, b.ICRef, nil, nil)
+			b.Transit(content, intercont, nil, nil)
 			w.Net.InvalidateRoutes()
 		}})
 
@@ -286,8 +286,8 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 		}})
 
 	// --- Case study: GIXA–KNET (member port, joins 2016-06-29). ---
-	knet := b.addAS(ASKnet, "knet", "KNET-GH", "gh", "accra")
-	b.transit(knet, ghTransit, nil, nil)
+	knet := b.AddAS(ASKnet, "knet", "KNET-GH", "gh", "accra")
+	b.Transit(knet, ghTransit, nil, nil)
 	knetOnset := simclock.Date(2016, time.August, 6)
 	// Mild overload (peak ≈ 1.035×C) keeps the measured loss in the
 	// paper's "average 0.1 %, no customer complaints" regime while the
@@ -298,10 +298,10 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 	knetLoad := trafficmodel.NewSchedule(trafficmodel.Constant(0.2*1e9)).
 		At(knetOnset, trafficmodel.Diurnal{
 			BaseBps: 0.45 * 1e9, PeakBps: 1.05 * 1e9, PeakHour: 15, Width: 3.0,
-			DayJitterFrac: 0.025, NoiseFrac: 0.015, Seed: b.w.Seed ^ 0xE1,
+			DayJitterFrac: 0.025, NoiseFrac: 0.015, Seed: b.World.Seed ^ 0xE1,
 		}.Load())
 	knetPort := congestedPort(1e9, 18*time.Millisecond, knetLoad)
-	b.joinEvent(knet, x, simclock.Date(2016, time.June, 29),
+	b.JoinEvent(knet, x, simclock.Date(2016, time.June, 29),
 		PortSpec{FromFabric: knetPort},
 		func(addr netaddr.Addr) {
 			vp.CaseLinks["GIXA-KNET"] = prober.LinkTarget{Near: vp.NearAddr, Far: addr}
@@ -341,19 +341,18 @@ func buildGIXA(b *builder, opts Options, ghTransit *asInfo) {
 			port: PortSpec{SlowICMPLevel: 26}},
 	)
 	b.populate(x, specs)
-	w.VPs = append(w.VPs, vp)
 }
 
 // ------------------------------------------------------------------
 // VP2 — TIX, Tanzania (content-network VP).
 // ------------------------------------------------------------------
-func buildTIX(b *builder, opts Options, transit *asInfo) {
-	w := b.w
-	x := b.addIXP("TIX", "tz", "East Africa", "daressalaam", 2004, ASTix, false)
-	content := b.addAS(ASTix, "tix", "TIX", "tz", "daressalaam")
-	b.joinIXP(content, x, PortSpec{})
-	b.transit(content, transit, nil, nil)
-	vp := b.addVP("VP2", "tix-tz", content, "TIX")
+func buildTIX(b *Builder, opts Options, transit *AS) {
+	w := b.World
+	x := b.AddIXP("TIX", "tz", "East Africa", "daressalaam", 2004, ASTix, false)
+	content := b.AddAS(ASTix, "tix", "TIX", "tz", "daressalaam")
+	b.JoinIXP(content, x, PortSpec{})
+	b.Transit(content, transit, nil, nil)
+	vp := b.AddVP("VP2", "tix-tz", content, "TIX")
 
 	// Two transiently congested member ports, mitigated mid-October
 	// (upgrades), so the 16/11 snapshot shows zero congested links.
@@ -363,13 +362,13 @@ func buildTIX(b *builder, opts Options, transit *asInfo) {
 		load := trafficmodel.Diurnal{
 			BaseBps: 0.5 * capBps, PeakBps: 1.25 * capBps, PeakHour: float64(13 + i),
 			Width: 2.2, WeekendFactor: 0.6, DayJitterFrac: 0.1, NoiseFrac: 0.06,
-			Seed: b.w.Seed ^ uint64(0xF1+i),
+			Seed: b.World.Seed ^ uint64(0xF1+i),
 		}
 		port := &netsim.Pipe{Prop: 150 * time.Microsecond,
-			Queue: queueWithPackets(capBps, mag, load.Load())}
-		a := b.addAS(b.allocASN(), fmt.Sprintf("tzcong%d", i), orgOf("tzcong"), "tz", "daressalaam")
-		b.transit(a, transit, nil, nil)
-		addr := b.joinIXP(a, x, PortSpec{FromFabric: port})
+			Queue: QueueWithPackets(capBps, mag, load.Load())}
+		a := b.AddAS(b.AllocASN(), fmt.Sprintf("tzcong%d", i), orgOf("tzcong"), "tz", "daressalaam")
+		b.Transit(a, transit, nil, nil)
+		addr := b.JoinIXP(a, x, PortSpec{FromFabric: port})
 		target := prober.LinkTarget{Near: vp.NearAddr, Far: addr}
 		vp.CaseLinks[fmt.Sprintf("TIX-CONG%d", i)] = target
 		q := port.Queue
@@ -409,19 +408,18 @@ func buildTIX(b *builder, opts Options, transit *asInfo) {
 			joinAt:  simclock.Date(2016, time.September, 10).Add(time.Duration(i) * 6 * 24 * time.Hour)})
 	}
 	b.populate(x, specs)
-	w.VPs = append(w.VPs, vp)
 }
 
 // ------------------------------------------------------------------
 // VP3 — JINX, South Africa (content-network VP).
 // ------------------------------------------------------------------
-func buildJINX(b *builder, opts Options, transit *asInfo) {
-	w := b.w
-	x := b.addIXP("JINX", "za", "Southern Africa", "johannesburg", 1996, ASJinx, false)
-	content := b.addAS(ASJinx, "jinx", "JINX", "za", "johannesburg")
-	b.joinIXP(content, x, PortSpec{})
-	b.transit(content, transit, nil, nil)
-	vp := b.addVP("VP3", "jinx-za", content, "JINX")
+func buildJINX(b *Builder, opts Options, transit *AS) {
+	w := b.World
+	x := b.AddIXP("JINX", "za", "Southern Africa", "johannesburg", 1996, ASJinx, false)
+	content := b.AddAS(ASJinx, "jinx", "JINX", "za", "johannesburg")
+	b.JoinIXP(content, x, PortSpec{})
+	b.Transit(content, transit, nil, nil)
+	vp := b.AddVP("VP3", "jinx-za", content, "JINX")
 
 	// One transiently congested member port, gone by September (the
 	// 27/07 snapshot shows 1 congested link, the later ones 0).
@@ -429,13 +427,13 @@ func buildJINX(b *builder, opts Options, transit *asInfo) {
 	mitigate := simclock.Date(2016, time.September, 1)
 	load := trafficmodel.Diurnal{
 		BaseBps: 0.5 * capBps, PeakBps: 1.2 * capBps, PeakHour: 20, Width: 2,
-		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.05, Seed: b.w.Seed ^ 0xF8,
+		WeekendFactor: 0.7, DayJitterFrac: 0.1, NoiseFrac: 0.05, Seed: b.World.Seed ^ 0xF8,
 	}
 	port := &netsim.Pipe{Prop: 150 * time.Microsecond,
-		Queue: queueWithPackets(capBps, 18*time.Millisecond, load.Load())}
-	cong := b.addAS(b.allocASN(), "zacong0", orgOf("zacong"), "za", "johannesburg")
-	b.transit(cong, transit, nil, nil)
-	addr := b.joinIXP(cong, x, PortSpec{FromFabric: port})
+		Queue: QueueWithPackets(capBps, 18*time.Millisecond, load.Load())}
+	cong := b.AddAS(b.AllocASN(), "zacong0", orgOf("zacong"), "za", "johannesburg")
+	b.Transit(cong, transit, nil, nil)
+	addr := b.JoinIXP(cong, x, PortSpec{FromFabric: port})
 	target := prober.LinkTarget{Near: vp.NearAddr, Far: addr}
 	vp.CaseLinks["JINX-CONG0"] = target
 	q := port.Queue
@@ -467,22 +465,21 @@ func buildJINX(b *builder, opts Options, transit *asInfo) {
 			joinAt: simclock.Date(2016, time.August, 15).Add(time.Duration(i) * 7 * 24 * time.Hour)})
 	}
 	b.populate(x, specs)
-	w.VPs = append(w.VPs, vp)
 }
 
 // ------------------------------------------------------------------
 // VP4 — SIXP, Gambia (member VP inside QCell).
 // ------------------------------------------------------------------
-func buildSIXP(b *builder, opts Options, transit *asInfo) {
-	w := b.w
-	x := b.addIXP("SIXP", "gm", "West Africa", "serekunda", 2014, ASSixp, false)
-	ixpNet := b.addAS(ASSixp, "sixp", "SIXP", "gm", "serekunda")
-	b.joinIXP(ixpNet, x, PortSpec{})
+func buildSIXP(b *Builder, opts Options, transit *AS) {
+	w := b.World
+	x := b.AddIXP("SIXP", "gm", "West Africa", "serekunda", 2014, ASSixp, false)
+	ixpNet := b.AddAS(ASSixp, "sixp", "SIXP", "gm", "serekunda")
+	b.JoinIXP(ixpNet, x, PortSpec{})
 
-	qcell := b.addAS(ASQcell, "qcell", "QCELL-GM", "gm", "serekunda")
-	b.transit(qcell, transit, nil, nil)
-	b.joinIXP(qcell, x, PortSpec{})
-	vp := b.addVP("VP4", "sixp-gm", qcell, "SIXP")
+	qcell := b.AddAS(ASQcell, "qcell", "QCELL-GM", "gm", "serekunda")
+	b.Transit(qcell, transit, nil, nil)
+	b.JoinIXP(qcell, x, PortSpec{})
+	vp := b.AddVP("VP4", "sixp-gm", qcell, "SIXP")
 
 	// --- Case study: QCELL–NETPAGE (10 Mbps port → 1 Gbps). ---
 	// NETPAGE's users pull Google content cached behind QCell; the
@@ -493,13 +490,13 @@ func buildSIXP(b *builder, opts Options, transit *asInfo) {
 	upgrade := simclock.Date(2016, time.April, 28)
 	load := trafficmodel.Diurnal{
 		BaseBps: 0.35 * capBps, PeakBps: 1.15 * capBps, PeakHour: 13.5, Width: 2.8,
-		WeekendFactor: 0.72, DayJitterFrac: 0.08, NoiseFrac: 0.05, Seed: b.w.Seed ^ 0xA7,
+		WeekendFactor: 0.72, DayJitterFrac: 0.08, NoiseFrac: 0.05, Seed: b.World.Seed ^ 0xA7,
 	}
 	port := &netsim.Pipe{Prop: 200 * time.Microsecond,
-		Queue: queueWithPackets(capBps, 35*time.Millisecond, load.Load())}
-	netpage := b.addAS(b.allocASN(), "netpage", "NETPAGE-GM", "gm", "serekunda")
-	b.transit(netpage, transit, nil, nil)
-	netpageAddr := b.joinIXP(netpage, x, PortSpec{FromFabric: port})
+		Queue: QueueWithPackets(capBps, 35*time.Millisecond, load.Load())}
+	netpage := b.AddAS(b.AllocASN(), "netpage", "NETPAGE-GM", "gm", "serekunda")
+	b.Transit(netpage, transit, nil, nil)
+	netpageAddr := b.JoinIXP(netpage, x, PortSpec{FromFabric: port})
 	vp.CaseLinks["QCELL-NETPAGE"] = prober.LinkTarget{Near: vp.NearAddr, Far: netpageAddr}
 	upgradeBps := opts.NetpageUpgradeBps
 	if upgradeBps <= 0 {
@@ -540,36 +537,34 @@ func buildSIXP(b *builder, opts Options, transit *asInfo) {
 			joinAt: simclock.Date(2016, time.August, 5).Add(time.Duration(i) * 6 * 24 * time.Hour)})
 	}
 	b.populate(x, specs)
-	w.VPs = append(w.VPs, vp)
 }
 
 // ------------------------------------------------------------------
 // VP5 — KIXP, Kenya (member VP inside Liquid Telecom).
 // ------------------------------------------------------------------
-func buildKIXP(b *builder, opts Options, ic1, ic2 *asInfo) {
-	w := b.w
-	x := b.addIXP("KIXP", "ke", "East Africa", "nairobi", 2002, ASKixp, false)
-	ixpNet := b.addAS(ASKixp, "kixp", "KIXP", "ke", "nairobi")
-	b.joinIXP(ixpNet, x, PortSpec{})
+func buildKIXP(b *Builder, opts Options, ic1, ic2 *AS) {
+	x := b.AddIXP("KIXP", "ke", "East Africa", "nairobi", 2002, ASKixp, false)
+	ixpNet := b.AddAS(ASKixp, "kixp", "KIXP", "ke", "nairobi")
+	b.JoinIXP(ixpNet, x, PortSpec{})
 
-	liquid := b.addAS(ASLiquid, "liquid", "LIQUID-KE", "ke", "nairobi")
-	b.transit(liquid, ic1, nil, nil)
-	b.transit(liquid, ic2, nil, nil)
-	b.joinIXP(liquid, x, PortSpec{})
-	vp := b.addVP("VP5", "kixp-ke", liquid, "KIXP")
+	liquid := b.AddAS(ASLiquid, "liquid", "LIQUID-KE", "ke", "nairobi")
+	b.Transit(liquid, ic1, nil, nil)
+	b.Transit(liquid, ic2, nil, nil)
+	b.JoinIXP(liquid, x, PortSpec{})
+	b.AddVP("VP5", "kixp-ke", liquid, "KIXP")
 
 	// Initial KIXP peers (the 11/03 snapshot shows 4).
 	for i := 0; i < 3; i++ {
-		a := b.addAS(b.allocASN(), fmt.Sprintf("keisp%02d", i), orgOf("keisp"), "ke", "nairobi")
-		b.transit(a, ic1, nil, nil)
-		b.joinIXP(a, x, PortSpec{})
+		a := b.AddAS(b.AllocASN(), fmt.Sprintf("keisp%02d", i), orgOf("keisp"), "ke", "nairobi")
+		b.Transit(a, ic1, nil, nil)
+		b.JoinIXP(a, x, PortSpec{})
 	}
 	// Strong membership growth through the campaign (the paper's VP5
 	// snapshot growth from 4 to ~200 peers, scaled).
 	for i := 0; i < opts.scaled(46); i++ {
-		a := b.addAS(b.allocASN(), fmt.Sprintf("kenew%02d", i), orgOf("kenew"), "ke", "nairobi")
-		b.transit(a, ic2, nil, nil)
-		b.joinEvent(a, x, simclock.Date(2016, time.July, 1).Add(time.Duration(i)*5*24*time.Hour),
+		a := b.AddAS(b.AllocASN(), fmt.Sprintf("kenew%02d", i), orgOf("kenew"), "ke", "nairobi")
+		b.Transit(a, ic2, nil, nil)
+		b.JoinEvent(a, x, simclock.Date(2016, time.July, 1).Add(time.Duration(i)*5*24*time.Hour),
 			PortSpec{}, nil)
 	}
 
@@ -579,36 +574,34 @@ func buildKIXP(b *builder, opts Options, ic1, ic2 *asInfo) {
 	// 147/147/147/146 row (one borderline level in [16,18) ms).
 	nCust := opts.scaled(146)
 	for i := 0; i < nCust; i++ {
-		a := b.addAS(b.allocASN(), fmt.Sprintf("kecust%03d", i), orgOf("kecust"), "ke", "nairobi")
-		u := hashUnit(b.w.Seed^0x5E5, uint64(i))
+		a := b.AddAS(b.AllocASN(), fmt.Sprintf("kecust%03d", i), orgOf("kecust"), "ke", "nairobi")
+		u := HashUnit(b.World.Seed^0x5E5, uint64(i))
 		b.transitFromCustomerSpace(a, liquid)
-		a.Border.ICMPDelay = slowICMP(b.w.Seed^uint64(a.ASN), 25+u*20)
+		a.Border.ICMPDelay = slowICMP(b.World.Seed^uint64(a.ASN), 25+u*20)
 	}
-	border := b.addAS(b.allocASN(), "kecust-borderline", orgOf("kecust"), "ke", "nairobi")
+	border := b.AddAS(b.AllocASN(), "kecust-borderline", orgOf("kecust"), "ke", "nairobi")
 	b.transitFromCustomerSpace(border, liquid)
-	border.Border.ICMPDelay = slowICMP(b.w.Seed^uint64(border.ASN), 17)
+	border.Border.ICMPDelay = slowICMP(b.World.Seed^uint64(border.ASN), 17)
 
-	w.VPs = append(w.VPs, vp)
 }
 
 // ------------------------------------------------------------------
 // VP6 — RINEX, Rwanda (member VP inside RDB).
 // ------------------------------------------------------------------
-func buildRINEX(b *builder, opts Options, transit *asInfo) {
-	w := b.w
-	x := b.addIXP("RINEX", "rw", "East Africa", "kigali", 2004, ASRinex, false)
-	ixpNet := b.addAS(ASRinex, "rinex", "RINEX", "rw", "kigali")
-	b.joinIXP(ixpNet, x, PortSpec{})
+func buildRINEX(b *Builder, opts Options, transit *AS) {
+	x := b.AddIXP("RINEX", "rw", "East Africa", "kigali", 2004, ASRinex, false)
+	ixpNet := b.AddAS(ASRinex, "rinex", "RINEX", "rw", "kigali")
+	b.JoinIXP(ixpNet, x, PortSpec{})
 
-	rdb := b.addAS(ASRdb, "rdb", "RDB-RW", "rw", "kigali")
-	b.transit(rdb, transit, nil, nil)
-	b.joinIXP(rdb, x, PortSpec{})
-	vp := b.addVP("VP6", "rinex-rw", rdb, "RINEX")
+	rdb := b.AddAS(ASRdb, "rdb", "RDB-RW", "rw", "kigali")
+	b.Transit(rdb, transit, nil, nil)
+	b.JoinIXP(rdb, x, PortSpec{})
+	b.AddVP("VP6", "rinex-rw", rdb, "RINEX")
 
 	// One settled peer at the exchange (the paper's "9 (1)" row).
-	peer := b.addAS(b.allocASN(), "rwisp00", orgOf("rwisp"), "rw", "kigali")
-	b.transit(peer, transit, nil, nil)
-	b.joinIXP(peer, x, PortSpec{})
+	peer := b.AddAS(b.AllocASN(), "rwisp00", orgOf("rwisp"), "rw", "kigali")
+	b.Transit(peer, transit, nil, nil)
+	b.JoinIXP(peer, x, PortSpec{})
 
 	// RDB's government/customer links carry the VP6 noise population
 	// shaped after Table 1 (100/88/88/71): 12 levels in [6,9), 17 in
@@ -621,13 +614,12 @@ func buildRINEX(b *builder, opts Options, transit *asInfo) {
 	idx := 0
 	for bi, band := range bands {
 		for i := 0; i < band.count; i++ {
-			u := hashUnit(b.w.Seed^0x6E6^uint64(bi)<<10, uint64(idx))
+			u := HashUnit(b.World.Seed^0x6E6^uint64(bi)<<10, uint64(idx))
 			level := band.loMs + u*(band.hiMs-band.loMs)
-			a := b.addAS(b.allocASN(), fmt.Sprintf("rwcust%03d", idx), orgOf("rwcust"), "rw", "kigali")
+			a := b.AddAS(b.AllocASN(), fmt.Sprintf("rwcust%03d", idx), orgOf("rwcust"), "rw", "kigali")
 			b.transitFromCustomerSpace(a, rdb)
-			a.Border.ICMPDelay = slowICMP(b.w.Seed^uint64(a.ASN), level)
+			a.Border.ICMPDelay = slowICMP(b.World.Seed^uint64(a.ASN), level)
 			idx++
 		}
 	}
-	w.VPs = append(w.VPs, vp)
 }

@@ -338,7 +338,7 @@ func TestScheduledJoinsReserveLANPorts(t *testing.T) {
 	})
 
 	g, x = build()
-	g.World().AdvanceTo(simclock.Time(10 * 24 * time.Hour))
+	g.World.AdvanceTo(simclock.Time(10 * 24 * time.Hour))
 	if len(x.Members) != static+scheduled || len(x.PeeringLAN.Attachments) != static+scheduled {
 		t.Fatalf("%d members on %d ports after every join applied, want %d",
 			len(x.Members), len(x.PeeringLAN.Attachments), static+scheduled)

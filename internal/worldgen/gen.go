@@ -183,16 +183,16 @@ func Generate(o Options) *scenario.World {
 		tLoad:    make(map[string]int),
 		members:  make(map[string][]memberRec),
 	}
-	g.w = g.b.World()
+	g.w = g.b.World
 
 	counts := DerivedCounts(o)
 
 	// Intercontinental core: two peered carriers, as in the paper.
 	ic1 := g.b.AddAS(g.b.AllocASN(), "gen-ic-one", "GEN-IC-ONE", "fr", "paris")
 	ic2 := g.b.AddAS(g.b.AllocASN(), "gen-ic-two", "GEN-IC-TWO", "uk", "london")
-	g.b.SetPeer(ic1, ic2)
+	g.w.Graph.SetPeer(ic1.ASN, ic2.ASN)
 	g.b.Interconnect(ic1, ic2)
-	g.b.SetICRef(ic1)
+	g.b.ICRef = ic1
 
 	// Pre-draw each exchange's region and membership so regional
 	// transit capacity can be provisioned up front.
@@ -265,7 +265,7 @@ func (g *gen) transitFor(region string) *scenario.AS {
 func (g *gen) addVP(host *scenario.AS, ixp string) *scenario.VP {
 	g.vpSeq++
 	id := fmt.Sprintf("GVP%03d", g.vpSeq)
-	monitor := fmt.Sprintf("%s-%03d", host.Name(), g.vpSeq)
+	monitor := fmt.Sprintf("%s-%03d", host.Name, g.vpSeq)
 	return g.b.AddVP(id, monitor, host, ixp)
 }
 
@@ -357,7 +357,7 @@ func (g *gen) multihome(x *scenario.IXPInfo, region regionSpec) bool {
 			if m.ixp != xi.Name { // already a multihomed copy
 				continue
 			}
-			if _, present := x.Members[m.as.ASN()]; present {
+			if _, present := x.Members[m.as.ASN]; present {
 				continue
 			}
 			cands = append(cands, m)
@@ -409,7 +409,7 @@ func (g *gen) plantCongestion(x *scenario.IXPInfo, region regionSpec, vp *scenar
 
 	ann := &interview.Annotation{
 		VP: vp.ID, Target: target,
-		NearName: x.Name, FarName: g.w.Graph.Name(m.ASN()),
+		NearName: x.Name, FarName: g.w.Graph.Name(m.ASN),
 		CongestedTruth: true, OperatorConfirmed: g.u() < 0.7,
 	}
 	if g.u() < 0.5 {

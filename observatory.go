@@ -167,7 +167,13 @@ type FaultSchedule = faults.Schedule
 type Table = report.Table
 
 // RunCampaign executes the campaign and per-link analysis.
-func RunCampaign(cfg CampaignConfig) *Campaign {
+func RunCampaign(cfg CampaignConfig) *Campaign { return experiments.Run(cfg.EngineConfig()) }
+
+// EngineConfig translates the campaign configuration into the engine's:
+// the world (the authored paper world, or a generated one above Scale
+// 1), the probed window, the fault plan and the probe budget. Sweeps
+// that rerun one campaign under several settings start from it.
+func (cfg CampaignConfig) EngineConfig() experiments.Config {
 	ecfg := experiments.Config{
 		Opts:        scenario.Options{Seed: cfg.Seed, Scale: cfg.Scale},
 		DisableLoss: cfg.DisableLoss,
@@ -198,7 +204,7 @@ func RunCampaign(cfg CampaignConfig) *Campaign {
 		ecfg.Budget = &budget.Config{Fraction: cfg.Budget, Seed: cfg.BudgetSeed}
 	}
 	ecfg.Campaign = CampaignWindow(cfg.Days, cfg.StartOffsetDays)
-	return experiments.Run(ecfg)
+	return ecfg
 }
 
 // CampaignWindow turns a campaign length and start offset, in days from

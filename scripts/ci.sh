@@ -10,6 +10,8 @@
 #              exerciser (8 workers over shared world state)
 #   artifacts  repro -out writes a warts archive that cmd/replay
 #              re-analyzes
+#   sweeps     repro -budget-table runs on a 10x generated world and
+#              refuses -out
 #   pins       the two pinned -result-sha campaigns print their
 #              digests and exit 0, and the paper run's whole stdout
 #              and its 14 figure files hash as pinned
@@ -228,6 +230,22 @@ grep -qF '→' "$ART_TMP/replay.txt" \
   || { echo "FAIL: replay of the archive printed no link row"; cat "$ART_TMP/replay.txt"; exit 1; }
 rm -rf "$ART_TMP"
 echo "artifacts + replay OK"
+
+echo "== budget-table smoke (10x generated world, ignored-flag refusal) =="
+# The probe-budget sweep builds its campaigns with the same translation
+# as a plain run, so -scale 10 sweeps the generated world: its four
+# one-day campaigns must exit 0. A sweep writes no artifacts, so
+# -budget-table with -out must refuse to run.
+SWEEP_TMP="$(mktemp -d)"
+trap 'rm -rf "$SWEEP_TMP"' EXIT
+go build -o "$SWEEP_TMP/repro" ./cmd/repro
+"$SWEEP_TMP/repro" -budget-table -scale 10 -days 1 -no-loss -quiet >/dev/null
+if "$SWEEP_TMP/repro" -budget-table -out "$SWEEP_TMP/out" >/dev/null 2>&1; then
+  echo "FAIL: repro -budget-table -out exited 0"
+  exit 1
+fi
+rm -rf "$SWEEP_TMP"
+echo "budget-table smoke OK"
 
 echo "== checkpoint-restart smoke (kill -9 mid-campaign, resume, byte-identical) =="
 # An uninterrupted faulted+budgeted campaign prints its result digest;
